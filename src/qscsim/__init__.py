@@ -10,11 +10,13 @@ device can separate reliably in a single shot.
 """
 
 from .collapse import (
+    Calibration,
     CollapseEvent,
     CollapseModel,
     CollapseParams,
     calibrate_gamma,
     collapse_for_input,
+    diffusion_gamma,
     sample_collapse_time,
     sample_collapse_times,
     sample_outcome,
@@ -69,6 +71,7 @@ from .stats import RateEstimate, wilson_interval
 
 __all__ = [
     "Branch",
+    "Calibration",
     "CalibrationError",
     "CollapseEvent",
     "CollapseModel",
@@ -101,6 +104,7 @@ __all__ = [
     "classify_single",
     "collapse_for_input",
     "device_trial",
+    "diffusion_gamma",
     "expand_sweep",
     "load_config",
     "make_input_state",

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .collapse import CollapseModel, CollapseParams, calibrate_gamma, simulate_diffusion_ensemble
+from .collapse import CollapseModel, calibrate_gamma
 from .config import (
     config_to_json_dict,
     expand_sweep,
@@ -25,7 +25,6 @@ from .errors import ModelMisuseError, QscError
 from .protocol import run_experiment
 from .report import render_csv, render_human_summary, summary_csv_row, summary_to_json_dict
 from .selftest import run_selftest
-from .stats import Z95
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cal = sub.add_parser("calibrate", help="calibrate the diffusion strength to the target mean collapse time")
     common(p_cal, config_required=True)
     p_cal.add_argument("--tolerance", type=float, default=0.02, help="relative tolerance on the mean first-passage time")
-    p_cal.add_argument("--runs", type=int, default=8192, help="walkers per calibration evaluation")
+    p_cal.add_argument("--runs", type=int, default=8192, help="walkers in the verification ensemble")
     p_cal.add_argument("--save-config", default=None, help="write the config with the calibrated gamma to this path")
 
     p_self = sub.add_parser("selftest", help="run the reduced-size invariant suite")
@@ -70,6 +69,11 @@ def _load_raw(args: argparse.Namespace) -> dict:
     return raw
 
 
+def _dumps(obj: object) -> str:
+    """Strict JSON: a NaN or infinity raises instead of printing invalid JSON."""
+    return json.dumps(obj, indent=2, allow_nan=False)
+
+
 def _write_text(path: str, text: str) -> None:
     Path(path).write_text(text)
 
@@ -81,10 +85,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.out:
         _write_text(args.out, render_csv([summary_csv_row(summary)]))
     if args.json:
-        print(json.dumps(
-            {"resolved_config": config_to_json_dict(config), "summary": summary_to_json_dict(summary)},
-            indent=2,
-        ))
+        print(_dumps({"resolved_config": config_to_json_dict(config), "summary": summary_to_json_dict(summary)}))
     else:
         print(render_human_summary(summary))
         if args.out:
@@ -111,7 +112,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.out:
         _write_text(args.out, text)
     if args.json:
-        print(json.dumps({"sweep_param": base.sweep.param, "points": json_points}, indent=2))
+        print(_dumps({"sweep_param": base.sweep.param, "points": json_points}))
     elif args.out:
         print(f"csv written to {args.out} ({len(rows)} rows)")
     else:
@@ -132,44 +133,33 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
             f"calibrate applies to the diffusion model; config selects {config.collapse.model.value}"
         )
     target = config.collapse.t_c_mean
-    rng = np.random.default_rng(config.master_seed)
-    gamma = calibrate_gamma(
+    cal = calibrate_gamma(
         target,
         config.input_p1,
         config.collapse.epsilon,
         args.tolerance,
-        rng,
+        np.random.default_rng(config.master_seed),
         n_runs=args.runs,
+        dt=config.collapse.dt,
     )
-    params = CollapseParams(
-        model=CollapseModel.DIFFUSION,
-        t_c_mean=target,
-        gamma=gamma,
-        epsilon=config.collapse.epsilon,
-        dt=target * 1e-4,
-    )
-    times, _ = simulate_diffusion_ensemble(
-        config.input_p1, params, np.random.default_rng(int(rng.integers(2**63))), args.runs
-    )
-    mean = float(times.mean())
-    half = Z95 * float(times.std(ddof=1)) / args.runs**0.5
+    lo, hi = cal.ci95()
     if args.json:
-        print(json.dumps({
-            "gamma": gamma,
+        print(_dumps({
+            "gamma": cal.gamma,
             "t_c_target": target,
-            "achieved_mean": mean,
-            "achieved_mean_ci95": [mean - half, mean + half],
-            "n_runs": args.runs,
+            "achieved_mean": cal.achieved_mean,
+            "achieved_mean_ci95": [lo, hi],
+            "n_runs": cal.n_runs,
             "tolerance": args.tolerance,
             "master_seed": config.master_seed,
-        }, indent=2))
+        }))
     else:
-        print(f"calibrated gamma            {gamma!r}")
+        print(f"calibrated gamma            {cal.gamma!r}")
         print(f"target mean collapse time   {target!r} s")
-        print(f"achieved mean (n={args.runs})   {mean:.6g} s  [95% CI {mean - half:.6g}, {mean + half:.6g}]")
+        print(f"achieved mean (n={cal.n_runs})   {cal.achieved_mean:.6g} s  [95% CI {lo:.6g}, {hi:.6g}]")
     if args.save_config:
-        updated = set_config_field(raw, "collapse.gamma", gamma)
-        _write_text(args.save_config, json.dumps(updated, indent=2) + "\n")
+        updated = set_config_field(raw, "collapse.gamma", cal.gamma)
+        _write_text(args.save_config, _dumps(updated) + "\n")
         if not args.json:
             print(f"config with calibrated gamma written to {args.save_config}")
     return 0

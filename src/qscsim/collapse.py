@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import CalibrationError, CollapseTimeoutError, ModelMisuseError
 from .states import Branch, InputKind, InputState, born_probability
+from .stats import Z95
 
 DEFAULT_EPSILON = 1e-3
 #: Default integration step as a fraction of the mean collapse time.
@@ -245,7 +246,7 @@ def simulate_diffusion_ensemble(
     sqrt_dt = math.sqrt(dt)
 
     w = np.full(n, p1)
-    t = np.zeros(n)
+    t = 0.0
     idx = np.arange(n)
     times = np.empty(n)
     hit_upper = np.empty(n, dtype=bool)
@@ -268,13 +269,42 @@ def simulate_diffusion_ensemble(
         t += dt
         done = (w <= eps) | (w >= 1.0 - eps)
         if done.any():
-            times[idx[done]] = t[done]
+            times[idx[done]] = t
             hit_upper[idx[done]] = w[done] >= 1.0 - eps
             keep = ~done
             w = w[keep]
-            t = t[keep]
             idx = idx[keep]
     return times, hit_upper
+
+
+@dataclass(frozen=True)
+class Calibration:
+    """A diffusion strength and the first-passage times of ``n_runs`` walkers at it."""
+
+    gamma: float
+    achieved_mean: float
+    achieved_sd: float
+    n_runs: int
+
+    def ci95(self) -> tuple[float, float]:
+        half = Z95 * self.achieved_sd / math.sqrt(self.n_runs)
+        return self.achieved_mean - half, self.achieved_mean + half
+
+
+def diffusion_gamma(t_c_mean: float, p1: float, epsilon: float) -> float:
+    """Diffusion strength whose exact mean first-passage time from ``p1`` is ``t_c_mean``.
+
+    Solving (1/2) gamma^2 w^2 (1-w)^2 u'' = -1 with u = 0 at the bands gives
+    T(p1) = (2/gamma^2) [(1-2e) ln((1-e)/e) - (2 p1 - 1) ln(p1/(1-p1))].
+    Euler-Maruyama at step ``dt`` adds its discretization and overshoot bias.
+    """
+    if not t_c_mean > 0.0:
+        raise ValueError(f"t_c_mean must be > 0, got {t_c_mean!r}")
+    if not 0.0 < epsilon < p1 < 1.0 - epsilon:
+        raise ValueError(f"need 0 < epsilon < p1 < 1 - epsilon, got epsilon={epsilon!r}, p1={p1!r}")
+    bracket = (1.0 - 2.0 * epsilon) * math.log((1.0 - epsilon) / epsilon)
+    bracket -= (2.0 * p1 - 1.0) * math.log(p1 / (1.0 - p1))
+    return math.sqrt(2.0 * bracket / t_c_mean)
 
 
 def calibrate_gamma(
@@ -286,52 +316,40 @@ def calibrate_gamma(
     *,
     n_runs: int = 8192,
     dt: float | None = None,
-    max_evals: int = 60,
-) -> float:
-    """Find the diffusion strength whose mean first-passage time is ``t_c_target``.
+) -> Calibration:
+    """Closed-form :func:`diffusion_gamma` checked by one ensemble of ``n_runs`` walkers.
 
-    Bisection on ``gamma`` (in log space), exploiting that the mean hitting
-    time is strictly decreasing in ``gamma``.  Every evaluation reruns the
-    ensemble with the same derived seed (common random numbers), so the
-    result is deterministic for a given ``rng`` state.  ``dt`` defaults to
-    ``t_c_target * 1e-4``, matching the default step rule of
-    :class:`CollapseParams` so the calibrated value transfers directly.
-
-    Budget rule: the Monte Carlo error of one evaluation, estimated from a
-    pilot run, must satisfy ``3 * cv / sqrt(n_runs) <= tolerance``; tighter
-    tolerances need a larger ``n_runs`` and fail fast otherwise.
+    The ensemble runs at step ``dt`` (default ``t_c_target * 1e-4``, the
+    default step rule of :class:`CollapseParams`) from a seed drawn from
+    ``rng``.  Budget rule: its Monte Carlo error must satisfy
+    ``3 * cv / sqrt(n_runs) <= tolerance``.  Coarse steps bias the mean low
+    (about -12% at ``dt = t_c_target / 100``): when the ensemble's 95% CI lies
+    entirely outside ``t_c_target * (1 +- tolerance)``, gamma is rescaled once
+    by the exact ``1/gamma^2`` law and verified on a second ensemble.
 
     Raises:
-        CalibrationError: no sign change inside gamma in [1e-6, 1e6], run
-            budget too small for ``tolerance``, or ``max_evals`` exhausted.
+        CalibrationError: run budget too small for ``tolerance`` (naming the
+            ``n_runs`` needed), or the CI still misses after the rescale.
     """
-    if t_c_target <= 0.0:
-        raise ValueError(f"t_c_target must be > 0, got {t_c_target!r}")
-    if not 0.0 < p1 < 1.0:
-        raise ValueError(f"p1 must be in (0, 1), got {p1!r}")
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError(f"epsilon must be in (0, 0.5), got {epsilon!r}")
-    if tolerance <= 0.0:
+    gamma = diffusion_gamma(t_c_target, p1, epsilon)
+    if not tolerance > 0.0:
         raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
     if n_runs < 2:
         raise ValueError(f"n_runs must be >= 2, got {n_runs!r}")
     if dt is None:
         dt = t_c_target * DEFAULT_DT_FRACTION
 
-    def mean_time(gamma: float, seed: int) -> tuple[float, float]:
+    def verify(gamma: float) -> tuple[Calibration, bool]:
         params = CollapseParams(
             model=CollapseModel.DIFFUSION, t_c_mean=t_c_target, gamma=gamma, epsilon=epsilon, dt=dt
         )
-        times, _ = simulate_diffusion_ensemble(p1, params, np.random.default_rng(seed), n_runs)
-        return float(times.mean()), float(times.std(ddof=1))
+        times, _ = simulate_diffusion_ensemble(p1, params, np.random.default_rng(int(rng.integers(2**63))), n_runs)
+        cal = Calibration(gamma, float(times.mean()), float(times.std(ddof=1)), n_runs)
+        lo, hi = cal.ci95()
+        return cal, hi < t_c_target * (1.0 - tolerance) or lo > t_c_target * (1.0 + tolerance)
 
-    # Pilot at a step scale gamma*sqrt(dt) = 0.1: cheap, and the exact scaling
-    # mean(gamma) = mean(g0) * (g0/gamma)^2 turns it into a near-final guess.
-    pilot_seed = int(rng.integers(2**63))
-    eval_seed = int(rng.integers(2**63))
-    gamma_pilot = 0.1 / math.sqrt(dt)
-    pilot_mean, pilot_sd = mean_time(gamma_pilot, pilot_seed)
-    cv = pilot_sd / pilot_mean
+    cal, misses = verify(gamma)
+    cv = cal.achieved_sd / cal.achieved_mean
     noise_floor = 3.0 * cv / math.sqrt(n_runs)
     if noise_floor > tolerance:
         needed = math.ceil((3.0 * cv / tolerance) ** 2)
@@ -339,48 +357,14 @@ def calibrate_gamma(
             f"run budget too small for tolerance {tolerance!r}: "
             f"3*cv/sqrt(n_runs) = {noise_floor:.4f}; need n_runs >= {needed}"
         )
-    guess = gamma_pilot * math.sqrt(pilot_mean / t_c_target)
-    guess = min(max(guess, 1.5e-6), 1e6 / 1.5)  # keep the initial bracket inside [1e-6, 1e6]
-
-    lo = guess / 1.5
-    hi = guess * 1.5
-    evals = 0
-
-    def excess(gamma: float) -> float:
-        nonlocal evals
-        evals += 1
-        if evals > max_evals:
-            raise CalibrationError(f"calibration did not converge within {max_evals} evaluations")
-        mean, _ = mean_time(gamma, eval_seed)
-        return mean - t_c_target
-
-    f_lo = excess(lo)  # decreasing objective: f_lo > 0 > f_hi brackets the root
-    f_hi = excess(hi)
-    while f_lo < 0.0 and lo > 1e-6:
-        hi, f_hi = lo, f_lo
-        lo = max(lo / 2.0, 1e-6)
-        f_lo = excess(lo)
-    while f_hi > 0.0 and hi < 1e6:
-        lo, f_lo = hi, f_hi
-        hi = min(hi * 2.0, 1e6)
-        f_hi = excess(hi)
-    if f_lo < 0.0 or f_hi > 0.0:
-        raise CalibrationError("no bisection bracket for gamma in [1e-6, 1e6]")
-
-    while True:
-        mid = math.sqrt(lo * hi)
-        f_mid = excess(mid)
-        if abs(f_mid) <= tolerance * t_c_target:
-            return mid
-        if f_mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi / lo < 1.0 + 1e-9:
+    if misses:
+        cal, misses = verify(gamma * math.sqrt(cal.achieved_mean / t_c_target))
+        if misses:
             raise CalibrationError(
-                f"bracket collapsed before reaching tolerance {tolerance!r}; "
-                f"residual {abs(f_mid) / t_c_target:.4f}"
+                f"95% CI {cal.ci95()} of the mean first-passage time misses {t_c_target!r} "
+                f"by more than tolerance {tolerance!r} after rescaling gamma to {cal.gamma!r}; lower dt"
             )
+    return cal
 
 
 def collapse_for_input(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
@@ -115,6 +116,8 @@ def _get_number(
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigValidationError(where, f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigValidationError(where, f"must be finite, got {value!r}")
     if integer:
         if not isinstance(value, int):
             raise ConfigValidationError(where, f"expected an integer, got {value!r}")
@@ -241,6 +244,8 @@ def _parse_sweep(section: Mapping[str, Any]) -> SweepSpec:
     for i, value in enumerate(values):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigValidationError(f"sweep.values[{i}]", f"expected a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigValidationError(f"sweep.values[{i}]", f"must be finite, got {value!r}")
         if want is int and not isinstance(value, int):
             raise ConfigValidationError(f"sweep.values[{i}]", f"{param} takes integers, got {value!r}")
     cast = (lambda v: int(v)) if want is int else (lambda v: float(v))

@@ -17,6 +17,7 @@ collapse-vs-perception gap is identifiable.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -207,7 +208,8 @@ def run_experiment(config: "ExperimentConfig", *, threads: int = 1) -> Experimen
     ``rule.batch_n`` identically prepared states, and classifies the batch.
     Per-trial results land in preallocated arrays indexed by trial, and
     aggregation is a single pass over those arrays, so the summary is
-    byte-identical for any ``threads`` value.
+    byte-identical for any ``threads`` value.  Worker threads are capped at
+    the CPU count.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads!r}")
@@ -246,18 +248,19 @@ def run_experiment(config: "ExperimentConfig", *, threads: int = 1) -> Experimen
             _, device_guess = device_trial(kind, p1, rng, rule.no_change_guess)
             device_correct[i] = device_guess is kind
 
-    if threads == 1:
+    workers = min(threads, os.cpu_count() or 1)
+    if workers == 1:
         for i in range(n):
             one_trial(i)
     else:
-        chunk = max(1, math.ceil(n / (threads * 8)))
+        chunk = max(1, math.ceil(n / (workers * 8)))
         spans = [range(s, min(s + chunk, n)) for s in range(0, n, chunk)]
 
         def run_span(span: range) -> None:
             for i in span:
                 one_trial(i)
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=min(workers, len(spans))) as pool:
             list(pool.map(run_span, spans))
 
     n_definite = int(is_definite.sum())

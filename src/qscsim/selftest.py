@@ -96,7 +96,7 @@ def _check_collapse_time_law(seed: int) -> CheckResult:
 
     target = 1.0
     dt = 5e-4
-    gamma = calibrate_gamma(target, 0.5, 1e-3, 0.04, _rng(seed, 31), n_runs=4096, dt=dt)
+    gamma = calibrate_gamma(target, 0.5, 1e-3, 0.04, _rng(seed, 31), n_runs=4096, dt=dt).gamma
     cal_params = CollapseParams(model=CollapseModel.DIFFUSION, t_c_mean=target, gamma=gamma, dt=dt)
     times, _ = simulate_diffusion_ensemble(0.5, cal_params, _rng(seed, 32), 4096)
     cal_mean = float(times.mean())

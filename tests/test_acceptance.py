@@ -87,7 +87,7 @@ def test_criterion_2_collapse_time_law():
     assert elapsed < 5.0, f"exponential-law check took {elapsed:.1f}s, budget 5s"
 
     target = 1.0
-    gamma = calibrate_gamma(target, 0.5, 1e-3, 0.02, np.random.default_rng(SEED), n_runs=8192)
+    gamma = calibrate_gamma(target, 0.5, 1e-3, 0.02, np.random.default_rng(SEED), n_runs=8192).gamma
     calibrated = CollapseParams(
         model=CollapseModel.DIFFUSION, t_c_mean=target, gamma=gamma, epsilon=1e-3
     )

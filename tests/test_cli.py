@@ -1,9 +1,12 @@
 import csv
 import json
+import math
 
+import numpy as np
 import pytest
 
 from qscsim.cli import main
+from qscsim.collapse import CollapseModel, CollapseParams, simulate_diffusion_ensemble
 from qscsim.report import CSV_COLUMNS
 
 BASE_CONFIG = {
@@ -57,6 +60,22 @@ class TestRun:
         main(["run", "--config", config_path, "--out", str(out1), "--threads", "1"])
         main(["run", "--config", config_path, "--out", str(out4), "--threads", "4"])
         assert out1.read_bytes() == out4.read_bytes()
+
+    @pytest.mark.parametrize(
+        "field, extra",
+        [
+            ("priors", {"priors": math.nan}),
+            ("observer.jitter_sigma", {"observer": {"t_p": 0.001, "jitter_sigma": math.inf}}),
+            ("collapse.t_c_mean", {"collapse": {"model": "jump_exponential", "t_c_mean": math.nan}}),
+            ("sweep.values[1]", {"sweep": {"param": "priors", "values": [0.5, math.inf]}}),
+        ],
+    )
+    def test_non_finite_number_names_field(self, tmp_path, capsys, field, extra):
+        path = write_config(tmp_path, extra)
+        assert main(["run", "--config", path, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert field in captured.err and "finite" in captured.err
 
     def test_seed_override(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -183,6 +202,22 @@ class TestCalibrate:
         assert updated["collapse"]["gamma"] > 0.0
         assert main(["run", "--config", str(saved), "--json"]) == 0
         capsys.readouterr()
+
+    def test_saved_gamma_honors_configured_dt(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            {"input_p1": 0.5, "collapse": {"model": "diffusion", "t_c_mean": 1.0, "dt": 0.01}},
+        )
+        saved = tmp_path / "calibrated.json"
+        argv = ["calibrate", "--config", path, "--tolerance", "0.05", "--runs", "4096"]
+        assert main(argv + ["--save-config", str(saved)]) == 0
+        capsys.readouterr()
+        collapse = json.loads(saved.read_text())["collapse"]
+        params = CollapseParams(
+            model=CollapseModel.DIFFUSION, t_c_mean=1.0, gamma=collapse["gamma"], dt=collapse["dt"]
+        )
+        times, _ = simulate_diffusion_ensemble(0.5, params, np.random.default_rng(3), 16384)
+        assert abs(float(times.mean()) - 1.0) <= 0.05
 
     def test_wrong_model_is_an_error(self, config_path, capsys):
         assert main(["calibrate", "--config", config_path]) == 1

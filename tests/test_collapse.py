@@ -10,12 +10,14 @@ from oracles import (
     exp_var_3sigma,
     mean_first_passage_time,
 )
+import qscsim.collapse as collapse_module
 from qscsim.collapse import (
     CollapseEvent,
     CollapseModel,
     CollapseParams,
     calibrate_gamma,
     collapse_for_input,
+    diffusion_gamma,
     sample_collapse_time,
     sample_collapse_times,
     sample_outcome,
@@ -192,15 +194,28 @@ class TestDiffusion:
 
 
 class TestCalibrateGamma:
-    def test_deterministic_given_seed(self):
+    @pytest.mark.parametrize("t_c", [1.0, 180.0])
+    @pytest.mark.parametrize("p1", [0.1, 0.5, 0.9])
+    def test_closed_form_matches_boundary_value_oracle(self, p1, t_c):
+        gamma = diffusion_gamma(t_c, p1, 1e-3)
+        assert mean_first_passage_time(p1, gamma, 1e-3) == pytest.approx(t_c, rel=1e-3)
+
+    def test_deterministic_given_seed(self, monkeypatch):
+        calls = count_ensembles(monkeypatch)
         kwargs = dict(n_runs=1024, dt=5e-4)
-        g1 = calibrate_gamma(1.0, 0.5, 1e-3, 0.05, np.random.default_rng(4), **kwargs)
-        g2 = calibrate_gamma(1.0, 0.5, 1e-3, 0.05, np.random.default_rng(4), **kwargs)
-        assert g1 == g2
+        c1 = calibrate_gamma(1.0, 0.5, 1e-3, 0.05, np.random.default_rng(4), **kwargs)
+        c2 = calibrate_gamma(1.0, 0.5, 1e-3, 0.05, np.random.default_rng(4), **kwargs)
+        assert c1 == c2
+        assert len(calls) == 2  # one verification ensemble each at a fine dt
+        assert c1.gamma == diffusion_gamma(1.0, 0.5, 1e-3)
+        assert c1.n_runs == 1024
+        lo, hi = c1.ci95()
+        assert lo <= c1.achieved_mean <= hi
+        assert lo <= 1.05 and hi >= 0.95
 
     def test_hits_target_and_doubling_overshoots(self):
         dt = 5e-4
-        gamma = calibrate_gamma(1.0, 0.5, 1e-3, 0.05, np.random.default_rng(8), n_runs=2048, dt=dt)
+        gamma = calibrate_gamma(1.0, 0.5, 1e-3, 0.05, np.random.default_rng(8), n_runs=2048, dt=dt).gamma
         params = CollapseParams(model=CollapseModel.DIFFUSION, t_c_mean=1.0, gamma=gamma, dt=dt)
         times, _ = simulate_diffusion_ensemble(0.5, params, np.random.default_rng(9), 4096)
         assert abs(float(times.mean()) - 1.0) <= 0.08
@@ -208,8 +223,29 @@ class TestCalibrateGamma:
         times2, _ = simulate_diffusion_ensemble(0.5, doubled, np.random.default_rng(9), 4096)
         assert float(times2.mean()) < 1.0
 
+    def test_coarse_dt_rescales_once(self, monkeypatch):
+        # Euler and band-overshoot bias pulls the mean about 12% low at
+        # dt = t_c/100, so the closed-form gamma misses and is rescaled.
+        calls = count_ensembles(monkeypatch)
+        cal = calibrate_gamma(1.0, 0.5, 1e-3, 0.05, np.random.default_rng(6), n_runs=4096, dt=0.01)
+        assert len(calls) == 2
+        assert calls[0] == diffusion_gamma(1.0, 0.5, 1e-3)
+        assert cal.gamma == calls[1] < calls[0]
+        lo, hi = cal.ci95()
+        assert lo <= 1.05 and hi >= 0.95
+
+    def test_ci_missing_after_rescale_raises(self, monkeypatch):
+        def biased_ensemble(p1, params, rng, n):
+            times = np.full(n, 0.5)
+            times[::2] = 0.6
+            return times, np.zeros(n, dtype=bool)
+
+        monkeypatch.setattr(collapse_module, "simulate_diffusion_ensemble", biased_ensemble)
+        with pytest.raises(CalibrationError, match="after rescaling"):
+            calibrate_gamma(1.0, 0.5, 1e-3, 0.05, np.random.default_rng(7), n_runs=4096, dt=0.01)
+
     def test_budget_rule_rejects_unreachable_tolerance(self):
-        with pytest.raises(CalibrationError):
+        with pytest.raises(CalibrationError, match=r"need n_runs >= \d+"):
             calibrate_gamma(1.0, 0.5, 1e-3, 0.001, np.random.default_rng(4), n_runs=256, dt=5e-4)
 
     def test_argument_validation(self):
@@ -220,6 +256,23 @@ class TestCalibrateGamma:
             calibrate_gamma(1.0, 0.0, 1e-3, 0.05, rng)
         with pytest.raises(ValueError):
             calibrate_gamma(1.0, 0.5, 1e-3, 0.0, rng)
+        with pytest.raises(ValueError):
+            calibrate_gamma(1.0, 0.5, 1e-3, math.nan, rng)
+        with pytest.raises(ValueError):
+            diffusion_gamma(1.0, 5e-4, 1e-3)  # inside the absorbing band
+
+
+def count_ensembles(monkeypatch):
+    """Record the gamma of every ensemble the calibration runs."""
+    calls = []
+    real = collapse_module.simulate_diffusion_ensemble
+
+    def counting(p1, params, rng, n):
+        calls.append(params.gamma)
+        return real(p1, params, rng, n)
+
+    monkeypatch.setattr(collapse_module, "simulate_diffusion_ensemble", counting)
+    return calls
 
 
 class TestCollapseForInput:

@@ -213,6 +213,27 @@ class TestRunExperiment:
         s4 = run_experiment(config, threads=4)
         assert s1 == s2 == s4
 
+    def test_worker_threads_capped_at_cpu_count(self, monkeypatch):
+        import qscsim.protocol as protocol
+
+        requested = []
+
+        class RecordingPool(protocol.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+                super().__init__(max_workers=min(max_workers, 2))  # never start many threads
+
+        config = experiment_config(n_trials=300)
+        reference = run_experiment(config, threads=1)
+        monkeypatch.setattr(protocol, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(protocol.os, "cpu_count", lambda: 2)
+        assert run_experiment(config, threads=10_000) == reference
+        assert run_experiment(config, threads=2) == reference
+        assert run_experiment(experiment_config(n_trials=1), threads=2).n_trials == 1
+        monkeypatch.setattr(protocol.os, "cpu_count", lambda: None)
+        assert run_experiment(config, threads=8) == reference  # one CPU: no pool
+        assert requested == [2, 2, 1]
+
     def test_no_signal_floor_without_jitter(self):
         config = experiment_config(priors=1.0, n_trials=5000)
         summary = run_experiment(config)
