@@ -17,17 +17,14 @@ from .collapse import (
     calibrate_gamma,
     collapse_for_input,
     diffusion_gamma,
-    sample_collapse_time,
     sample_collapse_times,
+    sample_collapses,
     sample_outcome,
-    simulate_diffusion_collapse,
-    simulate_diffusion_ensemble,
     t_c_from_energy,
 )
 from .config import ExperimentConfig, SweepSpec, expand_sweep, load_config, parse_config
 from .errors import (
     CalibrationError,
-    CollapseTimeoutError,
     ConfigError,
     ConfigFileError,
     ConfigParseError,
@@ -50,14 +47,11 @@ from .protocol import (
     DecisionRule,
     ExperimentSummary,
     RuleKind,
-    TrialRecord,
     classify_batch,
     classify_single,
     device_trial,
     optimal_device_bound,
     run_experiment,
-    run_trial,
-    trial_rng,
 )
 from .states import (
     Branch,
@@ -76,7 +70,6 @@ __all__ = [
     "CollapseEvent",
     "CollapseModel",
     "CollapseParams",
-    "CollapseTimeoutError",
     "ConfigError",
     "ConfigFileError",
     "ConfigParseError",
@@ -96,7 +89,6 @@ __all__ = [
     "RuleKind",
     "ScenarioTag",
     "SweepSpec",
-    "TrialRecord",
     "awareness_probability",
     "born_probability",
     "calibrate_gamma",
@@ -114,15 +106,11 @@ __all__ = [
     "perceive_superposition",
     "qsc_condition_satisfied",
     "run_experiment",
-    "run_trial",
-    "sample_collapse_time",
     "sample_collapse_times",
+    "sample_collapses",
     "sample_outcome",
-    "simulate_diffusion_collapse",
-    "simulate_diffusion_ensemble",
     "state_fidelity",
     "t_c_from_energy",
-    "trial_rng",
     "wilson_interval",
 ]
 

@@ -1,7 +1,8 @@
 """Command-line front end: run, sweep, calibrate, selftest.
 
 All state lives in the config file and flags; a fixed master seed makes every
-command byte-reproducible, including under ``--threads > 1``.
+command byte-reproducible.  ``--threads`` is accepted and ignored: every verb
+runs in one thread.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .config import (
     set_config_field,
 )
 from .errors import ModelMisuseError, QscError
-from .protocol import run_experiment
+from .protocol import RNG_STREAM, run_experiment
 from .report import render_csv, render_human_summary, summary_csv_row, summary_to_json_dict
 from .selftest import run_selftest
 
@@ -38,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=config_required, help="path to a JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the config master_seed")
         p.add_argument("--out", default=None, help="write results as CSV to this path")
-        p.add_argument("--threads", type=int, default=1, help="worker threads (results are thread-count invariant)")
+        p.add_argument("--threads", type=int, default=1, help="accepted for compatibility and ignored; must be >= 1")
         p.add_argument("--json", action="store_true", help="emit a JSON summary on stdout")
 
     p_run = sub.add_parser("run", help="run one experiment")
@@ -81,11 +82,15 @@ def _write_text(path: str, text: str) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     raw = _load_raw(args)
     config = parse_config(raw)
-    summary = run_experiment(config, threads=args.threads)
+    summary = run_experiment(config)
     if args.out:
         _write_text(args.out, render_csv([summary_csv_row(summary)]))
     if args.json:
-        print(_dumps({"resolved_config": config_to_json_dict(config), "summary": summary_to_json_dict(summary)}))
+        print(_dumps({
+            "rng_stream": RNG_STREAM,
+            "resolved_config": config_to_json_dict(config),
+            "summary": summary_to_json_dict(summary),
+        }))
     else:
         print(render_human_summary(summary))
         if args.out:
@@ -100,7 +105,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     json_points = []
     for value, config in points:
-        summary = run_experiment(config, threads=args.threads)
+        summary = run_experiment(config)
         rows.append(summary_csv_row(summary, sweep_param=base.sweep.param, sweep_value=value))
         if args.json:
             json_points.append({
@@ -112,7 +117,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.out:
         _write_text(args.out, text)
     if args.json:
-        print(_dumps({"sweep_param": base.sweep.param, "points": json_points}))
+        print(_dumps({"rng_stream": RNG_STREAM, "sweep_param": base.sweep.param, "points": json_points}))
     elif args.out:
         print(f"csv written to {args.out} ({len(rows)} rows)")
     else:
@@ -140,7 +145,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         args.tolerance,
         np.random.default_rng(config.master_seed),
         n_runs=args.runs,
-        dt=config.collapse.dt,
     )
     lo, hi = cal.ci95()
     if args.json:
@@ -172,6 +176,9 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if getattr(args, "threads", 1) < 1:
+        print(f"error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
+        return 1
     handlers = {
         "run": _cmd_run,
         "sweep": _cmd_sweep,

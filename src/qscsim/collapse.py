@@ -1,6 +1,7 @@
 """Stochastic collapse events for superposed inputs.
 
-Three interchangeable collapse-time laws sit behind one interface:
+Three interchangeable collapse-time laws sit behind one interface,
+:func:`sample_collapses`, which draws ``n`` independent collapses at once:
 
 * ``JUMP_EXPONENTIAL``: the collapse instant is exponentially distributed
   with the configured mean; the outcome is drawn directly from the Born
@@ -9,12 +10,13 @@ Three interchangeable collapse-time laws sit behind one interface:
   ``dw = gamma * w * (1 - w) * dW`` until it enters an absorbing band of
   half-width ``epsilon`` at either end.  The martingale form makes the
   absorption probabilities reproduce the Born weights (up to the small band
-  correction), and the collapse time is the first-passage time.
+  correction), and the collapse time is the first-passage time.  It is
+  sampled exactly, with no time step (see :func:`sample_collapses`).
 * ``DETERMINISTIC_TIME``: collapse at exactly the mean time; zero-variance
   reference mode for exact tests.
 
 All randomness flows through an explicit ``numpy.random.Generator`` so that
-trial streams can be split reproducibly by the experiment harness.
+streams can be split reproducibly by the experiment harness.
 """
 
 from __future__ import annotations
@@ -25,18 +27,16 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CalibrationError, CollapseTimeoutError, ModelMisuseError
+from .errors import CalibrationError, ModelMisuseError
 from .states import Branch, InputKind, InputState, born_probability
 from .stats import Z95
 
 DEFAULT_EPSILON = 1e-3
-#: Default integration step as a fraction of the mean collapse time.
-DEFAULT_DT_FRACTION = 1e-4
 DEFAULT_KAPPA = 1.0
-#: Diffusion non-termination guard; exceeding it raises instead of truncating.
-MAX_STEPS = 10**6
 
-_NORMAL_BLOCK = 1024
+#: Devroye's split point between the two series expansions of the J* density.
+_J_TRUNC = 0.64
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 class CollapseModel(Enum):
@@ -50,9 +50,8 @@ class CollapseParams:
     """Collapse-law selector plus its numeric knobs.
 
     ``t_c_mean`` is the mean collapse time in seconds.  ``gamma`` (diffusion
-    strength, 1/sqrt(s)), ``epsilon`` (absorbing half-band) and ``dt``
-    (integration step) only drive the DIFFUSION model; ``dt`` defaults to
-    ``t_c_mean * 1e-4`` and must stay at or below ``t_c_mean / 100``.
+    strength, 1/sqrt(s)) and ``epsilon`` (absorbing half-band) only drive the
+    DIFFUSION model.
 
     An optional perception ``energy`` ties the mean collapse time to the
     inverse-energy relation ``t_c_mean = kappa / energy``; construction
@@ -63,23 +62,14 @@ class CollapseParams:
     t_c_mean: float
     gamma: float | None = None
     epsilon: float = DEFAULT_EPSILON
-    dt: float | None = None
     energy: float | None = None
     kappa: float = DEFAULT_KAPPA
 
     def __post_init__(self) -> None:
         if self.t_c_mean <= 0.0:
             raise ValueError(f"t_c_mean must be > 0, got {self.t_c_mean!r}")
-        if self.dt is None:
-            object.__setattr__(self, "dt", self.t_c_mean * DEFAULT_DT_FRACTION)
         if not 0.0 < self.epsilon < 0.5:
             raise ValueError(f"epsilon must be in (0, 0.5), got {self.epsilon!r}")
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be > 0, got {self.dt!r}")
-        if self.dt > self.t_c_mean / 100.0:
-            raise ValueError(
-                f"dt must be <= t_c_mean / 100 = {self.t_c_mean / 100.0!r}, got {self.dt!r}"
-            )
         if self.kappa <= 0.0:
             raise ValueError(f"kappa must be > 0, got {self.kappa!r}")
         if self.model is CollapseModel.DIFFUSION:
@@ -104,44 +94,25 @@ def t_c_from_energy(energy: float, kappa: float = DEFAULT_KAPPA) -> float:
 
 @dataclass(frozen=True)
 class CollapseEvent:
-    """One collapse: instant, outcome branch, and (optionally) the weight path.
-
-    The trajectory, when recorded, is a tuple of ``(time, branch-1 weight)``
-    samples starting at the input weight and ending inside the absorbing band
-    matching ``outcome``.
-    """
+    """One collapse: its instant and outcome branch."""
 
     time: float
     outcome: Branch
-    trajectory: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self) -> None:
         if self.time < 0.0:
             raise ValueError(f"collapse time must be >= 0, got {self.time!r}")
-        if self.trajectory is not None:
-            for _, w in self.trajectory:
-                if not 0.0 <= w <= 1.0:
-                    raise ValueError(f"trajectory weight {w!r} outside [0, 1]")
-
-
-def sample_collapse_time(params: CollapseParams, rng: np.random.Generator) -> float:
-    """Draw one collapse time from the configured law.
-
-    Only the JUMP_EXPONENTIAL and DETERMINISTIC_TIME models have a closed
-    sampling law; diffusion times arise from first passage and must come from
-    :func:`simulate_diffusion_collapse`.
-    """
-    if params.model is CollapseModel.DIFFUSION:
-        raise ModelMisuseError("diffusion collapse times come from first passage, not direct sampling")
-    if params.model is CollapseModel.DETERMINISTIC_TIME:
-        return params.t_c_mean
-    return float(rng.exponential(params.t_c_mean))
 
 
 def sample_collapse_times(params: CollapseParams, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Vectorized :func:`sample_collapse_time`; returns ``n`` draws."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
+    """``n`` collapse times from a law that does not depend on the input.
+
+    Only the JUMP_EXPONENTIAL and DETERMINISTIC_TIME models have such a law;
+    diffusion times arise from first passage from the input weight and come
+    from :func:`sample_collapses`.
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n!r}")
     if params.model is CollapseModel.DIFFUSION:
         raise ModelMisuseError("diffusion collapse times come from first passage, not direct sampling")
     if params.model is CollapseModel.DETERMINISTIC_TIME:
@@ -156,125 +127,145 @@ def sample_outcome(p1: float, rng: np.random.Generator) -> Branch:
     return Branch.B1 if rng.random() < p1 else Branch.B2
 
 
-def simulate_diffusion_collapse(
-    p1: float,
-    params: CollapseParams,
-    rng: np.random.Generator,
-    record_trajectory: bool = False,
-) -> CollapseEvent:
-    """Evolve the branch-1 weight by Euler-Maruyama until absorption.
+def sample_collapses(
+    p1: float, params: CollapseParams, rng: np.random.Generator, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` independent collapses of an input with branch-1 weight ``p1``.
 
-    The update ``w += gamma * w * (1 - w) * sqrt(dt) * N(0, 1)`` (clamped to
-    [0, 1]) is a martingale, so the probability of absorbing at the upper
-    band is the Born weight ``p1`` up to the band correction.  Collapse is
-    declared at the first step with ``w <= epsilon`` or ``w >= 1 - epsilon``;
-    outcome is B1 at the upper band.
+    Returns ``(times, hit_upper)``; ``hit_upper[i]`` is True when collapse
+    ``i`` lands on branch B1.  The jump and deterministic models draw all
+    ``n`` times, then ``n`` Born-outcome uniforms.
+
+    The diffusion model is sampled exactly by walk on intervals.  In
+    ``x = logit(w)`` the weight obeys ``dx = gamma dW + (gamma^2/2)
+    tanh(x/2) dt``, the Doob transform of Brownian motion with variance
+    ``gamma^2`` by ``cosh(x/2)``, and the bands sit at ``+-L`` with
+    ``L = logit(1 - epsilon)``.  From ``y`` a walker exits the interval
+    ``y +- r``, ``r = L - |y|``, to the ``+`` side with probability
+    ``cosh((y+r)/2) / (cosh((y+r)/2) + cosh((y-r)/2))``, which equals
+    ``(1 + tanh(y/2) tanh(r/2)) / 2``, after a time ``(r/gamma)^2 J*(1, r/2)``
+    independent of the side.  The step toward the nearer band ends on it.
+    Each step draws one side uniform per live walker, then their J* values.
+    A weight that starts inside a band has collapsed at time 0.
 
     Raises:
-        ModelMisuseError: non-diffusion params, or ``p1`` in {0, 1} (nothing
-            superposed to collapse).
-        CollapseTimeoutError: no absorption within ``MAX_STEPS`` steps.
+        ModelMisuseError: diffusion with ``p1`` in {0, 1} (the weight never
+            moves, so there is nothing superposed to collapse).
     """
-    if params.model is not CollapseModel.DIFFUSION:
-        raise ModelMisuseError(f"simulate_diffusion_collapse requires the diffusion model, got {params.model.value}")
     if not 0.0 <= p1 <= 1.0:
         raise ValueError(f"p1 must be in [0, 1], got {p1!r}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n!r}")
+    if params.model is not CollapseModel.DIFFUSION:
+        times = sample_collapse_times(params, rng, n)
+        return times, rng.random(n) < p1
     if p1 == 0.0 or p1 == 1.0:
         raise ModelMisuseError("p1 in {0, 1} leaves no superposition to collapse")
 
-    gamma = params.gamma
-    dt = params.dt
-    eps = params.epsilon
-    sqrt_dt = math.sqrt(dt)
-    w = p1
-    t = 0.0
-    path = [(0.0, w)] if record_trajectory else None
-
-    # Normals are drawn in fixed-size blocks; unused tail draws are discarded,
-    # which keeps the stream consumption deterministic for a given seed.
-    steps = 0
-    while True:
-        block = rng.standard_normal(_NORMAL_BLOCK)
-        for z in block:
-            steps += 1
-            w += gamma * w * (1.0 - w) * sqrt_dt * z
-            w = 0.0 if w < 0.0 else (1.0 if w > 1.0 else w)
-            t += dt
-            if record_trajectory:
-                path.append((t, w))
-            if w <= eps or w >= 1.0 - eps:
-                outcome = Branch.B1 if w >= 1.0 - eps else Branch.B2
-                trajectory = tuple(path) if record_trajectory else None
-                return CollapseEvent(time=t, outcome=outcome, trajectory=trajectory)
-            if steps >= MAX_STEPS:
-                raise CollapseTimeoutError(
-                    f"no absorption after {MAX_STEPS} steps (w={w!r}); "
-                    f"raise gamma or dt, or lower t_c_mean",
-                    steps=steps,
-                    p1=p1,
-                    gamma=gamma,
-                    dt=dt,
-                    epsilon=eps,
-                )
-
-
-def simulate_diffusion_ensemble(
-    p1: float,
-    params: CollapseParams,
-    rng: np.random.Generator,
-    n: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run ``n`` independent first-passage walkers in lockstep.
-
-    Returns ``(times, hit_upper)`` where ``hit_upper[i]`` is True when walker
-    ``i`` absorbed at the branch-1 band.  Statistically equivalent to ``n``
-    calls of :func:`simulate_diffusion_collapse` but vectorized; the two paths
-    do not share a draw sequence.
-    """
-    if params.model is not CollapseModel.DIFFUSION:
-        raise ModelMisuseError(f"simulate_diffusion_ensemble requires the diffusion model, got {params.model.value}")
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError(f"p1 must be in [0, 1], got {p1!r}")
-    if p1 == 0.0 or p1 == 1.0:
-        raise ModelMisuseError("p1 in {0, 1} leaves no superposition to collapse")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
-
-    gamma = params.gamma
-    dt = params.dt
-    eps = params.epsilon
-    sqrt_dt = math.sqrt(dt)
-
-    w = np.full(n, p1)
-    t = 0.0
-    idx = np.arange(n)
-    times = np.empty(n)
-    hit_upper = np.empty(n, dtype=bool)
-
-    steps = 0
-    while idx.size:
-        steps += 1
-        if steps > MAX_STEPS:
-            raise CollapseTimeoutError(
-                f"{idx.size} of {n} walkers unabsorbed after {MAX_STEPS} steps; "
-                f"raise gamma or dt, or lower t_c_mean",
-                steps=steps,
-                p1=p1,
-                gamma=gamma,
-                dt=dt,
-                epsilon=eps,
-            )
-        w += gamma * w * (1.0 - w) * sqrt_dt * rng.standard_normal(w.size)
-        np.clip(w, 0.0, 1.0, out=w)
-        t += dt
-        done = (w <= eps) | (w >= 1.0 - eps)
-        if done.any():
-            times[idx[done]] = t
-            hit_upper[idx[done]] = w[done] >= 1.0 - eps
-            keep = ~done
-            w = w[keep]
-            idx = idx[keep]
+    band = math.log1p(-params.epsilon) - math.log(params.epsilon)
+    y = np.full(n, math.log(p1) - math.log1p(-p1))
+    times = np.zeros(n)
+    hit_upper = y > 0.0
+    live = np.flatnonzero(np.abs(y) < band)
+    while live.size:
+        y_live = y[live]
+        r = band - np.abs(y_live)
+        up = rng.random(live.size) < 0.5 * (1.0 + np.tanh(0.5 * y_live) * np.tanh(0.5 * r))
+        times[live] += (r / params.gamma) ** 2 * _sample_j_star(0.5 * r, rng)
+        y_next = np.where(up, y_live + r, y_live - r)
+        done = (up == (y_live >= 0.0)) | (y_live == 0.0) | (np.abs(y_next) >= band)
+        hit_upper[live[done]] = y_next[done] > 0.0
+        y[live] = y_next
+        live = live[~done]
     return times, hit_upper
+
+
+def _norm_cdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, element-wise through ``math.erfc``."""
+    return 0.5 * _erfc(-x / math.sqrt(2.0)).astype(float)
+
+
+def _j_star_term(n: int, x: np.ndarray) -> np.ndarray:
+    """Term ``a_n(x)`` of Devroye's alternating series for the J*(1, 0) density."""
+    k = (n + 0.5) * math.pi
+    left = np.exp(math.log(k) - 1.5 * np.log(0.5 * math.pi * x) - 2.0 * (n + 0.5) ** 2 / x)
+    return np.where(x > _J_TRUNC, k * np.exp(-0.5 * k * k * x), left)
+
+
+def _sample_truncated_inverse_gaussian(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Inverse Gaussian draws with mean ``1/z`` and shape 1, truncated to (0, 0.64)."""
+    t = _J_TRUNC
+    out = np.empty(z.size)
+    # Mean beyond the cut: 1/chi^2_1 proposals below t, accepted with
+    # probability exp(-z^2 x / 2).
+    pending = np.flatnonzero(z < 1.0 / t)
+    while pending.size:
+        e1 = rng.standard_exponential(pending.size)
+        e2 = rng.standard_exponential(pending.size)
+        x = t / (1.0 + t * e1) ** 2
+        ok = (e1 * e1 <= 2.0 * e2 / t) & (rng.random(pending.size) <= np.exp(-0.5 * z[pending] ** 2 * x))
+        out[pending[ok]] = x[ok]
+        pending = pending[~ok]
+    # Mean inside the cut: untruncated draws (Michael, Schucany & Haas),
+    # rejected above t.
+    pending = np.flatnonzero(z >= 1.0 / t)
+    while pending.size:
+        mu = 1.0 / z[pending]
+        y = rng.standard_normal(pending.size) ** 2
+        x = mu + 0.5 * mu * mu * y - 0.5 * mu * np.sqrt(4.0 * mu * y + (mu * y) ** 2)
+        x = np.where(rng.random(pending.size) > mu / (mu + x), mu * mu / x, x)
+        ok = x <= t
+        out[pending[ok]] = x[ok]
+        pending = pending[~ok]
+    return out
+
+
+def _sample_j_star(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Exact draws of J*(1, z), one per entry of ``z`` >= 0; the mean is ``tanh(z)/z``.
+
+    J*(1, z) is the exit time of standard Brownian motion from (-1, 1),
+    exponentially tilted by ``exp(-z^2 x / 2)``.  Devroye's (2009) sampler,
+    as used for Polya-Gamma draws by Polson, Scott & Windle (2013): propose
+    from an exponential piece right of 0.64 or a truncated inverse Gaussian
+    left of it, and accept by evaluating the alternating series until it
+    decides.  The acceptance rate exceeds 0.999.
+    """
+    t = _J_TRUNC
+    k = 0.125 * math.pi**2 + 0.5 * z * z
+    # Mass ratio q/p of the two proposal pieces, in logs: it overflows for large z.
+    with np.errstate(divide="ignore"):
+        log_q_over_p = np.log(4.0 / math.pi * k) + k * t + np.logaddexp(
+            -z + np.log(_norm_cdf((t * z - 1.0) / math.sqrt(t))),
+            z + np.log(_norm_cdf(-(t * z + 1.0) / math.sqrt(t))),
+        )
+    p_right = np.exp(-np.logaddexp(0.0, log_q_over_p))
+
+    out = np.empty(z.size)
+    pending = np.arange(z.size)
+    while pending.size:
+        m = pending.size
+        right = rng.random(m) < p_right[pending]
+        x = np.empty(m)
+        x[right] = t + rng.standard_exponential(int(right.sum())) / k[pending[right]]
+        x[~right] = _sample_truncated_inverse_gaussian(z[pending[~right]], rng)
+        s = _j_star_term(0, x)
+        y = rng.random(m) * s
+        accept = np.zeros(m, dtype=bool)
+        open_ = np.arange(m)
+        n = 0
+        while open_.size:
+            n += 1
+            if n % 2:
+                s[open_] -= _j_star_term(n, x[open_])
+                decided = y[open_] <= s[open_]
+                accept[open_[decided]] = True
+            else:
+                s[open_] += _j_star_term(n, x[open_])
+                decided = y[open_] > s[open_]
+            open_ = open_[~decided]
+        out[pending[accept]] = x[accept]
+        pending = pending[~accept]
+    return out
 
 
 @dataclass(frozen=True)
@@ -296,7 +287,6 @@ def diffusion_gamma(t_c_mean: float, p1: float, epsilon: float) -> float:
 
     Solving (1/2) gamma^2 w^2 (1-w)^2 u'' = -1 with u = 0 at the bands gives
     T(p1) = (2/gamma^2) [(1-2e) ln((1-e)/e) - (2 p1 - 1) ln(p1/(1-p1))].
-    Euler-Maruyama at step ``dt`` adds its discretization and overshoot bias.
     """
     if not t_c_mean > 0.0:
         raise ValueError(f"t_c_mean must be > 0, got {t_c_mean!r}")
@@ -315,40 +305,25 @@ def calibrate_gamma(
     rng: np.random.Generator,
     *,
     n_runs: int = 8192,
-    dt: float | None = None,
 ) -> Calibration:
-    """Closed-form :func:`diffusion_gamma` checked by one ensemble of ``n_runs`` walkers.
+    """Closed-form :func:`diffusion_gamma` checked by one exact ensemble of ``n_runs`` walkers.
 
-    The ensemble runs at step ``dt`` (default ``t_c_target * 1e-4``, the
-    default step rule of :class:`CollapseParams`) from a seed drawn from
-    ``rng``.  Budget rule: its Monte Carlo error must satisfy
-    ``3 * cv / sqrt(n_runs) <= tolerance``.  Coarse steps bias the mean low
-    (about -12% at ``dt = t_c_target / 100``): when the ensemble's 95% CI lies
-    entirely outside ``t_c_target * (1 +- tolerance)``, gamma is rescaled once
-    by the exact ``1/gamma^2`` law and verified on a second ensemble.
+    The ensemble draws from ``rng``.  Budget rule: its Monte Carlo error must
+    satisfy ``3 * cv / sqrt(n_runs) <= tolerance``.
 
     Raises:
         CalibrationError: run budget too small for ``tolerance`` (naming the
-            ``n_runs`` needed), or the CI still misses after the rescale.
+            ``n_runs`` needed), or the ensemble's 95% CI lies entirely
+            outside ``t_c_target * (1 +- tolerance)``.
     """
     gamma = diffusion_gamma(t_c_target, p1, epsilon)
     if not tolerance > 0.0:
         raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
     if n_runs < 2:
         raise ValueError(f"n_runs must be >= 2, got {n_runs!r}")
-    if dt is None:
-        dt = t_c_target * DEFAULT_DT_FRACTION
-
-    def verify(gamma: float) -> tuple[Calibration, bool]:
-        params = CollapseParams(
-            model=CollapseModel.DIFFUSION, t_c_mean=t_c_target, gamma=gamma, epsilon=epsilon, dt=dt
-        )
-        times, _ = simulate_diffusion_ensemble(p1, params, np.random.default_rng(int(rng.integers(2**63))), n_runs)
-        cal = Calibration(gamma, float(times.mean()), float(times.std(ddof=1)), n_runs)
-        lo, hi = cal.ci95()
-        return cal, hi < t_c_target * (1.0 - tolerance) or lo > t_c_target * (1.0 + tolerance)
-
-    cal, misses = verify(gamma)
+    params = CollapseParams(model=CollapseModel.DIFFUSION, t_c_mean=t_c_target, gamma=gamma, epsilon=epsilon)
+    times, _ = sample_collapses(p1, params, rng, n_runs)
+    cal = Calibration(gamma, float(times.mean()), float(times.std(ddof=1)), n_runs)
     cv = cal.achieved_sd / cal.achieved_mean
     noise_floor = 3.0 * cv / math.sqrt(n_runs)
     if noise_floor > tolerance:
@@ -357,13 +332,12 @@ def calibrate_gamma(
             f"run budget too small for tolerance {tolerance!r}: "
             f"3*cv/sqrt(n_runs) = {noise_floor:.4f}; need n_runs >= {needed}"
         )
-    if misses:
-        cal, misses = verify(gamma * math.sqrt(cal.achieved_mean / t_c_target))
-        if misses:
-            raise CalibrationError(
-                f"95% CI {cal.ci95()} of the mean first-passage time misses {t_c_target!r} "
-                f"by more than tolerance {tolerance!r} after rescaling gamma to {cal.gamma!r}; lower dt"
-            )
+    lo, hi = cal.ci95()
+    if hi < t_c_target * (1.0 - tolerance) or lo > t_c_target * (1.0 + tolerance):
+        raise CalibrationError(
+            f"95% CI {cal.ci95()} of the mean first-passage time misses {t_c_target!r} "
+            f"by more than tolerance {tolerance!r} at gamma {gamma!r}"
+        )
     return cal
 
 
@@ -372,16 +346,10 @@ def collapse_for_input(
 ) -> CollapseEvent | None:
     """Collapse event for one prepared input, or None for a definite input.
 
-    A definite input involves no superposition, hence no collapse wait.  For
-    superposed inputs the jump and deterministic models draw the collapse
-    time first and the Born outcome second; the diffusion model gets both
-    from one first-passage run.
+    A definite input involves no superposition, hence no collapse wait.  A
+    superposed input gets one draw of :func:`sample_collapses`.
     """
     if state.kind is InputKind.DEFINITE:
         return None
-    p1 = born_probability(state)
-    if params.model is CollapseModel.DIFFUSION:
-        return simulate_diffusion_collapse(p1, params, rng)
-    time = sample_collapse_time(params, rng)
-    outcome = sample_outcome(p1, rng)
-    return CollapseEvent(time=time, outcome=outcome)
+    times, hit_upper = sample_collapses(born_probability(state), params, rng, 1)
+    return CollapseEvent(time=float(times[0]), outcome=Branch.B1 if hit_upper[0] else Branch.B2)

@@ -46,7 +46,6 @@ SWEEPABLE_FIELDS: dict[str, type] = {
     "collapse.t_c_mean": float,
     "collapse.gamma": float,
     "collapse.epsilon": float,
-    "collapse.dt": float,
     "observer.t_p": float,
     "observer.jitter_sigma": float,
     "observer.resolution": float,
@@ -150,7 +149,7 @@ def _require_range(value: float, lo: float, hi: float, where: str, *, open_lo: b
 
 def _parse_collapse(section: Mapping[str, Any]) -> CollapseParams:
     path = "collapse"
-    _check_unknown(section, {"model", "t_c_mean", "gamma", "epsilon", "dt", "energy", "kappa"}, path)
+    _check_unknown(section, {"model", "t_c_mean", "gamma", "epsilon", "energy", "kappa"}, path)
     model = _get_enum(section, "model", path, CollapseModel, CollapseModel.JUMP_EXPONENTIAL)
     kappa = _get_number(section, "kappa", path, DEFAULT_KAPPA)
     energy = _get_number(section, "energy", path, None)
@@ -164,20 +163,13 @@ def _parse_collapse(section: Mapping[str, Any]) -> CollapseParams:
         raise ConfigValidationError("collapse.gamma", "diffusion model requires gamma > 0 (see the calibrate command)")
     epsilon = _get_number(section, "epsilon", path, DEFAULT_EPSILON)
     _require_range(epsilon, 0.0, 0.5, "collapse.epsilon", open_lo=True, open_hi=True)
-    dt = _get_number(section, "dt", path, None)
-    if dt is not None:
-        if dt <= 0.0:
-            raise ConfigValidationError("collapse.dt", f"must be > 0, got {dt!r}")
-        if dt > t_c_mean / 100.0:
-            raise ConfigValidationError("collapse.dt", f"must be <= t_c_mean / 100 = {t_c_mean / 100.0!r}, got {dt!r}")
     if energy is not None and energy <= 0.0:
         raise ConfigValidationError("collapse.energy", f"must be > 0, got {energy!r}")
     if kappa <= 0.0:
         raise ConfigValidationError("collapse.kappa", f"must be > 0, got {kappa!r}")
     try:
         return CollapseParams(
-            model=model, t_c_mean=t_c_mean, gamma=gamma, epsilon=epsilon, dt=dt,
-            energy=energy, kappa=kappa,
+            model=model, t_c_mean=t_c_mean, gamma=gamma, epsilon=epsilon, energy=energy, kappa=kappa,
         )
     except ValueError as exc:
         raise ConfigValidationError(path, str(exc)) from None
@@ -376,7 +368,6 @@ def config_to_json_dict(config: ExperimentConfig) -> dict[str, Any]:
             "t_c_mean": config.collapse.t_c_mean,
             "gamma": config.collapse.gamma,
             "epsilon": config.collapse.epsilon,
-            "dt": config.collapse.dt,
             "energy": config.collapse.energy,
             "kappa": config.collapse.kappa,
         },

@@ -15,18 +15,6 @@ class ModelMisuseError(QscError):
     """An operation was called with a collapse model or event it does not support."""
 
 
-class CollapseTimeoutError(QscError):
-    """Diffusion first-passage simulation hit the step guard without absorbing."""
-
-    def __init__(self, message: str, *, steps: int, p1: float, gamma: float, dt: float, epsilon: float):
-        super().__init__(message)
-        self.steps = steps
-        self.p1 = p1
-        self.gamma = gamma
-        self.dt = dt
-        self.epsilon = epsilon
-
-
 class CalibrationError(QscError):
     """Diffusion-strength calibration could not meet its contract."""
 

@@ -116,6 +116,42 @@ def _report_time(base: float, o: ObserverParams, rng: np.random.Generator) -> fl
     return max(0.0, base + rng.normal(0.0, o.jitter_sigma))
 
 
+def report_times(base: np.ndarray, o: ObserverParams, rng: np.random.Generator) -> np.ndarray:
+    """Array form of the report-time jitter: one Gaussian draw per entry,
+    truncated at 0, and no draw at all when ``jitter_sigma`` is 0."""
+    if o.jitter_sigma == 0.0:
+        return base
+    return np.maximum(base + rng.normal(0.0, o.jitter_sigma, base.shape), 0.0)
+
+
+def perceive_collapses(
+    o: ObserverParams,
+    scenario: PerceptionScenario,
+    times: np.ndarray,
+    hit_upper: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of :func:`perceive_superposition`, before report jitter.
+
+    For collapses at ``times`` landing on B1 where ``hit_upper`` is set,
+    returns each copy's un-jittered first-report time and whether it reports
+    a change.  RANDOM_PERCEPT draws one pre-percept uniform per copy; the
+    other scenarios draw nothing.
+    """
+    tag = scenario.tag
+    if tag is ScenarioTag.POST_COLLAPSE_ONLY:
+        return times + o.t_p, np.zeros(times.shape, dtype=bool)
+    first = np.full(times.shape, o.t_p)
+    if tag is ScenarioTag.DISTINCT_PERCEPT:
+        return first, np.ones(times.shape, dtype=bool)
+    if tag is ScenarioTag.FIXED_C1:
+        return first, ~hit_upper
+    if tag is ScenarioTag.FIXED_C2:
+        return first, hit_upper
+    pre_c1 = rng.random(times.shape) < scenario.r
+    return first, pre_c1 != hit_upper
+
+
 def perceive_definite(o: ObserverParams, rng: np.random.Generator) -> PerceptionReport:
     """Report for a definite branch-1 input: percept C1 after one latency."""
     t = _report_time(o.t_p, o, rng)

@@ -1,12 +1,18 @@
 """Discrimination trials, decision rules, and the physical-device baseline.
 
-One trial prepares an input (definite branch-1 state or a superposition),
-lets it collapse, produces a perception report, and classifies the report.
-Two one-sided signals are available: the first-percept time exceeding a
-threshold (a superposition keeps the observer waiting), and a detected
-percept change (only a collapse can flip a percept).  Both can only fire for
-superpositions (absent jitter a definite input never triggers either), so
-the batch rule over identically prepared states is "any positive fires".
+One decision prepares an input (definite branch-1 state or a superposition)
+``batch_n`` times, lets each copy collapse, produces a perception report per
+copy, and classifies the batch.  Two one-sided signals are available: the
+first-percept time exceeding a threshold (a superposition keeps the observer
+waiting), and a detected percept change (only a collapse can flip a
+percept).  Both can only fire for superpositions (absent jitter a definite
+input never triggers either), so the batch rule over identically prepared
+states is "any positive fires".
+
+:func:`run_experiment` runs decisions in fixed-size blocks with array
+operations; the scalar helpers (:func:`classify_single`,
+:func:`classify_batch`, :func:`device_trial`) state the same rules one
+report at a time.
 
 The device baseline performs a projective measurement in the branch basis
 with no timing channel; its single-copy success is capped by the optimal
@@ -17,27 +23,26 @@ collapse-vs-perception gap is identifiable.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .collapse import CollapseEvent, CollapseParams, collapse_for_input
-from .observer import (
-    ObserverParams,
-    PerceptionReport,
-    PerceptionScenario,
-    perceive_definite,
-    perceive_superposition,
-)
-from .states import Branch, InputKind, InputState, born_probability, make_input_state, state_fidelity
+from .collapse import sample_collapses
+from .observer import PerceptionReport, perceive_collapses, report_times
+from .states import Branch, InputKind, born_probability, make_input_state, state_fidelity
 from .stats import RateEstimate
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
+
+#: Decisions per block.  It is fixed, so every draw, and with it every
+#: output, depends only on the master seed and the block index.
+BLOCK_SIZE = 4096
+#: Names the random-stream layout of :func:`run_experiment`; it changes
+#: whenever the layout does.
+RNG_STREAM = "block-v1"
 
 
 class RuleKind(Enum):
@@ -66,22 +71,6 @@ class DecisionRule:
         if self.kind is not RuleKind.CHANGE_DETECTION:
             if self.threshold_time is None or self.threshold_time <= 0.0:
                 raise ValueError(f"{self.kind.value} requires threshold_time > 0")
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """Full trace of one single-state trial."""
-
-    true_input: InputKind
-    input_p1: float
-    collapse: CollapseEvent | None
-    report: PerceptionReport
-    guess: InputKind
-    correct: bool
-
-    def __post_init__(self) -> None:
-        if self.correct != (self.guess is self.true_input):
-            raise ValueError("correct flag inconsistent with guess vs true_input")
 
 
 @dataclass(frozen=True)
@@ -135,35 +124,6 @@ def classify_batch(reports: Sequence[PerceptionReport], rule: DecisionRule) -> I
     return rule.no_change_guess
 
 
-def run_trial(
-    true_input: InputKind,
-    p1: float,
-    collapse_params: CollapseParams,
-    observer_params: ObserverParams,
-    scenario: PerceptionScenario,
-    rule: DecisionRule,
-    rng: np.random.Generator,
-) -> TrialRecord:
-    """Prepare, collapse, perceive, classify: one single-state trial."""
-    if true_input is InputKind.DEFINITE and p1 != 1.0:
-        raise ValueError(f"definite input requires p1 = 1, got {p1!r}")
-    state = make_input_state(true_input, p1)
-    event = collapse_for_input(state, collapse_params, rng)
-    if event is None:
-        report = perceive_definite(observer_params, rng)
-    else:
-        report = perceive_superposition(observer_params, scenario, event, rng)
-    guess = classify_single(report, rule)
-    return TrialRecord(
-        true_input=true_input,
-        input_p1=p1,
-        collapse=event,
-        report=report,
-        guess=guess,
-        correct=guess is true_input,
-    )
-
-
 def device_trial(
     true_input: InputKind,
     p1: float,
@@ -191,102 +151,119 @@ def optimal_device_bound(fidelity: float) -> float:
     return 0.5 * (1.0 + math.sqrt(1.0 - fidelity))
 
 
-def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Private random stream for one trial, split from the master seed.
+def _run_block(
+    config: "ExperimentConfig", rng: np.random.Generator, m: int, p1: float, collapses: bool
+) -> tuple[int, int, int, int, float, float]:
+    """Run ``m`` decisions; return ``(n_definite, correct_definite,
+    correct_superposition, device_correct, report-time sum definite,
+    report-time sum superposition)``."""
+    rule = config.rule
+    observer = config.observer
+    batch_n = rule.batch_n
+    definite = rng.random(m) < config.priors
+    superposed = ~definite
+    n_sup = int(np.count_nonzero(superposed))
 
-    Identical to ``SeedSequence(master_seed).spawn(...)[trial_index]``, so
-    streams depend only on (master seed, index) and never on worker
-    scheduling.
-    """
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(trial_index,)))
+    first = np.full((m, batch_n), observer.t_p)
+    changed = np.zeros((n_sup, batch_n), dtype=bool)
+    if collapses and n_sup:
+        times, hit_upper = sample_collapses(p1, config.collapse, rng, n_sup * batch_n)
+        first[superposed], changed = perceive_collapses(
+            observer, config.scenario, times.reshape(n_sup, batch_n), hit_upper.reshape(n_sup, batch_n), rng
+        )
+    first = report_times(first, observer, rng)
+    if observer.jitter_sigma > 0.0:
+        # Change-report jitter.  No output reads the change-report time, but
+        # the draw keeps the block's variates those of the scalar model.
+        rng.normal(0.0, observer.jitter_sigma, np.count_nonzero(changed))
+
+    fired = np.zeros((m, batch_n), dtype=bool)
+    if rule.kind is not RuleKind.CHANGE_DETECTION:
+        fired = first > rule.threshold_time
+    if rule.kind is not RuleKind.TIMING_THRESHOLD:
+        fired[superposed] |= changed
+    fired = fired.any(axis=1)
+
+    n_def = m - n_sup
+    if rule.no_change_guess is InputKind.DEFINITE:
+        correct_def = n_def - int(np.count_nonzero(fired[definite]))
+        correct_sup = int(np.count_nonzero(fired[superposed]))
+    else:
+        correct_def, correct_sup = 0, n_sup
+    device_correct = 0
+    if config.device_baseline:
+        # A definite input always reads B1; a superposition reads B2, which
+        # certifies it, when the uniform lands at or above p1.
+        u = rng.random(m)
+        if rule.no_change_guess is InputKind.DEFINITE:
+            device_correct = n_def + int(np.count_nonzero(u[superposed] >= p1))
+        else:
+            device_correct = n_sup
+    return (
+        n_def, correct_def, correct_sup, device_correct,
+        float(first[definite].sum()), float(first[superposed].sum()),
+    )
 
 
-def run_experiment(config: "ExperimentConfig", *, threads: int = 1) -> ExperimentSummary:
+def run_experiment(config: "ExperimentConfig") -> ExperimentSummary:
     """Run ``config.n_trials`` independent decisions and aggregate accuracies.
 
     Each decision draws an input kind from the priors, consumes
     ``rule.batch_n`` identically prepared states, and classifies the batch.
-    Per-trial results land in preallocated arrays indexed by trial, and
-    aggregation is a single pass over those arrays, so the summary is
-    byte-identical for any ``threads`` value.  Worker threads are capped at
-    the CPU count.
+    Decisions run in blocks of :data:`BLOCK_SIZE`; block ``b`` draws from
+    ``SeedSequence(master_seed, spawn_key=(b,))``, one array per variate
+    kind, in this order (layout :data:`RNG_STREAM`):
+
+    1. one prior uniform per decision (definite when below ``priors``);
+    2. collapse times and outcomes of the superposed copies,
+       ``n_superposed * batch_n`` of them, from :func:`sample_collapses`;
+    3. one pre-percept uniform per superposed copy (``random_percept`` only);
+    4. one first-report jitter per copy, decision-major;
+    5. one change-report jitter per copy that reports a change;
+    6. one device uniform per decision (device baseline only).
+
+    Jitter is drawn only when ``jitter_sigma > 0``.  Each block reduces to
+    integer counts and report-time partial sums, which are combined in block
+    order (the sums with ``math.fsum``), so memory stays at one block.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads!r}")
     n = config.n_trials
-    rule = config.rule
-    batch_n = rule.batch_n
-    with_device = config.device_baseline
-
-    is_definite = np.zeros(n, dtype=bool)
-    correct = np.zeros(n, dtype=bool)
-    time_sums = np.zeros(n)
-    device_correct = np.zeros(n, dtype=bool)
-
+    batch_n = config.rule.batch_n
     definite_state = make_input_state(InputKind.DEFINITE, 1.0)
     prepared_superposition = make_input_state(InputKind.SUPERPOSITION, config.input_p1)
+    p1 = born_probability(prepared_superposition)
+    # A weight within rounding of 1 prepares a definite state: it never collapses.
+    collapses = prepared_superposition.kind is InputKind.SUPERPOSITION
 
-    def one_trial(i: int) -> None:
-        rng = trial_rng(config.master_seed, i)
-        definite = rng.random() < config.priors
-        kind = InputKind.DEFINITE if definite else InputKind.SUPERPOSITION
-        p1 = 1.0 if definite else config.input_p1
-        state = definite_state if definite else prepared_superposition
-        reports = []
-        for _ in range(batch_n):
-            event = collapse_for_input(state, config.collapse, rng)
-            if event is None:
-                report = perceive_definite(config.observer, rng)
-            else:
-                report = perceive_superposition(config.observer, config.scenario, event, rng)
-            reports.append(report)
-        guess = classify_batch(reports, rule)
-        is_definite[i] = definite
-        correct[i] = guess is kind
-        time_sums[i] = math.fsum(r.first_percept_time for r in reports)
-        if with_device:
-            _, device_guess = device_trial(kind, p1, rng, rule.no_change_guess)
-            device_correct[i] = device_guess is kind
-
-    workers = min(threads, os.cpu_count() or 1)
-    if workers == 1:
-        for i in range(n):
-            one_trial(i)
-    else:
-        chunk = max(1, math.ceil(n / (workers * 8)))
-        spans = [range(s, min(s + chunk, n)) for s in range(0, n, chunk)]
-
-        def run_span(span: range) -> None:
-            for i in span:
-                one_trial(i)
-
-        with ThreadPoolExecutor(max_workers=min(workers, len(spans))) as pool:
-            list(pool.map(run_span, spans))
-
-    n_definite = int(is_definite.sum())
+    blocks = [
+        _run_block(
+            config,
+            np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=(block,))),
+            min(BLOCK_SIZE, n - start),
+            p1,
+            collapses,
+        )
+        for block, start in enumerate(range(0, n, BLOCK_SIZE))
+    ]
+    n_def, correct_def, correct_sup, device_correct, time_def, time_sup = zip(*blocks)
+    n_definite = sum(n_def)
     n_superposition = n - n_definite
-    definite_est = RateEstimate.from_counts(int(correct[is_definite].sum()), n_definite)
-    superposition_est = RateEstimate.from_counts(int(correct[~is_definite].sum()), n_superposition)
-    overall_est = RateEstimate.from_counts(int(correct.sum()), n)
 
-    def mean_time(mask: np.ndarray, count: int) -> float | None:
-        if count == 0:
-            return None
-        return float(time_sums[mask].sum() / (count * batch_n))
+    def mean_time(partial_sums: tuple[float, ...], count: int) -> float | None:
+        return math.fsum(partial_sums) / (count * batch_n) if count else None
 
     device_success = None
     device_bound = None
-    if with_device:
-        device_success = RateEstimate.from_counts(int(device_correct.sum()), n)
+    if config.device_baseline:
+        device_success = RateEstimate.from_counts(sum(device_correct), n)
         device_bound = optimal_device_bound(state_fidelity(definite_state, prepared_superposition))
 
     return ExperimentSummary(
         n_trials=n,
-        definite=definite_est,
-        superposition=superposition_est,
-        overall=overall_est,
-        mean_report_time_definite=mean_time(is_definite, n_definite),
-        mean_report_time_superposition=mean_time(~is_definite, n_superposition),
+        definite=RateEstimate.from_counts(sum(correct_def), n_definite),
+        superposition=RateEstimate.from_counts(sum(correct_sup), n_superposition),
+        overall=RateEstimate.from_counts(sum(correct_def) + sum(correct_sup), n),
+        mean_report_time_definite=mean_time(time_def, n_definite),
+        mean_report_time_superposition=mean_time(time_sup, n_superposition),
         device_success=device_success,
         device_bound=device_bound,
         master_seed=config.master_seed,

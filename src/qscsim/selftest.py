@@ -22,10 +22,9 @@ from .collapse import (
     CollapseModel,
     CollapseParams,
     calibrate_gamma,
-    collapse_for_input,
     sample_collapse_times,
+    sample_collapses,
     sample_outcome,
-    simulate_diffusion_ensemble,
 )
 from .config import expand_sweep, parse_config
 from .observer import (
@@ -37,7 +36,6 @@ from .observer import (
 )
 from .protocol import run_experiment
 from .report import render_csv, summary_csv_row
-from .states import Branch, InputKind, make_input_state
 from .stats import binomial_chi_square_pvalue
 
 DEFAULT_SEED = 20250809
@@ -63,17 +61,13 @@ def _check_born_rule(seed: int) -> CheckResult:
     worst = ""
     ok = True
     jump = CollapseParams(model=CollapseModel.JUMP_EXPONENTIAL, t_c_mean=1.0)
-    diffusion = CollapseParams(model=CollapseModel.DIFFUSION, t_c_mean=1.0, gamma=2.0, dt=0.01)
+    diffusion = CollapseParams(model=CollapseModel.DIFFUSION, t_c_mean=1.0, gamma=2.0)
     for j, p1 in enumerate((0.1, 0.5, 0.9)):
         bound = 3.0 * math.sqrt(p1 * (1.0 - p1) / n)
-        state = make_input_state(InputKind.SUPERPOSITION, p1)
-        rng = _rng(seed, 10 + j)
-        k_jump = sum(
-            collapse_for_input(state, jump, rng).outcome is Branch.B1 for _ in range(n)
-        )
-        _, hit_upper = simulate_diffusion_ensemble(p1, diffusion, _rng(seed, 20 + j), n)
-        k_diff = int(hit_upper.sum())
-        for label, k in (("jump", k_jump), ("diffusion", k_diff)):
+        _, jump_upper = sample_collapses(p1, jump, _rng(seed, 10 + j), n)
+        _, diffusion_upper = sample_collapses(p1, diffusion, _rng(seed, 20 + j), n)
+        for label, hit_upper in (("jump", jump_upper), ("diffusion", diffusion_upper)):
+            k = int(hit_upper.sum())
             freq = k / n
             pval = binomial_chi_square_pvalue(k, n, p1)
             if abs(freq - p1) > bound or pval <= 0.001:
@@ -95,15 +89,11 @@ def _check_collapse_time_law(seed: int) -> CheckResult:
     ok = abs(mean - t_c) <= mean_bound and abs(var - t_c * t_c) <= var_bound
 
     target = 1.0
-    dt = 5e-4
-    gamma = calibrate_gamma(target, 0.5, 1e-3, 0.04, _rng(seed, 31), n_runs=4096, dt=dt).gamma
-    cal_params = CollapseParams(model=CollapseModel.DIFFUSION, t_c_mean=target, gamma=gamma, dt=dt)
-    times, _ = simulate_diffusion_ensemble(0.5, cal_params, _rng(seed, 32), 4096)
-    cal_mean = float(times.mean())
-    cal_ok = abs(cal_mean - target) <= 0.07 * target  # 0.04 calibration + MC noise at n=4096
+    cal = calibrate_gamma(target, 0.5, 1e-3, 0.04, _rng(seed, 31), n_runs=4096)
+    cal_ok = abs(cal.achieved_mean - target) <= 0.07 * target  # 0.04 calibration + MC noise at n=4096
     detail = (
         f"exp mean={mean:.4f} (±{mean_bound:.4f}), var={var:.4f} (±{var_bound:.4f}); "
-        f"calibrated gamma={gamma:.4f}, mean FPT={cal_mean:.4f} (target {target})"
+        f"calibrated gamma={cal.gamma:.4f}, mean FPT={cal.achieved_mean:.4f} (target {target})"
     )
     return CheckResult("collapse_time_law", ok and cal_ok, detail)
 
@@ -244,11 +234,10 @@ def _check_batching(seed: int) -> CheckResult:
 def _check_reproducibility(seed: int) -> CheckResult:
     raw = _qsc_config(_subseed(seed, 80), 500, "post_collapse_only", "timing_threshold", True)
     config = parse_config(raw)
-    first = render_csv([summary_csv_row(run_experiment(config, threads=1))])
-    second = render_csv([summary_csv_row(run_experiment(config, threads=1))])
-    threaded = render_csv([summary_csv_row(run_experiment(config, threads=4))])
-    ok = first == second == threaded
-    detail = "rerun and threads=4 CSV byte-identical" if ok else "CSV outputs diverged"
+    first = render_csv([summary_csv_row(run_experiment(config))])
+    second = render_csv([summary_csv_row(run_experiment(config))])
+    ok = first == second
+    detail = "rerun CSV byte-identical" if ok else "CSV outputs diverged"
     return CheckResult("reproducibility", ok, detail)
 
 

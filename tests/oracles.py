@@ -32,16 +32,25 @@ def exp_var_3sigma(t_c: float, n: int) -> float:
     return 3.0 * t_c * t_c * math.sqrt(8.0 / n)
 
 
-def mean_first_passage_time(p1: float, gamma: float, epsilon: float, m: int = 20001) -> float:
-    """Mean absorption time of dw = gamma*w*(1-w)*dW from w=p1, bands at
-    epsilon and 1-epsilon: finite-difference solve of
-    (1/2) gamma^2 w^2 (1-w)^2 u'' = -1 with absorbing boundaries."""
+def _first_passage_moments(gamma: float, epsilon: float, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid and the first two moments of the absorption time of
+    dw = gamma*w*(1-w)*dW, bands at epsilon and 1-epsilon: finite-difference
+    solves of the backward equations
+    (1/2) gamma^2 w^2 (1-w)^2 u1'' = -1 and
+    (1/2) gamma^2 w^2 (1-w)^2 u2'' = -2 u1, with u = 0 at both bands."""
     x = np.linspace(epsilon, 1.0 - epsilon, m)
     h = x[1] - x[0]
     inner = x[1:-1]
-    rhs = -2.0 / (gamma * gamma * inner**2 * (1.0 - inner) ** 2) * h * h
-    n = m - 2
-    # Thomas algorithm for the [1, -2, 1] tridiagonal system.
+    scale = -2.0 / (gamma * gamma * inner**2 * (1.0 - inner) ** 2) * h * h
+    u1 = _solve_second_difference(scale)
+    u2 = _solve_second_difference(2.0 * u1 * scale)
+    return inner, u1, u2
+
+
+def _solve_second_difference(rhs: np.ndarray) -> np.ndarray:
+    """Solve u[i-1] - 2 u[i] + u[i+1] = rhs[i] with zero boundary values
+    (Thomas algorithm for the [1, -2, 1] tridiagonal system)."""
+    n = rhs.size
     cp = np.empty(n)
     dp = np.empty(n)
     cp[0] = 1.0 / -2.0
@@ -54,7 +63,20 @@ def mean_first_passage_time(p1: float, gamma: float, epsilon: float, m: int = 20
     u[-1] = dp[-1]
     for i in range(n - 2, -1, -1):
         u[i] = dp[i] - cp[i] * u[i + 1]
-    return float(np.interp(p1, inner, u))
+    return u
+
+
+def mean_first_passage_time(p1: float, gamma: float, epsilon: float, m: int = 20001) -> float:
+    """Mean absorption time of dw = gamma*w*(1-w)*dW from w=p1, bands at
+    epsilon and 1-epsilon (see :func:`_first_passage_moments`)."""
+    inner, u1, _ = _first_passage_moments(gamma, epsilon, m)
+    return float(np.interp(p1, inner, u1))
+
+
+def second_moment_first_passage_time(p1: float, gamma: float, epsilon: float, m: int = 20001) -> float:
+    """E[tau^2] of the absorption time from w=p1 (see :func:`_first_passage_moments`)."""
+    inner, _, u2 = _first_passage_moments(gamma, epsilon, m)
+    return float(np.interp(p1, inner, u2))
 
 
 def band_absorption_probability(p1: float, epsilon: float) -> float:

@@ -20,10 +20,9 @@ from qscsim.collapse import (
     CollapseModel,
     CollapseParams,
     calibrate_gamma,
-    collapse_for_input,
     sample_collapse_times,
+    sample_collapses,
     sample_outcome,
-    simulate_diffusion_ensemble,
 )
 from qscsim.config import expand_sweep, parse_config
 from qscsim.observer import (
@@ -35,7 +34,6 @@ from qscsim.observer import (
 )
 from qscsim.protocol import optimal_device_bound, run_experiment
 from qscsim.selftest import run_selftest
-from qscsim.states import Branch, InputKind, make_input_state
 from qscsim.stats import binomial_chi_square_pvalue
 
 SEED = 42
@@ -49,17 +47,12 @@ def test_criterion_1_born_rule_conformance():
     started = time.perf_counter()
     n = 100_000
     jump = CollapseParams(model=CollapseModel.JUMP_EXPONENTIAL, t_c_mean=1.0)
-    diffusion = CollapseParams(model=CollapseModel.DIFFUSION, t_c_mean=1.0, gamma=2.0, dt=0.01)
+    diffusion = CollapseParams(model=CollapseModel.DIFFUSION, t_c_mean=1.0, gamma=2.0)
     details = []
     for j, p1 in enumerate((0.1, 0.5, 0.9)):
-        state = make_input_state(InputKind.SUPERPOSITION, p1)
-        rng = np.random.default_rng(SEED + j)
-        k_jump = sum(
-            collapse_for_input(state, jump, rng).outcome is Branch.B1 for _ in range(n)
-        )
-        _, hit_upper = simulate_diffusion_ensemble(
-            p1, diffusion, np.random.default_rng(SEED + 10 + j), n
-        )
+        _, jump_upper = sample_collapses(p1, jump, np.random.default_rng(SEED + j), n)
+        k_jump = int(jump_upper.sum())
+        _, hit_upper = sample_collapses(p1, diffusion, np.random.default_rng(SEED + 10 + j), n)
         k_diffusion = int(hit_upper.sum())
         for label, k in (("jump", k_jump), ("diffusion", k_diffusion)):
             freq = k / n
@@ -91,9 +84,7 @@ def test_criterion_2_collapse_time_law():
     calibrated = CollapseParams(
         model=CollapseModel.DIFFUSION, t_c_mean=target, gamma=gamma, epsilon=1e-3
     )
-    times, _ = simulate_diffusion_ensemble(
-        0.5, calibrated, np.random.default_rng(SEED + 1), 10_000
-    )
+    times, _ = sample_collapses(0.5, calibrated, np.random.default_rng(SEED + 1), 10_000)
     fpt_mean = float(times.mean())
     assert abs(fpt_mean - target) <= 0.05 * target
     _pass(

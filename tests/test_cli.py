@@ -1,12 +1,11 @@
 import csv
 import json
 import math
+import threading
 
-import numpy as np
 import pytest
 
 from qscsim.cli import main
-from qscsim.collapse import CollapseModel, CollapseParams, simulate_diffusion_ensemble
 from qscsim.report import CSV_COLUMNS
 
 BASE_CONFIG = {
@@ -61,6 +60,26 @@ class TestRun:
         main(["run", "--config", config_path, "--out", str(out4), "--threads", "4"])
         assert out1.read_bytes() == out4.read_bytes()
 
+    def test_threads_flag_is_an_accepted_no_op(self, tmp_path, capsys, monkeypatch):
+        def no_threads(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
+        run_path = write_config(tmp_path, {"device_baseline": True})
+        sweep_path = write_config(
+            tmp_path, {"n_trials": 100, "sweep": {"param": "collapse.t_c_mean", "values": [1.0, 2.0]}}, name="s.json"
+        )
+        for verb, path in (("run", run_path), ("sweep", sweep_path)):
+            outputs = []
+            for threads in ("1", "2", "10000"):
+                out = tmp_path / f"{verb}-{threads}.csv"
+                assert main([verb, "--config", path, "--json", "--out", str(out), "--threads", threads]) == 0
+                outputs.append((capsys.readouterr().out, out.read_bytes()))
+            assert outputs[0] == outputs[1] == outputs[2]
+            assert json.loads(outputs[0][0])["rng_stream"] == "block-v1"
+        assert main(["run", "--config", run_path, "--threads", "0"]) == 1
+        assert "--threads must be >= 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "field, extra",
         [
@@ -89,6 +108,7 @@ class TestRun:
     def test_json_summary_echoes_resolved_config(self, config_path, capsys):
         assert main(["run", "--config", config_path, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert payload["rng_stream"] == "block-v1"
         assert payload["resolved_config"]["collapse"]["t_c_mean"] == 180.0
         assert payload["summary"]["n_trials"] == 400
         assert payload["summary"]["accuracy_overall"]["estimate"] >= 0.99
@@ -202,22 +222,6 @@ class TestCalibrate:
         assert updated["collapse"]["gamma"] > 0.0
         assert main(["run", "--config", str(saved), "--json"]) == 0
         capsys.readouterr()
-
-    def test_saved_gamma_honors_configured_dt(self, tmp_path, capsys):
-        path = write_config(
-            tmp_path,
-            {"input_p1": 0.5, "collapse": {"model": "diffusion", "t_c_mean": 1.0, "dt": 0.01}},
-        )
-        saved = tmp_path / "calibrated.json"
-        argv = ["calibrate", "--config", path, "--tolerance", "0.05", "--runs", "4096"]
-        assert main(argv + ["--save-config", str(saved)]) == 0
-        capsys.readouterr()
-        collapse = json.loads(saved.read_text())["collapse"]
-        params = CollapseParams(
-            model=CollapseModel.DIFFUSION, t_c_mean=1.0, gamma=collapse["gamma"], dt=collapse["dt"]
-        )
-        times, _ = simulate_diffusion_ensemble(0.5, params, np.random.default_rng(3), 16384)
-        assert abs(float(times.mean()) - 1.0) <= 0.05
 
     def test_wrong_model_is_an_error(self, config_path, capsys):
         assert main(["calibrate", "--config", config_path]) == 1

@@ -9,6 +9,7 @@ from oracles import (
     exp_mean_3sigma,
     exp_var_3sigma,
     mean_first_passage_time,
+    second_moment_first_passage_time,
 )
 import qscsim.collapse as collapse_module
 from qscsim.collapse import (
@@ -18,14 +19,12 @@ from qscsim.collapse import (
     calibrate_gamma,
     collapse_for_input,
     diffusion_gamma,
-    sample_collapse_time,
     sample_collapse_times,
+    sample_collapses,
     sample_outcome,
-    simulate_diffusion_collapse,
-    simulate_diffusion_ensemble,
     t_c_from_energy,
 )
-from qscsim.errors import CalibrationError, CollapseTimeoutError, ModelMisuseError
+from qscsim.errors import CalibrationError, ModelMisuseError
 from qscsim.states import Branch, InputKind, make_input_state
 
 
@@ -37,10 +36,8 @@ def deterministic(t_c=2.0):
     return CollapseParams(model=CollapseModel.DETERMINISTIC_TIME, t_c_mean=t_c)
 
 
-def diffusion(t_c=1.0, gamma=2.0, epsilon=1e-3, dt=0.01):
-    return CollapseParams(
-        model=CollapseModel.DIFFUSION, t_c_mean=t_c, gamma=gamma, epsilon=epsilon, dt=dt
-    )
+def diffusion(t_c=1.0, gamma=2.0, epsilon=1e-3):
+    return CollapseParams(model=CollapseModel.DIFFUSION, t_c_mean=t_c, gamma=gamma, epsilon=epsilon)
 
 
 class TestCollapseParams:
@@ -52,16 +49,7 @@ class TestCollapseParams:
         with pytest.raises(ValueError):
             diffusion(epsilon=0.5)
         with pytest.raises(ValueError):
-            diffusion(dt=-0.001)
-
-    def test_dt_capped_relative_to_mean(self):
-        with pytest.raises(ValueError):
-            diffusion(t_c=1.0, dt=0.02)  # above t_c/100
-        assert diffusion(t_c=1.0, dt=0.01).dt == 0.01
-
-    def test_dt_defaults_to_fraction_of_mean(self):
-        p = CollapseParams(model=CollapseModel.JUMP_EXPONENTIAL, t_c_mean=3.0)
-        assert p.dt == pytest.approx(3.0e-4)
+            CollapseParams(model=CollapseModel.JUMP_EXPONENTIAL, t_c_mean=1.0, kappa=0.0)
 
     def test_diffusion_requires_gamma(self):
         with pytest.raises(ValueError):
@@ -84,13 +72,11 @@ class TestCollapseParams:
 
 class TestSampleCollapseTime:
     def test_deterministic_is_exact(self):
-        rng = np.random.default_rng(0)
-        assert sample_collapse_time(deterministic(2.0), rng) == 2.0
+        times, _ = sample_collapses(0.5, deterministic(2.0), np.random.default_rng(0), 100)
+        assert np.all(times == 2.0)
 
     def test_diffusion_is_misuse(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(ModelMisuseError):
-            sample_collapse_time(diffusion(), rng)
         with pytest.raises(ModelMisuseError):
             sample_collapse_times(diffusion(), rng, 10)
 
@@ -102,7 +88,8 @@ class TestSampleCollapseTime:
 
     def test_scalar_and_batch_share_the_law(self):
         rng = np.random.default_rng(3)
-        draws = [sample_collapse_time(jump(2.0), rng) for _ in range(5000)]
+        state = make_input_state(InputKind.SUPERPOSITION, 0.5)
+        draws = [collapse_for_input(state, jump(2.0), rng).time for _ in range(5000)]
         assert abs(np.mean(draws) - 2.0) <= exp_mean_3sigma(2.0, 5000)
 
 
@@ -125,42 +112,27 @@ class TestSampleOutcome:
 
 
 class TestDiffusion:
-    def test_trajectory_endpoints(self):
-        p = diffusion()
-        ev = simulate_diffusion_collapse(0.5, p, np.random.default_rng(21), record_trajectory=True)
-        t0, w0 = ev.trajectory[0]
-        assert (t0, w0) == (0.0, 0.5)
-        t_last, w_last = ev.trajectory[-1]
-        assert t_last == ev.time
-        if ev.outcome is Branch.B1:
-            assert w_last >= 1.0 - p.epsilon
-        else:
-            assert w_last <= p.epsilon
-        weights = [w for _, w in ev.trajectory]
-        assert min(weights) >= 0.0 and max(weights) <= 1.0
-
     def test_misuse_errors(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ModelMisuseError):
-            simulate_diffusion_collapse(0.5, jump(), rng)
+            sample_collapses(1.0, diffusion(), rng, 1)
         with pytest.raises(ModelMisuseError):
-            simulate_diffusion_collapse(1.0, diffusion(), rng)
-        with pytest.raises(ModelMisuseError):
-            simulate_diffusion_collapse(0.0, diffusion(), rng)
+            sample_collapses(0.0, diffusion(), rng, 1)
+        with pytest.raises(ValueError):
+            sample_collapses(1.5, diffusion(), rng, 1)
+        with pytest.raises(ValueError):
+            sample_collapses(0.5, diffusion(), rng, -1)
 
-    def test_step_guard_raises_instead_of_truncating(self):
-        slow = diffusion(t_c=1.0, gamma=1e-6, dt=1e-4)
-        with pytest.raises(CollapseTimeoutError) as err:
-            simulate_diffusion_collapse(0.5, slow, np.random.default_rng(1))
-        assert err.value.steps == 10**6
-        assert err.value.gamma == 1e-6
+    def test_start_inside_a_band_has_collapsed(self):
+        times, hit_upper = sample_collapses(1e-4, diffusion(), np.random.default_rng(0), 3)
+        assert np.all(times == 0.0) and not hit_upper.any()
+        times, hit_upper = sample_collapses(1.0 - 1e-4, diffusion(), np.random.default_rng(0), 3)
+        assert np.all(times == 0.0) and hit_upper.all()
 
     def test_born_statistics_against_martingale_oracle(self):
         n = 20_000
         for p1 in (0.1, 0.5, 0.9):
-            _, hit_upper = simulate_diffusion_ensemble(
-                p1, diffusion(), np.random.default_rng(int(p1 * 1000)), n
-            )
+            _, hit_upper = sample_collapses(p1, diffusion(), np.random.default_rng(int(p1 * 1000)), n)
             freq = float(hit_upper.mean())
             expected = band_absorption_probability(p1, 1e-3)
             assert abs(freq - p1) <= binom_3sigma(p1, n)
@@ -169,28 +141,52 @@ class TestDiffusion:
     def test_mean_first_passage_matches_boundary_value_oracle(self):
         # Independent route: finite-difference solve of the backward equation.
         n = 10_000
-        params = diffusion(t_c=20.0, gamma=1.0, dt=0.01)
-        times, _ = simulate_diffusion_ensemble(0.5, params, np.random.default_rng(31), n)
+        params = diffusion(t_c=20.0, gamma=1.0)
+        times, _ = sample_collapses(0.5, params, np.random.default_rng(31), n)
         predicted = mean_first_passage_time(0.5, 1.0, 1e-3)
         assert predicted == pytest.approx(13.786, abs=0.01)  # frozen oracle output
         assert abs(float(times.mean()) - predicted) <= 0.03 * predicted
 
+    @pytest.mark.parametrize("p1", [0.1, 0.5, 0.9])
+    def test_moments_match_boundary_value_oracles(self, p1):
+        # Mean and variance within 5 standard errors of the finite-difference
+        # solves; the variance's standard error comes from the sample's
+        # fourth central moment.
+        n = 40_000
+        gamma = 1.5
+        times, hit_upper = sample_collapses(p1, diffusion(gamma=gamma), np.random.default_rng(41), n)
+        mean = mean_first_passage_time(p1, gamma, 1e-3)
+        var = second_moment_first_passage_time(p1, gamma, 1e-3) - mean * mean
+        assert abs(float(times.mean()) - mean) <= 5.0 * math.sqrt(var / n)
+        centered = times - times.mean()
+        m4 = float(np.mean(centered**4))
+        assert abs(float(times.var(ddof=1)) - var) <= 5.0 * math.sqrt((m4 - var * var) / n)
+        expected = band_absorption_probability(p1, 1e-3)
+        assert abs(float(hit_upper.mean()) - expected) <= 5.0 * math.sqrt(expected * (1.0 - expected) / n)
+
+    @pytest.mark.parametrize("z", [0.0, 0.05, 0.5, 1.5, 3.45, 10.0])
+    def test_j_star_mean_matches_tanh_ratio(self, z):
+        n = 40_000
+        draws = collapse_module._sample_j_star(np.full(n, z), np.random.default_rng(5))
+        expected = math.tanh(z) / z if z else 1.0
+        assert draws.min() > 0.0
+        assert abs(float(draws.mean()) - expected) <= 5.0 * float(draws.std()) / math.sqrt(n)
+
     def test_single_walker_agrees_with_ensemble_statistics(self):
         n = 2000
         params = diffusion()
+        state = make_input_state(InputKind.SUPERPOSITION, 0.3)
         rng = np.random.default_rng(77)
-        singles = [simulate_diffusion_collapse(0.5, params, rng) for _ in range(n)]
-        mean_single = float(np.mean([ev.time for ev in singles]))
-        times, _ = simulate_diffusion_ensemble(0.5, params, np.random.default_rng(78), 20_000)
-        mean_ensemble = float(times.mean())
+        mean_single = float(np.mean([collapse_for_input(state, params, rng).time for _ in range(n)]))
+        times, _ = sample_collapses(0.3, params, np.random.default_rng(78), 20_000)
         se = float(times.std()) / math.sqrt(n)
-        assert abs(mean_single - mean_ensemble) <= 4.0 * se
+        assert abs(mean_single - float(times.mean())) <= 4.0 * se
 
     def test_identical_seeds_give_bit_identical_events(self):
         params = diffusion()
-        ev1 = simulate_diffusion_collapse(0.5, params, np.random.default_rng(99), record_trajectory=True)
-        ev2 = simulate_diffusion_collapse(0.5, params, np.random.default_rng(99), record_trajectory=True)
-        assert ev1 == ev2
+        t1, h1 = sample_collapses(0.3, params, np.random.default_rng(99), 500)
+        t2, h2 = sample_collapses(0.3, params, np.random.default_rng(99), 500)
+        assert np.array_equal(t1, t2) and np.array_equal(h1, h2)
 
 
 class TestCalibrateGamma:
@@ -202,51 +198,39 @@ class TestCalibrateGamma:
 
     def test_deterministic_given_seed(self, monkeypatch):
         calls = count_ensembles(monkeypatch)
-        kwargs = dict(n_runs=1024, dt=5e-4)
+        kwargs = dict(n_runs=2048)
         c1 = calibrate_gamma(1.0, 0.5, 1e-3, 0.05, np.random.default_rng(4), **kwargs)
         c2 = calibrate_gamma(1.0, 0.5, 1e-3, 0.05, np.random.default_rng(4), **kwargs)
         assert c1 == c2
-        assert len(calls) == 2  # one verification ensemble each at a fine dt
+        assert len(calls) == 2  # one verification ensemble each
         assert c1.gamma == diffusion_gamma(1.0, 0.5, 1e-3)
-        assert c1.n_runs == 1024
+        assert c1.n_runs == 2048
         lo, hi = c1.ci95()
         assert lo <= c1.achieved_mean <= hi
         assert lo <= 1.05 and hi >= 0.95
 
     def test_hits_target_and_doubling_overshoots(self):
-        dt = 5e-4
-        gamma = calibrate_gamma(1.0, 0.5, 1e-3, 0.05, np.random.default_rng(8), n_runs=2048, dt=dt).gamma
-        params = CollapseParams(model=CollapseModel.DIFFUSION, t_c_mean=1.0, gamma=gamma, dt=dt)
-        times, _ = simulate_diffusion_ensemble(0.5, params, np.random.default_rng(9), 4096)
+        gamma = calibrate_gamma(1.0, 0.5, 1e-3, 0.05, np.random.default_rng(8), n_runs=2048).gamma
+        params = CollapseParams(model=CollapseModel.DIFFUSION, t_c_mean=1.0, gamma=gamma)
+        times, _ = sample_collapses(0.5, params, np.random.default_rng(9), 4096)
         assert abs(float(times.mean()) - 1.0) <= 0.08
-        doubled = CollapseParams(model=CollapseModel.DIFFUSION, t_c_mean=1.0, gamma=2.0 * gamma, dt=dt)
-        times2, _ = simulate_diffusion_ensemble(0.5, doubled, np.random.default_rng(9), 4096)
+        doubled = CollapseParams(model=CollapseModel.DIFFUSION, t_c_mean=1.0, gamma=2.0 * gamma)
+        times2, _ = sample_collapses(0.5, doubled, np.random.default_rng(9), 4096)
         assert float(times2.mean()) < 1.0
 
-    def test_coarse_dt_rescales_once(self, monkeypatch):
-        # Euler and band-overshoot bias pulls the mean about 12% low at
-        # dt = t_c/100, so the closed-form gamma misses and is rescaled.
-        calls = count_ensembles(monkeypatch)
-        cal = calibrate_gamma(1.0, 0.5, 1e-3, 0.05, np.random.default_rng(6), n_runs=4096, dt=0.01)
-        assert len(calls) == 2
-        assert calls[0] == diffusion_gamma(1.0, 0.5, 1e-3)
-        assert cal.gamma == calls[1] < calls[0]
-        lo, hi = cal.ci95()
-        assert lo <= 1.05 and hi >= 0.95
-
-    def test_ci_missing_after_rescale_raises(self, monkeypatch):
-        def biased_ensemble(p1, params, rng, n):
+    def test_ci_missing_target_raises(self, monkeypatch):
+        def biased_sampler(p1, params, rng, n):
             times = np.full(n, 0.5)
             times[::2] = 0.6
             return times, np.zeros(n, dtype=bool)
 
-        monkeypatch.setattr(collapse_module, "simulate_diffusion_ensemble", biased_ensemble)
-        with pytest.raises(CalibrationError, match="after rescaling"):
-            calibrate_gamma(1.0, 0.5, 1e-3, 0.05, np.random.default_rng(7), n_runs=4096, dt=0.01)
+        monkeypatch.setattr(collapse_module, "sample_collapses", biased_sampler)
+        with pytest.raises(CalibrationError, match="misses 1.0"):
+            calibrate_gamma(1.0, 0.5, 1e-3, 0.05, np.random.default_rng(7), n_runs=4096)
 
     def test_budget_rule_rejects_unreachable_tolerance(self):
         with pytest.raises(CalibrationError, match=r"need n_runs >= \d+"):
-            calibrate_gamma(1.0, 0.5, 1e-3, 0.001, np.random.default_rng(4), n_runs=256, dt=5e-4)
+            calibrate_gamma(1.0, 0.5, 1e-3, 0.001, np.random.default_rng(4), n_runs=256)
 
     def test_argument_validation(self):
         rng = np.random.default_rng(0)
@@ -265,13 +249,13 @@ class TestCalibrateGamma:
 def count_ensembles(monkeypatch):
     """Record the gamma of every ensemble the calibration runs."""
     calls = []
-    real = collapse_module.simulate_diffusion_ensemble
+    real = collapse_module.sample_collapses
 
     def counting(p1, params, rng, n):
         calls.append(params.gamma)
         return real(p1, params, rng, n)
 
-    monkeypatch.setattr(collapse_module, "simulate_diffusion_ensemble", counting)
+    monkeypatch.setattr(collapse_module, "sample_collapses", counting)
     return calls
 
 
@@ -297,11 +281,9 @@ class TestCollapseForInput:
         ev = collapse_for_input(state, diffusion(), np.random.default_rng(3))
         assert isinstance(ev, CollapseEvent)
         assert ev.time > 0.0
-        assert ev.trajectory is None
 
 
 def test_event_invariants():
     with pytest.raises(ValueError):
         CollapseEvent(time=-0.1, outcome=Branch.B1)
-    with pytest.raises(ValueError):
-        CollapseEvent(time=1.0, outcome=Branch.B1, trajectory=((0.0, 1.5),))
+    assert CollapseEvent(time=0.0, outcome=Branch.B2).time == 0.0

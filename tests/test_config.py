@@ -105,7 +105,7 @@ def test_diffusion_requires_gamma():
     config = parse_config(
         {**MINIMAL, "collapse": {"model": "diffusion", "t_c_mean": 1.0, "gamma": 3.7}}
     )
-    assert config.collapse.dt == pytest.approx(1e-4)  # default step rule
+    assert config.collapse.gamma == 3.7
 
 
 def test_energy_resolves_or_checks_t_c():
@@ -118,9 +118,13 @@ def test_energy_resolves_or_checks_t_c():
 
 
 def test_dt_cross_check_named():
-    with pytest.raises(ConfigValidationError) as err:
-        parse_config({**MINIMAL, "collapse": {"t_c_mean": 1.0, "dt": 0.5}})
-    assert err.value.field_path == "collapse.dt"
+    # Diffusion is sampled exactly, with no time step: a config that still
+    # sets one is rejected at that field, whatever its value.
+    for dt in (0.5, 1e-4):
+        with pytest.raises(ConfigValidationError) as err:
+            parse_config({**MINIMAL, "collapse": {"model": "diffusion", "t_c_mean": 1.0, "gamma": 3.7, "dt": dt}})
+        assert err.value.field_path == "collapse.dt"
+    assert "collapse.dt" not in SWEEPABLE_FIELDS
 
 
 def test_sweep_expansion_ordered_by_value():
@@ -178,7 +182,7 @@ def test_config_echo_contains_resolved_values():
     config = parse_config(MINIMAL)
     echoed = config_to_json_dict(config)
     assert echoed["rule"]["threshold_time"] == pytest.approx(0.051)
-    assert echoed["collapse"]["dt"] == pytest.approx(0.018)
+    assert "dt" not in echoed["collapse"]
     assert echoed["master_seed"] == 42
     json.dumps(echoed)  # must be serializable as-is
 

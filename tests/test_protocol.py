@@ -1,9 +1,12 @@
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import binom_3sigma, device_bound_grid, device_success_enumeration
+from reference import reference_run, run_trial, trial_rng
 from qscsim.collapse import CollapseModel, CollapseParams
 from qscsim.config import parse_config
 from qscsim.observer import (
@@ -14,6 +17,7 @@ from qscsim.observer import (
     ScenarioTag,
 )
 from qscsim.protocol import (
+    BLOCK_SIZE,
     DecisionRule,
     ExperimentSummary,
     RuleKind,
@@ -22,8 +26,6 @@ from qscsim.protocol import (
     device_trial,
     optimal_device_bound,
     run_experiment,
-    run_trial,
-    trial_rng,
 )
 from qscsim.states import Branch, InputKind
 from qscsim.stats import RateEstimate
@@ -100,6 +102,7 @@ class TestClassifyBatch:
 
 
 class TestRunTrial:
+    # run_trial is the scalar per-trial reference in tests/reference.py.
     def test_definite_trial_correct(self):
         params = CollapseParams(model=CollapseModel.JUMP_EXPONENTIAL, t_c_mean=180.0)
         record = run_trial(
@@ -206,33 +209,17 @@ def experiment_config(**overrides):
 
 
 class TestRunExperiment:
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic_and_thread_invariant(self, monkeypatch):
+        # The kernel runs in the calling thread, so no thread count can
+        # change its output.
         config = experiment_config(device_baseline=True)
-        s1 = run_experiment(config, threads=1)
-        s2 = run_experiment(config, threads=1)
-        s4 = run_experiment(config, threads=4)
-        assert s1 == s2 == s4
+        s1 = run_experiment(config)
 
-    def test_worker_threads_capped_at_cpu_count(self, monkeypatch):
-        import qscsim.protocol as protocol
+        def no_threads(self):
+            raise AssertionError("run_experiment started a thread")
 
-        requested = []
-
-        class RecordingPool(protocol.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-                super().__init__(max_workers=min(max_workers, 2))  # never start many threads
-
-        config = experiment_config(n_trials=300)
-        reference = run_experiment(config, threads=1)
-        monkeypatch.setattr(protocol, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(protocol.os, "cpu_count", lambda: 2)
-        assert run_experiment(config, threads=10_000) == reference
-        assert run_experiment(config, threads=2) == reference
-        assert run_experiment(experiment_config(n_trials=1), threads=2).n_trials == 1
-        monkeypatch.setattr(protocol.os, "cpu_count", lambda: None)
-        assert run_experiment(config, threads=8) == reference  # one CPU: no pool
-        assert requested == [2, 2, 1]
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
+        assert run_experiment(config) == s1
 
     def test_no_signal_floor_without_jitter(self):
         config = experiment_config(priors=1.0, n_trials=5000)
@@ -275,11 +262,108 @@ class TestRunExperiment:
         assert abs(summary.superposition.estimate - expected) <= binom_3sigma(expected, 500)
 
     def test_trial_rng_matches_seedsequence_spawn(self):
+        # The scalar reference gives every trial its own spawned stream.
         children = np.random.SeedSequence(42).spawn(3)
         for i, child in enumerate(children):
             a = trial_rng(42, i).random(4)
             b = np.random.default_rng(child).random(4)
             assert np.array_equal(a, b)
+
+    def test_block_rng_matches_seedsequence_spawn_key(self):
+        # The first draw of block b is one prior uniform per decision from
+        # SeedSequence(master_seed, spawn_key=(b,)); the last block is short.
+        n = BLOCK_SIZE + 100
+        summary = run_experiment(experiment_config(n_trials=n, priors=0.3))
+        expected = 0
+        for block, size in enumerate((BLOCK_SIZE, 100)):
+            rng = np.random.default_rng(np.random.SeedSequence(42, spawn_key=(block,)))
+            expected += int(np.count_nonzero(rng.random(size) < 0.3))
+        assert summary.definite.trials == expected
+        assert summary.n_trials == n
+
+    def test_memory_stays_at_one_block(self):
+        # 200k decisions of 5 copies: one float per copy would take 8 MB.
+        config = experiment_config(
+            n_trials=200_000, rule={"kind": "timing_threshold", "threshold_time": 0.05, "batch_n": 5},
+            observer={"t_p": 0.001, "jitter_sigma": 0.0002}, device_baseline=True,
+        )
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+
+SCENARIOS = ["post_collapse_only", "distinct_percept", "fixed_c1", "fixed_c2", "random_percept"]
+RULES = ["timing_threshold", "change_detection", "combined"]
+KERNEL_TRIALS = 20_000
+REFERENCE_TRIALS = 1000
+
+
+def grid_config(model, scenario, rule_kind, batch_n, jitter, seed):
+    """Parameters that put every signal between never and always firing:
+    t_c + t_p straddles the threshold, jitter truncates a definite report
+    at 0 about one time in three, and p1 = 0.3 makes the two fixed
+    scenarios differ."""
+    scenario_raw = {"tag": scenario}
+    if scenario == "random_percept":
+        scenario_raw["r"] = 0.2
+    rule = {"kind": rule_kind, "batch_n": batch_n}
+    if rule_kind != "change_detection":
+        rule["threshold_time"] = 0.03
+    return parse_config({
+        "master_seed": seed,
+        "n_trials": KERNEL_TRIALS,
+        "priors": 0.5,
+        "input_p1": 0.3,
+        "collapse": {"model": model, "t_c_mean": 0.02 if model == "jump_exponential" else 0.025},
+        "observer": {"t_p": 0.01, "jitter_sigma": 0.02 if jitter else 0.0},
+        "scenario": scenario_raw,
+        "rule": rule,
+        "device_baseline": True,
+    })
+
+
+def assert_rates_agree(k1, n1, k2, n2, what):
+    pooled = (k1 + k2) / (n1 + n2)
+    se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2))
+    assert abs(k1 / n1 - k2 / n2) <= 5.0 * se, f"{what}: kernel {k1}/{n1} vs reference {k2}/{n2}"
+
+
+def assert_mean_times_agree(kernel_mean, kernel_n, reference_times, what):
+    ref = np.asarray(reference_times)
+    se = float(ref.std(ddof=1)) * math.sqrt(1.0 / ref.size + 1.0 / kernel_n)
+    assert abs(kernel_mean - float(ref.mean())) <= 5.0 * se + 1e-12, f"{what}: {kernel_mean} vs {ref.mean()}"
+
+
+@pytest.mark.parametrize("jitter", [False, True], ids=["quiet", "jitter"])
+@pytest.mark.parametrize("batch_n", [1, 5])
+@pytest.mark.parametrize("rule_kind", RULES)
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("model", ["jump_exponential", "deterministic_time"])
+def test_block_kernel_matches_scalar_reference(model, scenario, rule_kind, batch_n, jitter):
+    config = grid_config(model, scenario, rule_kind, batch_n, jitter, seed=11)
+    kernel = run_experiment(config)
+    ref = reference_run(grid_config(model, scenario, rule_kind, batch_n, jitter, seed=12), REFERENCE_TRIALS)
+    assert_rates_agree(
+        kernel.definite.successes, kernel.definite.trials, ref.definite_correct, ref.definite_trials, "definite"
+    )
+    assert_rates_agree(
+        kernel.superposition.successes, kernel.superposition.trials,
+        ref.superposition_correct, ref.superposition_trials, "superposition",
+    )
+    assert_rates_agree(
+        kernel.device_success.successes, KERNEL_TRIALS, ref.device_correct, REFERENCE_TRIALS, "device"
+    )
+    assert_mean_times_agree(
+        kernel.mean_report_time_definite, kernel.definite.trials, ref.definite_times, "definite time"
+    )
+    assert_mean_times_agree(
+        kernel.mean_report_time_superposition, kernel.superposition.trials,
+        ref.superposition_times, "superposition time",
+    )
 
 
 def test_summary_count_invariant_enforced():
