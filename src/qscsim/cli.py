@@ -25,7 +25,6 @@ from .config import (
 from .errors import ModelMisuseError, QscError
 from .protocol import RNG_STREAM, run_experiment
 from .report import render_csv, render_human_summary, summary_csv_row, summary_to_json_dict
-from .selftest import run_selftest
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,9 +69,13 @@ def _load_raw(args: argparse.Namespace) -> dict:
     return raw
 
 
-def _dumps(obj: object) -> str:
-    """Strict JSON: a NaN or infinity raises instead of printing invalid JSON."""
-    return json.dumps(obj, indent=2, allow_nan=False)
+def _dumps(obj: object, indent: int | None = None) -> str:
+    """Strict JSON: a NaN or infinity raises instead of printing invalid JSON.
+
+    Without ``indent`` the output is one compact line from the C encoder;
+    any ``indent`` falls back to the much slower pure-Python encoder.
+    """
+    return json.dumps(obj, indent=indent, allow_nan=False)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -101,12 +104,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     raw = _load_raw(args)
     points = expand_sweep(raw)
-    base = parse_config(raw)
+    param = raw["sweep"]["param"]  # validated by expand_sweep
     rows = []
     json_points = []
     for value, config in points:
         summary = run_experiment(config)
-        rows.append(summary_csv_row(summary, sweep_param=base.sweep.param, sweep_value=value))
+        rows.append(summary_csv_row(summary, sweep_param=param, sweep_value=value))
         if args.json:
             json_points.append({
                 "sweep_value": value,
@@ -117,7 +120,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.out:
         _write_text(args.out, text)
     if args.json:
-        print(_dumps({"rng_stream": RNG_STREAM, "sweep_param": base.sweep.param, "points": json_points}))
+        print(_dumps({"rng_stream": RNG_STREAM, "sweep_param": param, "points": json_points}))
     elif args.out:
         print(f"csv written to {args.out} ({len(rows)} rows)")
     else:
@@ -163,13 +166,15 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         print(f"achieved mean (n={cal.n_runs})   {cal.achieved_mean:.6g} s  [95% CI {lo:.6g}, {hi:.6g}]")
     if args.save_config:
         updated = set_config_field(raw, "collapse.gamma", cal.gamma)
-        _write_text(args.save_config, _dumps(updated) + "\n")
+        _write_text(args.save_config, _dumps(updated, indent=2) + "\n")
         if not args.json:
             print(f"config with calibrated gamma written to {args.save_config}")
     return 0
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    from .selftest import run_selftest  # imported here so other verbs skip loading it
+
     kwargs = {} if args.seed is None else {"seed": args.seed}
     return 0 if run_selftest(**kwargs) else 1
 

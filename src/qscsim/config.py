@@ -16,7 +16,6 @@ per decision hedges against early stochastic collapses); a bare
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import dataclass
@@ -322,36 +321,46 @@ def read_raw_config(path: str | Path) -> dict[str, Any]:
     return raw
 
 
-def set_config_field(raw: dict[str, Any], param: str, value: Any) -> dict[str, Any]:
-    """Return a deep copy of ``raw`` with the dotted field replaced."""
-    updated = copy.deepcopy(raw)
-    parts = param.split(".")
-    node = updated
-    for part in parts[:-1]:
-        child = node.get(part)
-        if not isinstance(child, dict):
-            child = {}
-            node[part] = child
-        node = child
-    node[parts[-1]] = value
+def set_config_field(raw: Mapping[str, Any], param: str, value: Any) -> dict[str, Any]:
+    """Return a copy of ``raw`` with the dotted field replaced.
+
+    Only the dicts on the dotted path are copied; everything else is shared
+    with ``raw``, which is left unmodified.  A section on the path that is
+    absent or not an object is created.
+    """
+    head, _, rest = param.partition(".")
+    updated = dict(raw)
+    if rest:
+        child = raw.get(head)
+        updated[head] = set_config_field(child if isinstance(child, dict) else {}, rest, value)
+    else:
+        updated[head] = value
     return updated
 
 
-def expand_sweep(raw: dict[str, Any]) -> list[tuple[Any, ExperimentConfig]]:
+def expand_sweep(raw: Mapping[str, Any]) -> list[tuple[Any, ExperimentConfig]]:
     """Expand a raw config with a sweep into per-point validated configs.
 
     Points are ordered by ascending sweep value.  Each point revalidates the
     whole config, so defaults that depend on the swept field are re-resolved
-    per point.
+    per point.  A point that fails validation keeps the field path of the
+    offending field and names the sweep value in its message.
     """
     base = parse_config(raw)
     if base.sweep is None:
         raise ConfigValidationError("sweep", "required for sweep expansion")
+    param = base.sweep.param
     points = []
     for value in sorted(base.sweep.values):
-        raw_point = set_config_field(raw, base.sweep.param, value)
+        raw_point = set_config_field(raw, param, value)
         raw_point.pop("sweep", None)
-        points.append((value, parse_config(raw_point)))
+        try:
+            config = parse_config(raw_point)
+        except ConfigValidationError as exc:
+            raise ConfigValidationError(
+                exc.field_path, f"{exc.message} (sweep point {param} = {value!r})"
+            ) from None
+        points.append((value, config))
     return points
 
 

@@ -37,3 +37,4 @@ class ConfigValidationError(ConfigError):
     def __init__(self, field_path: str, message: str):
         super().__init__(f"{field_path}: {message}")
         self.field_path = field_path
+        self.message = message

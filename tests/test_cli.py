@@ -25,6 +25,13 @@ def config_path(tmp_path):
     return str(path)
 
 
+def strict_loads(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON literal {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def write_config(tmp_path, extra, name="cfg.json"):
     raw = dict(BASE_CONFIG)
     raw.update(extra)
@@ -131,7 +138,34 @@ class TestRun:
         assert "collapse.t_c_mean" in capsys.readouterr().err
 
 
+SWEEP_JUMP = {"n_trials": 200, "collapse": {"model": "jump_exponential", "t_c_mean": 0.02}}
+
+
 class TestSweep:
+    @pytest.mark.parametrize(
+        "param, values",
+        [
+            ("collapse.t_c_mean", [0.05, 0.002, 0.01]),
+            ("observer.t_p", [0.03, 0.001]),
+            ("rule.batch_n", [3, 1]),
+        ],
+    )
+    def test_sweep_point_equals_run(self, tmp_path, capsys, param, values):
+        path = write_config(tmp_path, {**SWEEP_JUMP, "sweep": {"param": param, "values": values}})
+        assert main(["sweep", "--config", path, "--json"]) == 0
+        points = json.loads(capsys.readouterr().out)["points"]
+        assert [p["sweep_value"] for p in points] == sorted(values)
+        section, _, key = param.partition(".")
+        for point in points:
+            raw = {**BASE_CONFIG, **SWEEP_JUMP}
+            raw[section] = {**raw[section], key: point["sweep_value"]}
+            run_path = tmp_path / "point.json"
+            run_path.write_text(json.dumps(raw))
+            assert main(["run", "--config", str(run_path), "--json"]) == 0
+            single = json.loads(capsys.readouterr().out)
+            assert point["summary"] == single["summary"]
+            assert point["resolved_config"] == single["resolved_config"]
+
     def test_sweep_rows_ordered_and_complete(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -215,17 +249,52 @@ class TestCalibrate:
         main(
             [
                 "calibrate", "--config", path, "--tolerance", "0.1", "--runs", "512",
-                "--save-config", str(saved),
+                "--save-config", str(saved), "--json",
             ]
         )
-        updated = json.loads(saved.read_text())
-        assert updated["collapse"]["gamma"] > 0.0
+        gamma = json.loads(capsys.readouterr().out)["gamma"]
+        text = saved.read_text()
+        assert text.startswith('{\n  "') and text.endswith("}\n")
+        updated = strict_loads(text)
+        assert updated["collapse"]["gamma"] == gamma > 0.0
         assert main(["run", "--config", str(saved), "--json"]) == 0
         capsys.readouterr()
 
     def test_wrong_model_is_an_error(self, config_path, capsys):
         assert main(["calibrate", "--config", config_path]) == 1
         assert "diffusion" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "verb, extra, flags, keys",
+    [
+        ("run", {}, [], {"rng_stream", "resolved_config", "summary"}),
+        (
+            "sweep",
+            {"sweep": {"param": "collapse.t_c_mean", "values": [1.0, 2.0]}},
+            [],
+            {"rng_stream", "sweep_param", "points"},
+        ),
+        (
+            "calibrate",
+            {"collapse": {"model": "diffusion", "t_c_mean": 1.0}},
+            ["--tolerance", "0.1", "--runs", "512"],
+            {
+                "gamma", "t_c_target", "achieved_mean", "achieved_mean_ci95",
+                "n_runs", "tolerance", "master_seed",
+            },
+        ),
+    ],
+)
+def test_json_stdout_is_one_strict_line(tmp_path, capsys, verb, extra, flags, keys):
+    path = write_config(tmp_path, {"n_trials": 100, **extra})
+    assert main([verb, "--config", path, "--json", *flags]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1
+    payload = strict_loads(out)
+    assert set(payload) == keys
+    if verb == "sweep":
+        assert all(set(point) == {"sweep_value", "resolved_config", "summary"} for point in payload["points"])
 
 
 def test_unknown_command_rejected(capsys):

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -9,6 +10,7 @@ from qscsim.config import (
     expand_sweep,
     load_config,
     parse_config,
+    set_config_field,
 )
 from qscsim.errors import ConfigFileError, ConfigParseError, ConfigValidationError
 from qscsim.observer import ScenarioTag
@@ -156,6 +158,72 @@ def test_sweep_point_revalidates():
     with pytest.raises(ConfigValidationError) as err:
         expand_sweep(raw)
     assert err.value.field_path == "observer.t_p"
+    assert "observer.t_p = -0.5" in str(err.value)
+
+
+NESTED = {
+    **MINIMAL,
+    "collapse": {"model": "deterministic_time", "t_c_mean": 1.0},
+    "observer": {"t_p": 0.001, "jitter_sigma": 0.0002},
+    "rule": {"kind": "timing_threshold", "batch_n": 1},
+}
+
+
+def test_set_config_field_copies_only_the_path():
+    raw = copy.deepcopy(NESTED)
+    snapshot = copy.deepcopy(raw)
+    updated = set_config_field(raw, "collapse.t_c_mean", 5.0)
+    assert raw == snapshot
+    assert updated["collapse"] == {**snapshot["collapse"], "t_c_mean": 5.0}
+    assert updated["collapse"] is not raw["collapse"]
+    assert updated["observer"] is raw["observer"]
+    assert set_config_field(raw, "n_trials", 7) == {**snapshot, "n_trials": 7}
+    assert raw == snapshot
+
+
+def test_expand_sweep_leaves_raw_unmutated():
+    raw = {**copy.deepcopy(NESTED), "sweep": {"param": "observer.t_p", "values": [0.003, 0.002]}}
+    snapshot = copy.deepcopy(raw)
+    sections = {key: raw[key] for key in ("collapse", "observer", "rule", "sweep")}
+    points = expand_sweep(raw)
+    assert [cfg.observer.t_p for _, cfg in points] == [0.002, 0.003]
+    assert raw == snapshot
+    assert all(raw[key] is section for key, section in sections.items())
+
+
+@pytest.mark.parametrize("section", ["absent", "null"])
+def test_sweep_creates_missing_section(section):
+    raw = {**MINIMAL, "sweep": {"param": "observer.t_p", "values": [0.002, 0.004]}}
+    if section == "null":
+        raw["observer"] = None
+    assert set_config_field(raw, "observer.t_p", 0.002)["observer"] == {"t_p": 0.002}
+    points = expand_sweep(raw)
+    assert [cfg.observer.t_p for _, cfg in points] == [0.002, 0.004]
+    assert all(cfg.observer.jitter_sigma == 0.0002 for _, cfg in points)
+    assert raw.get("observer") is None
+
+
+@pytest.mark.parametrize(
+    "param, values, read",
+    [
+        ("priors", [0.9, 0.1, 0.5], lambda cfg: cfg.priors),
+        ("n_trials", [300, 100, 200], lambda cfg: cfg.n_trials),
+    ],
+)
+def test_sweep_top_level_param(param, values, read):
+    raw = {**NESTED, "sweep": {"param": param, "values": values}}
+    points = expand_sweep(raw)
+    assert [value for value, _ in points] == sorted(values)
+    assert [read(cfg) for _, cfg in points] == sorted(values)
+    assert all(cfg.collapse.t_c_mean == 1.0 and cfg.sweep is None for _, cfg in points)
+
+
+def test_sweep_re_resolves_default_threshold_per_point():
+    raw = {**MINIMAL, "sweep": {"param": "observer.t_p", "values": [0.001, 0.02, 0.3]}}
+    points = expand_sweep(raw)
+    for value, cfg in points:
+        # default threshold: t_p + 5 * max(jitter_sigma 0.0002, resolution 0.01)
+        assert cfg.rule.threshold_time == pytest.approx(value + 0.05)
 
 
 def test_load_config_roundtrip(tmp_path):
