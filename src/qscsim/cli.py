@@ -130,11 +130,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     raw = _load_raw(args)
-    # A diffusion config may omit gamma until calibration supplies it.
+    # calibrate fits gamma itself, so a configured one is ignored, not checked.
     raw_for_parse = raw
-    collapse_raw = raw.get("collapse") or {}
-    if isinstance(collapse_raw, dict) and collapse_raw.get("model") == "diffusion" and "gamma" not in collapse_raw:
-        raw_for_parse = set_config_field(raw, "collapse.gamma", 1.0)
+    if isinstance(raw.get("collapse"), dict) and "gamma" in raw["collapse"]:
+        raw_for_parse = set_config_field(raw, "collapse.gamma", None)
     config = parse_config(raw_for_parse)
     if config.collapse.model is not CollapseModel.DIFFUSION:
         raise ModelMisuseError(

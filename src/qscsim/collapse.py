@@ -36,7 +36,6 @@ DEFAULT_KAPPA = 1.0
 
 #: Devroye's split point between the two series expansions of the J* density.
 _J_TRUNC = 0.64
-_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 class CollapseModel(Enum):
@@ -144,9 +143,12 @@ def sample_collapses(
     ``y +- r``, ``r = L - |y|``, to the ``+`` side with probability
     ``cosh((y+r)/2) / (cosh((y+r)/2) + cosh((y-r)/2))``, which equals
     ``(1 + tanh(y/2) tanh(r/2)) / 2``, after a time ``(r/gamma)^2 J*(1, r/2)``
-    independent of the side.  The step toward the nearer band ends on it.
-    Each step draws one side uniform per live walker, then their J* values.
-    A weight that starts inside a band has collapsed at time 0.
+    independent of the side.  The step toward the nearer band ends on it,
+    and the step away lands on ``y - sign(y) r`` for every survivor (from
+    ``y = 0`` both steps end on a band), so all live walkers share one
+    position and each step's ``r`` and J* constants are scalars.  Each step
+    draws one side uniform per live walker, then their J* values.  A weight
+    that starts inside a band has collapsed at time 0.
 
     Raises:
         ModelMisuseError: diffusion with ``p1`` in {0, 1} (the weight never
@@ -163,54 +165,88 @@ def sample_collapses(
         raise ModelMisuseError("p1 in {0, 1} leaves no superposition to collapse")
 
     band = math.log1p(-params.epsilon) - math.log(params.epsilon)
-    y = np.full(n, math.log(p1) - math.log1p(-p1))
+    y = math.log(p1) - math.log1p(-p1)
     times = np.zeros(n)
-    hit_upper = y > 0.0
-    live = np.flatnonzero(np.abs(y) < band)
+    hit_upper = np.full(n, y > 0.0)
+    live = np.arange(n if abs(y) < band else 0)
     while live.size:
-        y_live = y[live]
-        r = band - np.abs(y_live)
-        up = rng.random(live.size) < 0.5 * (1.0 + np.tanh(0.5 * y_live) * np.tanh(0.5 * r))
-        times[live] += (r / params.gamma) ** 2 * _sample_j_star(0.5 * r, rng)
-        y_next = np.where(up, y_live + r, y_live - r)
-        done = (up == (y_live >= 0.0)) | (y_live == 0.0) | (np.abs(y_next) >= band)
-        hit_upper[live[done]] = y_next[done] > 0.0
-        y[live] = y_next
-        live = live[~done]
+        r = band - abs(y)
+        up = rng.random(live.size) < 0.5 * (1.0 + np.tanh(0.5 * y) * np.tanh(0.5 * r))
+        # A product, not ``** 2``: it rounds as numpy's array square does.
+        scale = r / params.gamma
+        times[live] += scale * scale * _sample_j_star(0.5 * r, live.size, rng)
+        away = ~up if y > 0.0 else up
+        y_away = y - r if y > 0.0 else y + r
+        # From y = 0 both steps end on a band; an away step that rounds onto
+        # a band ends there too.
+        if y == 0.0 or abs(y_away) >= band:
+            hit_upper[live] = np.where(up, y + r > 0.0, y - r > 0.0)
+            break
+        hit_upper[live[~away]] = y > 0.0
+        live = live[away]
+        y = y_away
     return times, hit_upper
 
 
-def _norm_cdf(x: np.ndarray) -> np.ndarray:
-    """Standard normal CDF, element-wise through ``math.erfc``."""
-    return 0.5 * _erfc(-x / math.sqrt(2.0)).astype(float)
+def _norm_cdf(x: float) -> float:
+    """Standard normal CDF."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def _j_star_term(n: int, x: np.ndarray) -> np.ndarray:
-    """Term ``a_n(x)`` of Devroye's alternating series for the J*(1, 0) density."""
+def _j_star_term(n: int, x: np.ndarray, right: bool) -> np.ndarray:
+    """Term ``a_n(x)`` of Devroye's alternating series for the J*(1, 0) density.
+
+    ``right`` selects the form for ``x`` above the 0.64 cut, where the
+    exponential proposal piece lives; the other form serves the truncated
+    inverse Gaussian piece below it.
+    """
     k = (n + 0.5) * math.pi
-    left = np.exp(math.log(k) - 1.5 * np.log(0.5 * math.pi * x) - 2.0 * (n + 0.5) ** 2 / x)
-    return np.where(x > _J_TRUNC, k * np.exp(-0.5 * k * k * x), left)
+    if right:
+        return k * np.exp(-0.5 * k * k * x)
+    return np.exp(math.log(k) - 1.5 * np.log(0.5 * math.pi * x) - 2.0 * (n + 0.5) ** 2 / x)
 
 
-def _sample_truncated_inverse_gaussian(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Inverse Gaussian draws with mean ``1/z`` and shape 1, truncated to (0, 0.64)."""
+def _series_accepts(x: np.ndarray, u: np.ndarray, right: bool) -> np.ndarray:
+    """Whether ``u * a_0(x)`` lies under the density, deciding each ``x`` by the
+    first partial sum of the alternating series that brackets it."""
+    s = _j_star_term(0, x, right)
+    y = u * s
+    accept = np.zeros(x.size, dtype=bool)
+    open_ = np.arange(x.size)
+    n = 0
+    while open_.size:
+        n += 1
+        if n % 2:
+            s[open_] -= _j_star_term(n, x[open_], right)
+            decided = y[open_] <= s[open_]
+            accept[open_[decided]] = True
+        else:
+            s[open_] += _j_star_term(n, x[open_], right)
+            decided = y[open_] > s[open_]
+        open_ = open_[~decided]
+    return accept
+
+
+def _sample_truncated_inverse_gaussian(z: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` inverse Gaussian draws with mean ``1/z`` and shape 1, truncated to (0, 0.64)."""
     t = _J_TRUNC
-    out = np.empty(z.size)
-    # Mean beyond the cut: 1/chi^2_1 proposals below t, accepted with
-    # probability exp(-z^2 x / 2).
-    pending = np.flatnonzero(z < 1.0 / t)
-    while pending.size:
-        e1 = rng.standard_exponential(pending.size)
-        e2 = rng.standard_exponential(pending.size)
-        x = t / (1.0 + t * e1) ** 2
-        ok = (e1 * e1 <= 2.0 * e2 / t) & (rng.random(pending.size) <= np.exp(-0.5 * z[pending] ** 2 * x))
-        out[pending[ok]] = x[ok]
-        pending = pending[~ok]
+    out = np.empty(n)
+    pending = np.arange(n)
+    if z < 1.0 / t:
+        # Mean beyond the cut: 1/chi^2_1 proposals below t, accepted with
+        # probability exp(-z^2 x / 2).
+        while pending.size:
+            e1 = rng.standard_exponential(pending.size)
+            e2 = rng.standard_exponential(pending.size)
+            x = t / (1.0 + t * e1) ** 2
+            ok = (e1 * e1 <= 2.0 * e2 / t) & (rng.random(pending.size) <= np.exp(-0.5 * (z * z) * x))
+            out[pending[ok]] = x[ok]
+            pending = pending[~ok]
+        return out
     # Mean inside the cut: untruncated draws (Michael, Schucany & Haas),
     # rejected above t.
-    pending = np.flatnonzero(z >= 1.0 / t)
+    mu = 1.0 / z
     while pending.size:
-        mu = 1.0 / z[pending]
         y = rng.standard_normal(pending.size) ** 2
         x = mu + 0.5 * mu * mu * y - 0.5 * mu * np.sqrt(4.0 * mu * y + (mu * y) ** 2)
         x = np.where(rng.random(pending.size) > mu / (mu + x), mu * mu / x, x)
@@ -220,8 +256,8 @@ def _sample_truncated_inverse_gaussian(z: np.ndarray, rng: np.random.Generator) 
     return out
 
 
-def _sample_j_star(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Exact draws of J*(1, z), one per entry of ``z`` >= 0; the mean is ``tanh(z)/z``.
+def _sample_j_star(z: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` exact draws of J*(1, z) for one ``z`` >= 0; the mean is ``tanh(z)/z``.
 
     J*(1, z) is the exit time of standard Brownian motion from (-1, 1),
     exponentially tilted by ``exp(-z^2 x / 2)``.  Devroye's (2009) sampler,
@@ -232,7 +268,8 @@ def _sample_j_star(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """
     t = _J_TRUNC
     k = 0.125 * math.pi**2 + 0.5 * z * z
-    # Mass ratio q/p of the two proposal pieces, in logs: it overflows for large z.
+    # Mass ratio q/p of the two proposal pieces, in logs: it overflows for
+    # large z, where the second normal CDF also underflows to 0.
     with np.errstate(divide="ignore"):
         log_q_over_p = np.log(4.0 / math.pi * k) + k * t + np.logaddexp(
             -z + np.log(_norm_cdf((t * z - 1.0) / math.sqrt(t))),
@@ -240,29 +277,19 @@ def _sample_j_star(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         )
     p_right = np.exp(-np.logaddexp(0.0, log_q_over_p))
 
-    out = np.empty(z.size)
-    pending = np.arange(z.size)
+    out = np.empty(n)
+    pending = np.arange(n)
     while pending.size:
         m = pending.size
-        right = rng.random(m) < p_right[pending]
+        right = rng.random(m) < p_right
         x = np.empty(m)
-        x[right] = t + rng.standard_exponential(int(right.sum())) / k[pending[right]]
-        x[~right] = _sample_truncated_inverse_gaussian(z[pending[~right]], rng)
-        s = _j_star_term(0, x)
-        y = rng.random(m) * s
-        accept = np.zeros(m, dtype=bool)
-        open_ = np.arange(m)
-        n = 0
-        while open_.size:
-            n += 1
-            if n % 2:
-                s[open_] -= _j_star_term(n, x[open_])
-                decided = y[open_] <= s[open_]
-                accept[open_[decided]] = True
-            else:
-                s[open_] += _j_star_term(n, x[open_])
-                decided = y[open_] > s[open_]
-            open_ = open_[~decided]
+        n_right = int(right.sum())
+        x[right] = t + rng.standard_exponential(n_right) / k
+        x[~right] = _sample_truncated_inverse_gaussian(z, m - n_right, rng)
+        u = rng.random(m)
+        accept = np.empty(m, dtype=bool)
+        accept[right] = _series_accepts(x[right], u[right], True)
+        accept[~right] = _series_accepts(x[~right], u[~right], False)
         out[pending[accept]] = x[accept]
         pending = pending[~accept]
     return out

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
-from .collapse import DEFAULT_EPSILON, DEFAULT_KAPPA, CollapseModel, CollapseParams
+from .collapse import DEFAULT_EPSILON, DEFAULT_KAPPA, CollapseModel, CollapseParams, diffusion_gamma
 from .errors import ConfigFileError, ConfigParseError, ConfigValidationError
 from .observer import ObserverParams, PerceptionScenario, ScenarioTag
 from .protocol import DecisionRule, RuleKind
@@ -146,7 +146,35 @@ def _require_range(value: float, lo: float, hi: float, where: str, *, open_lo: b
         raise ConfigValidationError(where, f"must be in {lo_b}{lo}, {hi}{hi_b}, got {value!r}")
 
 
-def _parse_collapse(section: Mapping[str, Any]) -> CollapseParams:
+def _resolve_diffusion_gamma(gamma: float | None, t_c_mean: float, input_p1: float, epsilon: float) -> float:
+    """Diffusion strength whose mean first passage from ``input_p1`` is ``t_c_mean``.
+
+    An explicit ``gamma`` must agree with that closed form to 1e-9 relative
+    and is then kept as given.  Outside ``epsilon < input_p1 < 1 - epsilon``
+    the closed form does not apply, so ``gamma`` is required and taken as given.
+    """
+    if gamma is not None and gamma <= 0.0:
+        raise ConfigValidationError("collapse.gamma", f"must be > 0, got {gamma!r}")
+    if not epsilon < input_p1 < 1.0 - epsilon:
+        if gamma is None:
+            raise ConfigValidationError(
+                "collapse.gamma",
+                f"required for diffusion when input_p1 {input_p1!r} is not inside (epsilon, 1 - epsilon)",
+            )
+        return gamma
+    closed = diffusion_gamma(t_c_mean, input_p1, epsilon)
+    if gamma is None:
+        return closed
+    if abs(gamma - closed) > 1e-9 * closed:
+        raise ConfigValidationError(
+            "collapse.gamma",
+            f"{gamma!r} is inconsistent with t_c_mean {t_c_mean!r}: a mean first passage of "
+            f"t_c_mean from input_p1 {input_p1!r} needs gamma {closed!r}; omit gamma to use it",
+        )
+    return gamma
+
+
+def _parse_collapse(section: Mapping[str, Any], input_p1: float) -> CollapseParams:
     path = "collapse"
     _check_unknown(section, {"model", "t_c_mean", "gamma", "epsilon", "energy", "kappa"}, path)
     model = _get_enum(section, "model", path, CollapseModel, CollapseModel.JUMP_EXPONENTIAL)
@@ -157,11 +185,11 @@ def _parse_collapse(section: Mapping[str, Any]) -> CollapseParams:
         t_c_mean = kappa / energy if energy else DEFAULT_T_C_MEAN
     if t_c_mean <= 0.0:
         raise ConfigValidationError("collapse.t_c_mean", f"must be > 0, got {t_c_mean!r}")
-    gamma = _get_number(section, "gamma", path, None)
-    if model is CollapseModel.DIFFUSION and (gamma is None or gamma <= 0.0):
-        raise ConfigValidationError("collapse.gamma", "diffusion model requires gamma > 0 (see the calibrate command)")
     epsilon = _get_number(section, "epsilon", path, DEFAULT_EPSILON)
     _require_range(epsilon, 0.0, 0.5, "collapse.epsilon", open_lo=True, open_hi=True)
+    gamma = _get_number(section, "gamma", path, None)
+    if model is CollapseModel.DIFFUSION:
+        gamma = _resolve_diffusion_gamma(gamma, t_c_mean, input_p1, epsilon)
     if energy is not None and energy <= 0.0:
         raise ConfigValidationError("collapse.energy", f"must be > 0, got {energy!r}")
     if kappa <= 0.0:
@@ -274,7 +302,7 @@ def parse_config(raw: Mapping[str, Any]) -> ExperimentConfig:
         if key in raw and raw[key] is not None and not isinstance(raw[key], Mapping):
             raise ConfigValidationError(key, "must be a JSON object")
 
-    collapse = _parse_collapse(raw.get("collapse") or {})
+    collapse = _parse_collapse(raw.get("collapse") or {}, input_p1)
     observer = _parse_observer(raw.get("observer") or {})
     scenario = _parse_scenario(raw.get("scenario") or {})
     rule = _parse_rule(raw.get("rule") or {}, observer)

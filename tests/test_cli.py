@@ -260,6 +260,20 @@ class TestCalibrate:
         assert main(["run", "--config", str(saved), "--json"]) == 0
         capsys.readouterr()
 
+    def test_configured_gamma_is_ignored(self, tmp_path, capsys):
+        # calibrate fits gamma itself: a gamma that run would reject as
+        # inconsistent with t_c_mean changes nothing.
+        args = ["--tolerance", "0.1", "--runs", "512", "--json"]
+        main(["calibrate", "--config", self.calibration_config(tmp_path), *args])
+        plain = json.loads(capsys.readouterr().out)
+        path = write_config(
+            tmp_path, {"input_p1": 0.5, "collapse": {"model": "diffusion", "t_c_mean": 1.0, "gamma": 2.0}}
+        )
+        assert main(["run", "--config", path]) == 1
+        assert "collapse.gamma" in capsys.readouterr().err
+        assert main(["calibrate", "--config", path, *args]) == 0
+        assert json.loads(capsys.readouterr().out) == plain
+
     def test_wrong_model_is_an_error(self, config_path, capsys):
         assert main(["calibrate", "--config", config_path]) == 1
         assert "diffusion" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from oracles import (
     mean_first_passage_time,
     second_moment_first_passage_time,
 )
+from reference import per_walker_diffusion_collapses
 import qscsim.collapse as collapse_module
 from qscsim.collapse import (
     CollapseEvent,
@@ -164,13 +166,45 @@ class TestDiffusion:
         expected = band_absorption_probability(p1, 1e-3)
         assert abs(float(hit_upper.mean()) - expected) <= 5.0 * math.sqrt(expected * (1.0 - expected) / n)
 
-    @pytest.mark.parametrize("z", [0.0, 0.05, 0.5, 1.5, 3.45, 10.0])
+    # 1.55 and 1.6 sit on either side of 1/0.64 = 1.5625, where the
+    # truncated inverse Gaussian proposal switches samplers.
+    @pytest.mark.parametrize("z", [0.0, 0.05, 0.5, 1.5, 1.55, 1.6, 3.45, 10.0])
     def test_j_star_mean_matches_tanh_ratio(self, z):
         n = 40_000
-        draws = collapse_module._sample_j_star(np.full(n, z), np.random.default_rng(5))
+        draws = collapse_module._sample_j_star(z, n, np.random.default_rng(5))
         expected = math.tanh(z) / z if z else 1.0
         assert draws.min() > 0.0
         assert abs(float(draws.mean()) - expected) <= 5.0 * float(draws.std()) / math.sqrt(n)
+
+    @pytest.mark.parametrize("epsilon", [1e-3, 1e-6])
+    @pytest.mark.parametrize("p1", [0.002, 0.1, 0.3, 0.5, 0.9, 0.998, 1e-4])
+    def test_equals_per_walker_reference(self, p1, epsilon):
+        # Every live walker shares one position, so the shared-ladder sampler
+        # must reproduce the per-walker one draw for draw, leaving both
+        # generators in the same state.  p1 = 1e-4 starts inside the band
+        # at epsilon = 1e-3.
+        params = diffusion(epsilon=epsilon)
+        for n in (0, 1, 7, 4096):
+            for seed in range(3):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                times, hit_upper = sample_collapses(p1, params, rng, n)
+                ref_times, ref_hit_upper = per_walker_diffusion_collapses(p1, params, ref_rng, n)
+                assert np.array_equal(times, ref_times) and np.array_equal(hit_upper, ref_hit_upper)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("epsilon, p1", [(1e-300, 0.3), (1e-12, 0.3), (0.49, 0.505)])
+    def test_extreme_bands_stay_finite_and_warning_free(self, epsilon, p1):
+        # At epsilon 1e-300 the first step has z = r/2 near 345, where the
+        # proposal mass ratio overflows and a normal CDF underflows to 0;
+        # p_right must still come out without log(0) or exp overflow.
+        # epsilon 0.49 leaves the narrowest band.
+        n = 20_000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            times, hit_upper = sample_collapses(p1, diffusion(epsilon=epsilon), np.random.default_rng(8), n)
+        assert np.all(np.isfinite(times)) and times.min() >= 0.0
+        expected = band_absorption_probability(p1, epsilon)
+        assert abs(float(hit_upper.mean()) - expected) <= 5.0 * math.sqrt(expected * (1.0 - expected) / n)
 
     def test_single_walker_agrees_with_ensemble_statistics(self):
         n = 2000

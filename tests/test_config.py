@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from qscsim.collapse import CollapseModel
+from qscsim.collapse import CollapseModel, diffusion_gamma
 from qscsim.config import (
     SWEEPABLE_FIELDS,
     config_to_json_dict,
@@ -100,14 +100,55 @@ def test_scenario_r_rules():
         parse_config({**MINIMAL, "scenario": {"tag": "fixed_c1", "r": 0.25}})
 
 
-def test_diffusion_requires_gamma():
+DIFFUSION = {"model": "diffusion", "t_c_mean": 1.0}
+
+
+def test_diffusion_gamma_omitted_resolves_from_t_c_mean():
+    config = parse_config({**MINIMAL, "input_p1": 0.3, "collapse": {**DIFFUSION, "epsilon": 1e-4}})
+    assert config.collapse.gamma == diffusion_gamma(1.0, 0.3, 1e-4)
+    defaults = parse_config({**MINIMAL, "collapse": {"model": "diffusion"}})
+    assert defaults.collapse.gamma == diffusion_gamma(180.0, 0.5, 1e-3)
+
+
+def test_diffusion_gamma_consistent_is_kept_as_given():
+    closed = diffusion_gamma(1.0, 0.5, 1e-3)
+    for given in (closed, closed * (1.0 + 5e-10), closed * (1.0 - 5e-10)):
+        config = parse_config({**MINIMAL, "collapse": {**DIFFUSION, "gamma": given}})
+        assert config.collapse.gamma == given
+        assert config_to_json_dict(config)["collapse"]["gamma"] == given
+
+
+@pytest.mark.parametrize("gamma", [2.0, diffusion_gamma(1.0, 0.5, 1e-3) * (1.0 + 2e-9), -1.0, 0.0])
+def test_diffusion_gamma_inconsistent_with_t_c_mean_is_an_error(gamma):
     with pytest.raises(ConfigValidationError) as err:
-        parse_config({**MINIMAL, "collapse": {"model": "diffusion", "t_c_mean": 1.0}})
+        parse_config({**MINIMAL, "collapse": {**DIFFUSION, "gamma": gamma}})
     assert err.value.field_path == "collapse.gamma"
-    config = parse_config(
-        {**MINIMAL, "collapse": {"model": "diffusion", "t_c_mean": 1.0, "gamma": 3.7}}
-    )
-    assert config.collapse.gamma == 3.7
+    if gamma > 0.0:
+        assert "t_c_mean 1.0" in str(err.value)
+
+
+@pytest.mark.parametrize("p1", [0.0, 1e-4, 1e-3, 1.0 - 1e-3, 1.0])
+def test_diffusion_gamma_with_input_p1_in_a_band(p1):
+    # The closed form needs epsilon < input_p1 < 1 - epsilon; outside it an
+    # explicit gamma is taken as given and an omitted one is an error.
+    config = parse_config({**MINIMAL, "input_p1": p1, "collapse": {**DIFFUSION, "gamma": 2.0}})
+    assert config.collapse.gamma == 2.0
+    with pytest.raises(ConfigValidationError) as err:
+        parse_config({**MINIMAL, "input_p1": p1, "collapse": DIFFUSION})
+    assert err.value.field_path == "collapse.gamma"
+
+
+def test_sweep_over_t_c_mean_re_resolves_diffusion_gamma():
+    raw = {
+        **MINIMAL,
+        "input_p1": 0.3,
+        "collapse": DIFFUSION,
+        "sweep": {"param": "collapse.t_c_mean", "values": [4.0, 0.5, 1.0]},
+    }
+    points = expand_sweep(raw)
+    assert [value for value, _ in points] == [0.5, 1.0, 4.0]
+    for value, config in points:
+        assert config.collapse.gamma == diffusion_gamma(value, 0.3, 1e-3)
 
 
 def test_energy_resolves_or_checks_t_c():
