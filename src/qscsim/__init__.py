@@ -11,15 +11,12 @@ device can separate reliably in a single shot.
 
 from .collapse import (
     Calibration,
-    CollapseEvent,
     CollapseModel,
     CollapseParams,
     calibrate_gamma,
-    collapse_for_input,
     diffusion_gamma,
     sample_collapse_times,
     sample_collapses,
-    sample_outcome,
     t_c_from_energy,
 )
 from .config import ExperimentConfig, SweepSpec, expand_sweep, load_config, parse_config
@@ -29,27 +26,21 @@ from .errors import (
     ConfigFileError,
     ConfigParseError,
     ConfigValidationError,
+    FieldError,
     ModelMisuseError,
     QscError,
 )
 from .observer import (
     ObserverParams,
-    Percept,
-    PerceptionReport,
     PerceptionScenario,
     ScenarioTag,
     awareness_probability,
-    perceive_definite,
-    perceive_superposition,
     qsc_condition_satisfied,
 )
 from .protocol import (
     DecisionRule,
     ExperimentSummary,
     RuleKind,
-    classify_batch,
-    classify_single,
-    device_trial,
     optimal_device_bound,
     run_experiment,
 )
@@ -67,7 +58,6 @@ __all__ = [
     "Branch",
     "Calibration",
     "CalibrationError",
-    "CollapseEvent",
     "CollapseModel",
     "CollapseParams",
     "ConfigError",
@@ -77,12 +67,11 @@ __all__ = [
     "DecisionRule",
     "ExperimentConfig",
     "ExperimentSummary",
+    "FieldError",
     "InputKind",
     "InputState",
     "ModelMisuseError",
     "ObserverParams",
-    "Percept",
-    "PerceptionReport",
     "PerceptionScenario",
     "QscError",
     "RateEstimate",
@@ -92,23 +81,16 @@ __all__ = [
     "awareness_probability",
     "born_probability",
     "calibrate_gamma",
-    "classify_batch",
-    "classify_single",
-    "collapse_for_input",
-    "device_trial",
     "diffusion_gamma",
     "expand_sweep",
     "load_config",
     "make_input_state",
     "optimal_device_bound",
     "parse_config",
-    "perceive_definite",
-    "perceive_superposition",
     "qsc_condition_satisfied",
     "run_experiment",
     "sample_collapse_times",
     "sample_collapses",
-    "sample_outcome",
     "state_fidelity",
     "t_c_from_energy",
     "wilson_interval",

@@ -27,8 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CalibrationError, ModelMisuseError
-from .states import Branch, InputKind, InputState, born_probability
+from .errors import CalibrationError, FieldError, ModelMisuseError, check_field
 from .stats import Z95
 
 DEFAULT_EPSILON = 1e-3
@@ -54,7 +53,10 @@ class CollapseParams:
 
     An optional perception ``energy`` ties the mean collapse time to the
     inverse-energy relation ``t_c_mean = kappa / energy``; construction
-    rejects inconsistent pairs.
+    rejects inconsistent pairs.  Construction also rejects a non-finite or
+    out-of-range field with a :class:`~qscsim.errors.FieldError` naming it.
+    A diffusion ``gamma`` is not tied to ``t_c_mean`` here, since that needs
+    the input weight; :class:`~qscsim.config.ExperimentConfig` checks the pair.
     """
 
     model: CollapseModel
@@ -65,22 +67,20 @@ class CollapseParams:
     kappa: float = DEFAULT_KAPPA
 
     def __post_init__(self) -> None:
-        if self.t_c_mean <= 0.0:
-            raise ValueError(f"t_c_mean must be > 0, got {self.t_c_mean!r}")
-        if not 0.0 < self.epsilon < 0.5:
-            raise ValueError(f"epsilon must be in (0, 0.5), got {self.epsilon!r}")
-        if self.kappa <= 0.0:
-            raise ValueError(f"kappa must be > 0, got {self.kappa!r}")
-        if self.model is CollapseModel.DIFFUSION:
-            if self.gamma is None or self.gamma <= 0.0:
-                raise ValueError("diffusion model requires gamma > 0")
+        check_field("t_c_mean", self.t_c_mean, self.t_c_mean > 0.0, "> 0")
+        check_field("epsilon", self.epsilon, 0.0 < self.epsilon < 0.5, "in (0.0, 0.5)")
+        if self.gamma is not None:
+            check_field("gamma", self.gamma, self.gamma > 0.0, "> 0")
+        elif self.model is CollapseModel.DIFFUSION:
+            raise FieldError("gamma", "required for the diffusion model")
         if self.energy is not None:
-            if self.energy <= 0.0:
-                raise ValueError(f"energy must be > 0, got {self.energy!r}")
+            check_field("energy", self.energy, self.energy > 0.0, "> 0")
+        check_field("kappa", self.kappa, self.kappa > 0.0, "> 0")
+        if self.energy is not None:
             implied = self.kappa / self.energy
             if abs(self.t_c_mean - implied) > 1e-9 * self.t_c_mean:
-                raise ValueError(
-                    f"t_c_mean {self.t_c_mean!r} inconsistent with kappa/energy = {implied!r}"
+                raise FieldError(
+                    "energy", f"t_c_mean {self.t_c_mean!r} inconsistent with kappa/energy = {implied!r}"
                 )
 
 
@@ -89,18 +89,6 @@ def t_c_from_energy(energy: float, kappa: float = DEFAULT_KAPPA) -> float:
     if energy <= 0.0:
         raise ValueError(f"energy must be > 0, got {energy!r}")
     return kappa / energy
-
-
-@dataclass(frozen=True)
-class CollapseEvent:
-    """One collapse: its instant and outcome branch."""
-
-    time: float
-    outcome: Branch
-
-    def __post_init__(self) -> None:
-        if self.time < 0.0:
-            raise ValueError(f"collapse time must be >= 0, got {self.time!r}")
 
 
 def sample_collapse_times(params: CollapseParams, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -117,13 +105,6 @@ def sample_collapse_times(params: CollapseParams, rng: np.random.Generator, n: i
     if params.model is CollapseModel.DETERMINISTIC_TIME:
         return np.full(n, params.t_c_mean)
     return rng.exponential(params.t_c_mean, n)
-
-
-def sample_outcome(p1: float, rng: np.random.Generator) -> Branch:
-    """Draw the collapse outcome: B1 with probability ``p1``."""
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError(f"p1 must be in [0, 1], got {p1!r}")
-    return Branch.B1 if rng.random() < p1 else Branch.B2
 
 
 def sample_collapses(
@@ -367,16 +348,3 @@ def calibrate_gamma(
         )
     return cal
 
-
-def collapse_for_input(
-    state: InputState, params: CollapseParams, rng: np.random.Generator
-) -> CollapseEvent | None:
-    """Collapse event for one prepared input, or None for a definite input.
-
-    A definite input involves no superposition, hence no collapse wait.  A
-    superposed input gets one draw of :func:`sample_collapses`.
-    """
-    if state.kind is InputKind.DEFINITE:
-        return None
-    times, hit_upper = sample_collapses(born_probability(state), params, rng, 1)
-    return CollapseEvent(time=float(times[0]), outcome=Branch.B1 if hit_upper[0] else Branch.B2)

@@ -2,9 +2,11 @@
 
 Configs are JSON objects with a versioned schema.  Unknown keys are errors
 (not warnings) so that result files can always be traced back to an exact
-parameter set.  Validation errors carry the dotted path of the offending
-field.  Defaults follow the reference magnitudes of the protocol: millisecond
-perception latency against a minutes-scale mean collapse time.
+parameter set.  This module checks JSON types and resolves defaults; the
+range checks are the parameter dataclasses' own, and their field errors are
+reported at the dotted path of the offending field.  Defaults follow the
+reference magnitudes of the protocol: millisecond perception latency against
+a minutes-scale mean collapse time.
 
 The decision threshold, when left null, resolves to
 ``t_p + 5 * max(jitter_sigma, resolution)``: five noise scales leave
@@ -23,7 +25,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .collapse import DEFAULT_EPSILON, DEFAULT_KAPPA, CollapseModel, CollapseParams, diffusion_gamma
-from .errors import ConfigFileError, ConfigParseError, ConfigValidationError
+from .errors import ConfigFileError, ConfigParseError, ConfigValidationError, FieldError, check_field
 from .observer import ObserverParams, PerceptionScenario, ScenarioTag
 from .protocol import DecisionRule, RuleKind
 from .states import InputKind
@@ -43,7 +45,6 @@ SWEEPABLE_FIELDS: dict[str, type] = {
     "priors": float,
     "input_p1": float,
     "collapse.t_c_mean": float,
-    "collapse.gamma": float,
     "collapse.epsilon": float,
     "observer.t_p": float,
     "observer.jitter_sigma": float,
@@ -64,7 +65,14 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully validated experiment definition with all defaults resolved."""
+    """Fully validated experiment definition with all defaults resolved.
+
+    Construction checks the top-level fields, and for diffusion from an input
+    weight inside ``(epsilon, 1 - epsilon)`` that ``collapse.gamma`` gives a
+    mean first passage of ``collapse.t_c_mean`` (to 1e-9 relative).  A field
+    out of range raises a :class:`~qscsim.errors.FieldError` that names it
+    by its dotted path.
+    """
 
     master_seed: int
     n_trials: int
@@ -77,6 +85,26 @@ class ExperimentConfig:
     device_baseline: bool
     sweep: SweepSpec | None
     schema_version: int = SCHEMA_VERSION
+
+    def __post_init__(self) -> None:
+        if self.schema_version != SCHEMA_VERSION:
+            raise FieldError(
+                "schema_version", f"unsupported version {self.schema_version!r}; this build reads {SCHEMA_VERSION}"
+            )
+        if not 0 <= self.master_seed < 2**64:
+            raise FieldError("master_seed", f"must be an unsigned 64-bit integer, got {self.master_seed!r}")
+        check_field("n_trials", self.n_trials, self.n_trials >= 1, ">= 1")
+        check_field("priors", self.priors, 0.0 <= self.priors <= 1.0, "in [0.0, 1.0]")
+        check_field("input_p1", self.input_p1, 0.0 <= self.input_p1 <= 1.0, "in [0.0, 1.0]")
+        collapse = self.collapse
+        if collapse.model is CollapseModel.DIFFUSION and collapse.epsilon < self.input_p1 < 1.0 - collapse.epsilon:
+            closed = diffusion_gamma(collapse.t_c_mean, self.input_p1, collapse.epsilon)
+            if abs(collapse.gamma - closed) > 1e-9 * closed:
+                raise FieldError(
+                    "collapse.gamma",
+                    f"{collapse.gamma!r} is inconsistent with t_c_mean {collapse.t_c_mean!r}: a mean first "
+                    f"passage of t_c_mean from input_p1 {self.input_p1!r} needs gamma {closed!r}; omit gamma to use it",
+                )
 
 
 def default_threshold_time(observer: ObserverParams) -> float:
@@ -137,41 +165,22 @@ def _get_enum(
         raise ConfigValidationError(where, f"must be one of: {options}; got {value!r}") from None
 
 
-def _require_range(value: float, lo: float, hi: float, where: str, *, open_lo: bool = False, open_hi: bool = False) -> None:
-    bad_lo = value <= lo if open_lo else value < lo
-    bad_hi = value >= hi if open_hi else value > hi
-    if bad_lo or bad_hi:
-        lo_b = "(" if open_lo else "["
-        hi_b = ")" if open_hi else "]"
-        raise ConfigValidationError(where, f"must be in {lo_b}{lo}, {hi}{hi_b}, got {value!r}")
+def _build(section: str, cls: type, **fields: Any) -> Any:
+    """``cls(**fields)``, with a field error reported at its dotted path."""
+    try:
+        return cls(**fields)
+    except FieldError as exc:
+        raise ConfigValidationError(_field(section, exc.field), exc.message) from None
 
 
-def _resolve_diffusion_gamma(gamma: float | None, t_c_mean: float, input_p1: float, epsilon: float) -> float:
-    """Diffusion strength whose mean first passage from ``input_p1`` is ``t_c_mean``.
-
-    An explicit ``gamma`` must agree with that closed form to 1e-9 relative
-    and is then kept as given.  Outside ``epsilon < input_p1 < 1 - epsilon``
-    the closed form does not apply, so ``gamma`` is required and taken as given.
-    """
-    if gamma is not None and gamma <= 0.0:
-        raise ConfigValidationError("collapse.gamma", f"must be > 0, got {gamma!r}")
-    if not epsilon < input_p1 < 1.0 - epsilon:
-        if gamma is None:
-            raise ConfigValidationError(
-                "collapse.gamma",
-                f"required for diffusion when input_p1 {input_p1!r} is not inside (epsilon, 1 - epsilon)",
-            )
-        return gamma
-    closed = diffusion_gamma(t_c_mean, input_p1, epsilon)
-    if gamma is None:
-        return closed
-    if abs(gamma - closed) > 1e-9 * closed:
-        raise ConfigValidationError(
-            "collapse.gamma",
-            f"{gamma!r} is inconsistent with t_c_mean {t_c_mean!r}: a mean first passage of "
-            f"t_c_mean from input_p1 {input_p1!r} needs gamma {closed!r}; omit gamma to use it",
-        )
-    return gamma
+def _closed_form_gamma(t_c_mean: float, input_p1: float, epsilon: float) -> float | None:
+    """The default diffusion strength, :func:`~qscsim.collapse.diffusion_gamma`;
+    None where it has no value (an ``input_p1`` outside ``(epsilon, 1 - epsilon)``
+    or a parameter out of range), so that construction names the field."""
+    try:
+        return diffusion_gamma(t_c_mean, input_p1, epsilon)
+    except ValueError:
+        return None
 
 
 def _parse_collapse(section: Mapping[str, Any], input_p1: float) -> CollapseParams:
@@ -183,52 +192,41 @@ def _parse_collapse(section: Mapping[str, Any], input_p1: float) -> CollapsePara
     t_c_mean = _get_number(section, "t_c_mean", path, None)
     if t_c_mean is None:
         t_c_mean = kappa / energy if energy else DEFAULT_T_C_MEAN
-    if t_c_mean <= 0.0:
-        raise ConfigValidationError("collapse.t_c_mean", f"must be > 0, got {t_c_mean!r}")
     epsilon = _get_number(section, "epsilon", path, DEFAULT_EPSILON)
-    _require_range(epsilon, 0.0, 0.5, "collapse.epsilon", open_lo=True, open_hi=True)
     gamma = _get_number(section, "gamma", path, None)
-    if model is CollapseModel.DIFFUSION:
-        gamma = _resolve_diffusion_gamma(gamma, t_c_mean, input_p1, epsilon)
-    if energy is not None and energy <= 0.0:
-        raise ConfigValidationError("collapse.energy", f"must be > 0, got {energy!r}")
-    if kappa <= 0.0:
-        raise ConfigValidationError("collapse.kappa", f"must be > 0, got {kappa!r}")
+    defaulted = model is CollapseModel.DIFFUSION and gamma is None
+    if defaulted:
+        gamma = _closed_form_gamma(t_c_mean, input_p1, epsilon)
     try:
-        return CollapseParams(
+        return _build(
+            path, CollapseParams,
             model=model, t_c_mean=t_c_mean, gamma=gamma, epsilon=epsilon, energy=energy, kappa=kappa,
         )
-    except ValueError as exc:
-        raise ConfigValidationError(path, str(exc)) from None
+    except ConfigValidationError as exc:
+        if defaulted and exc.field_path == "collapse.gamma":
+            raise ConfigValidationError(
+                exc.field_path,
+                f"required for diffusion when input_p1 {input_p1!r} is not inside (epsilon, 1 - epsilon)",
+            ) from None
+        raise
 
 
 def _parse_observer(section: Mapping[str, Any]) -> ObserverParams:
     path = "observer"
     _check_unknown(section, {"t_p", "jitter_sigma", "resolution"}, path)
-    t_p = _get_number(section, "t_p", path, DEFAULT_T_P)
-    if t_p <= 0.0:
-        raise ConfigValidationError("observer.t_p", f"must be > 0, got {t_p!r}")
-    jitter = _get_number(section, "jitter_sigma", path, DEFAULT_JITTER_SIGMA)
-    if jitter < 0.0:
-        raise ConfigValidationError("observer.jitter_sigma", f"must be >= 0, got {jitter!r}")
-    resolution = _get_number(section, "resolution", path, DEFAULT_RESOLUTION)
-    if resolution <= 0.0:
-        raise ConfigValidationError("observer.resolution", f"must be > 0, got {resolution!r}")
-    return ObserverParams(t_p=t_p, jitter_sigma=jitter, resolution=resolution)
+    return _build(
+        path, ObserverParams,
+        t_p=_get_number(section, "t_p", path, DEFAULT_T_P),
+        jitter_sigma=_get_number(section, "jitter_sigma", path, DEFAULT_JITTER_SIGMA),
+        resolution=_get_number(section, "resolution", path, DEFAULT_RESOLUTION),
+    )
 
 
 def _parse_scenario(section: Mapping[str, Any]) -> PerceptionScenario:
     path = "scenario"
     _check_unknown(section, {"tag", "r"}, path)
     tag = _get_enum(section, "tag", path, ScenarioTag, ScenarioTag.POST_COLLAPSE_ONLY)
-    r = _get_number(section, "r", path, None)
-    if tag is ScenarioTag.RANDOM_PERCEPT:
-        if r is None:
-            raise ConfigValidationError("scenario.r", "required for random_percept")
-        _require_range(r, 0.0, 1.0, "scenario.r")
-    elif r is not None:
-        raise ConfigValidationError("scenario.r", "only meaningful for random_percept")
-    return PerceptionScenario(tag=tag, r=r)
+    return _build(path, PerceptionScenario, tag=tag, r=_get_number(section, "r", path, None))
 
 
 def _parse_rule(section: Mapping[str, Any], observer: ObserverParams) -> DecisionRule:
@@ -238,13 +236,13 @@ def _parse_rule(section: Mapping[str, Any], observer: ObserverParams) -> Decisio
     threshold = _get_number(section, "threshold_time", path, None)
     if threshold is None and kind is not RuleKind.CHANGE_DETECTION:
         threshold = default_threshold_time(observer)
-    if threshold is not None and threshold <= 0.0:
-        raise ConfigValidationError("rule.threshold_time", f"must be > 0, got {threshold!r}")
-    batch_n = _get_number(section, "batch_n", path, DEFAULT_BATCH_N, integer=True)
-    if batch_n < 1:
-        raise ConfigValidationError("rule.batch_n", f"must be >= 1, got {batch_n!r}")
-    guess = _get_enum(section, "no_change_guess", path, InputKind, InputKind.DEFINITE)
-    return DecisionRule(kind=kind, threshold_time=threshold, batch_n=batch_n, no_change_guess=guess)
+    return _build(
+        path, DecisionRule,
+        kind=kind,
+        threshold_time=threshold,
+        batch_n=_get_number(section, "batch_n", path, DEFAULT_BATCH_N, integer=True),
+        no_change_guess=_get_enum(section, "no_change_guess", path, InputKind, InputKind.DEFINITE),
+    )
 
 
 def _parse_sweep(section: Mapping[str, Any]) -> SweepSpec:
@@ -284,19 +282,10 @@ def parse_config(raw: Mapping[str, Any]) -> ExperimentConfig:
     _check_unknown(raw, _TOP_KEYS, "")
 
     version = _get_number(raw, "schema_version", "", SCHEMA_VERSION, integer=True)
-    if version != SCHEMA_VERSION:
-        raise ConfigValidationError("schema_version", f"unsupported version {version!r}; this build reads {SCHEMA_VERSION}")
-
     seed = _get_number(raw, "master_seed", "", None, required=True, integer=True)
-    if not 0 <= seed < 2**64:
-        raise ConfigValidationError("master_seed", f"must be an unsigned 64-bit integer, got {seed!r}")
     n_trials = _get_number(raw, "n_trials", "", None, required=True, integer=True)
-    if n_trials < 1:
-        raise ConfigValidationError("n_trials", f"must be >= 1, got {n_trials!r}")
     priors = _get_number(raw, "priors", "", 0.5)
-    _require_range(priors, 0.0, 1.0, "priors")
     input_p1 = _get_number(raw, "input_p1", "", 0.5)
-    _require_range(input_p1, 0.0, 1.0, "input_p1")
 
     for key in ("collapse", "observer", "scenario", "rule", "sweep"):
         if key in raw and raw[key] is not None and not isinstance(raw[key], Mapping):
@@ -315,7 +304,8 @@ def parse_config(raw: Mapping[str, Any]) -> ExperimentConfig:
     if raw.get("sweep") is not None:
         sweep = _parse_sweep(raw["sweep"])
 
-    return ExperimentConfig(
+    return _build(
+        "", ExperimentConfig,
         master_seed=seed,
         n_trials=n_trials,
         priors=priors,
@@ -326,7 +316,7 @@ def parse_config(raw: Mapping[str, Any]) -> ExperimentConfig:
         rule=rule,
         device_baseline=device,
         sweep=sweep,
-        schema_version=SCHEMA_VERSION,
+        schema_version=version,
     )
 
 

@@ -1,10 +1,33 @@
 """Exception types shared across the package.
 
-Plain ``ValueError`` is used for out-of-range arguments ("domain errors");
-the classes below mark failure modes callers are expected to branch on.
+A parameter object that gets an out-of-range or non-finite field raises
+:class:`FieldError`, a ``ValueError`` naming the field; other out-of-range
+function arguments raise plain ``ValueError``.  The other classes mark
+failure modes callers are expected to branch on.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Any
+
+
+class FieldError(ValueError):
+    """A parameter field is out of range or not finite; ``field`` names it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field}: {message}")
+        self.field = field
+        self.message = message
+
+
+def check_field(field: str, value: Any, ok: bool, rule: str) -> None:
+    """Raise :class:`FieldError` unless ``value`` is finite and ``ok`` holds;
+    ``rule`` states the range, as in ``"> 0"``."""
+    if value != value or value in (math.inf, -math.inf):
+        raise FieldError(field, f"must be finite, got {value!r}")
+    if not ok:
+        raise FieldError(field, f"must be {rule}, got {value!r}")
 
 
 class QscError(Exception):

@@ -26,19 +26,8 @@ from enum import Enum
 
 import numpy as np
 
-from .collapse import CollapseEvent, CollapseParams
-from .errors import ModelMisuseError
-from .states import Branch
-
-
-class Percept(Enum):
-    """Percept labels; INITIAL is the notional pre-measurement state and never
-    appears in a report."""
-
-    INITIAL = "initial"
-    C1 = "c1"
-    C2 = "c2"
-    DISTINCT = "distinct"
+from .collapse import CollapseParams
+from .errors import FieldError, check_field
 
 
 class ScenarioTag(Enum):
@@ -59,12 +48,9 @@ class ObserverParams:
     resolution: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.t_p <= 0.0:
-            raise ValueError(f"t_p must be > 0, got {self.t_p!r}")
-        if self.jitter_sigma < 0.0:
-            raise ValueError(f"jitter_sigma must be >= 0, got {self.jitter_sigma!r}")
-        if self.resolution <= 0.0:
-            raise ValueError(f"resolution must be > 0, got {self.resolution!r}")
+        check_field("t_p", self.t_p, self.t_p > 0.0, "> 0")
+        check_field("jitter_sigma", self.jitter_sigma, self.jitter_sigma >= 0.0, ">= 0")
+        check_field("resolution", self.resolution, self.resolution > 0.0, "> 0")
 
 
 @dataclass(frozen=True)
@@ -76,44 +62,11 @@ class PerceptionScenario:
 
     def __post_init__(self) -> None:
         if self.tag is ScenarioTag.RANDOM_PERCEPT:
-            if self.r is None or not 0.0 <= self.r <= 1.0:
-                raise ValueError(f"random_percept requires r in [0, 1], got {self.r!r}")
+            if self.r is None:
+                raise FieldError("r", "required for random_percept")
+            check_field("r", self.r, 0.0 <= self.r <= 1.0, "in [0.0, 1.0]")
         elif self.r is not None:
-            raise ValueError(f"r is only meaningful for random_percept, got {self.r!r}")
-
-
-@dataclass(frozen=True)
-class PerceptionReport:
-    """Timestamped account of what the observer experienced in one trial."""
-
-    first_percept_time: float
-    first_percept: Percept
-    change_detected: bool
-    change_time: float | None
-    final_percept: Percept
-
-    def __post_init__(self) -> None:
-        if self.first_percept_time < 0.0:
-            raise ValueError("first_percept_time must be >= 0")
-        if self.change_detected:
-            if self.change_time is None:
-                raise ValueError("change_detected requires change_time")
-            if self.change_time < 0.0:
-                raise ValueError("change_time must be >= 0")
-            if self.final_percept is self.first_percept:
-                raise ValueError("detected change requires final_percept != first_percept")
-        elif self.change_time is not None:
-            raise ValueError("change_time present without change_detected")
-
-
-def percept_for_branch(outcome: Branch) -> Percept:
-    return Percept.C1 if outcome is Branch.B1 else Percept.C2
-
-
-def _report_time(base: float, o: ObserverParams, rng: np.random.Generator) -> float:
-    if o.jitter_sigma == 0.0:
-        return base
-    return max(0.0, base + rng.normal(0.0, o.jitter_sigma))
+            raise FieldError("r", "only meaningful for random_percept")
 
 
 def report_times(base: np.ndarray, o: ObserverParams, rng: np.random.Generator) -> np.ndarray:
@@ -131,12 +84,14 @@ def perceive_collapses(
     hit_upper: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of :func:`perceive_superposition`, before report jitter.
+    """First reports of superposed copies, before report jitter.
 
     For collapses at ``times`` landing on B1 where ``hit_upper`` is set,
     returns each copy's un-jittered first-report time and whether it reports
-    a change.  RANDOM_PERCEPT draws one pre-percept uniform per copy; the
-    other scenarios draw nothing.
+    a change, that is whether the pre-collapse percept differs from the
+    branch percept the collapse leaves (C1 for B1, C2 for B2).
+    RANDOM_PERCEPT draws one pre-percept uniform per copy (C1 below ``r``);
+    the other scenarios draw nothing.
     """
     tag = scenario.tag
     if tag is ScenarioTag.POST_COLLAPSE_ONLY:
@@ -152,63 +107,10 @@ def perceive_collapses(
     return first, pre_c1 != hit_upper
 
 
-def perceive_definite(o: ObserverParams, rng: np.random.Generator) -> PerceptionReport:
-    """Report for a definite branch-1 input: percept C1 after one latency."""
-    t = _report_time(o.t_p, o, rng)
-    return PerceptionReport(
-        first_percept_time=t,
-        first_percept=Percept.C1,
-        change_detected=False,
-        change_time=None,
-        final_percept=Percept.C1,
-    )
-
-
-def perceive_superposition(
-    o: ObserverParams,
-    scenario: PerceptionScenario,
-    event: CollapseEvent | None,
-    rng: np.random.Generator,
-) -> PerceptionReport:
-    """Report for a superposed input that collapsed via ``event``.
-
-    Draw order per trial: scenario-specific percept draw (RANDOM_PERCEPT
-    only), then first-report jitter, then change-report jitter if a change is
-    reported.
-    """
-    if event is None:
-        raise ModelMisuseError("perceive_superposition needs a collapse event; definite inputs produce none")
-    post = percept_for_branch(event.outcome)
-    tag = scenario.tag
-
-    if tag is ScenarioTag.POST_COLLAPSE_ONLY:
-        t = _report_time(event.time + o.t_p, o, rng)
-        return PerceptionReport(t, post, False, None, post)
-
-    if tag is ScenarioTag.DISTINCT_PERCEPT:
-        pre = Percept.DISTINCT
-        changed = True
-    elif tag is ScenarioTag.FIXED_C1:
-        pre = Percept.C1
-        changed = event.outcome is Branch.B2
-    elif tag is ScenarioTag.FIXED_C2:
-        pre = Percept.C2
-        changed = event.outcome is Branch.B1
-    else:  # RANDOM_PERCEPT: pre-percept independent of the collapse outcome
-        pre = Percept.C1 if rng.random() < scenario.r else Percept.C2
-        changed = pre is not post
-
-    first_time = _report_time(o.t_p, o, rng)
-    if not changed:
-        return PerceptionReport(first_time, pre, False, None, pre)
-    change_time = _report_time(event.time + o.t_p, o, rng)
-    return PerceptionReport(first_time, pre, True, change_time, post)
-
-
 def awareness_probability(scenario: PerceptionScenario, p1: float) -> float:
     """Closed-form probability that the observer notices a percept change.
 
-    Companion to :func:`perceive_superposition` for a branch-1 weight ``p1``;
+    Companion to :func:`perceive_collapses` for a branch-1 weight ``p1``;
     POST_COLLAPSE_ONLY yields 0 because no definite percept exists before
     collapse (the timing channel still discriminates there).
     """

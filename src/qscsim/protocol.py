@@ -10,9 +10,7 @@ input never triggers either), so the batch rule over identically prepared
 states is "any positive fires".
 
 :func:`run_experiment` runs decisions in fixed-size blocks with array
-operations; the scalar helpers (:func:`classify_single`,
-:func:`classify_batch`, :func:`device_trial`) state the same rules one
-report at a time.
+operations.
 
 The device baseline performs a projective measurement in the branch basis
 with no timing channel; its single-copy success is capped by the optimal
@@ -25,13 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .collapse import sample_collapses
-from .observer import PerceptionReport, perceive_collapses, report_times
-from .states import Branch, InputKind, born_probability, make_input_state, state_fidelity
+from .errors import FieldError, check_field
+from .observer import perceive_collapses, report_times
+from .states import InputKind, born_probability, make_input_state, state_fidelity
 from .stats import RateEstimate
 
 if TYPE_CHECKING:
@@ -66,11 +65,11 @@ class DecisionRule:
     no_change_guess: InputKind = InputKind.DEFINITE
 
     def __post_init__(self) -> None:
-        if self.batch_n < 1:
-            raise ValueError(f"batch_n must be >= 1, got {self.batch_n!r}")
-        if self.kind is not RuleKind.CHANGE_DETECTION:
-            if self.threshold_time is None or self.threshold_time <= 0.0:
-                raise ValueError(f"{self.kind.value} requires threshold_time > 0")
+        if self.threshold_time is not None:
+            check_field("threshold_time", self.threshold_time, self.threshold_time > 0.0, "> 0")
+        elif self.kind is not RuleKind.CHANGE_DETECTION:
+            raise FieldError("threshold_time", f"required for {self.kind.value}")
+        check_field("batch_n", self.batch_n, self.batch_n >= 1, ">= 1")
 
 
 @dataclass(frozen=True)
@@ -93,54 +92,6 @@ class ExperimentSummary:
             raise ValueError("per-class trial counts must add up to n_trials")
         if self.overall.trials != self.n_trials:
             raise ValueError("overall count must equal n_trials")
-
-
-def classify_single(report: PerceptionReport, rule: DecisionRule) -> InputKind:
-    """Guess the input kind from one report."""
-    timing = (
-        rule.kind is not RuleKind.CHANGE_DETECTION
-        and report.first_percept_time > rule.threshold_time
-    )
-    change = rule.kind is not RuleKind.TIMING_THRESHOLD and report.change_detected
-    if timing or change:
-        return InputKind.SUPERPOSITION
-    return rule.no_change_guess
-
-
-def classify_batch(reports: Sequence[PerceptionReport], rule: DecisionRule) -> InputKind:
-    """Guess from a batch of identically prepared states.
-
-    Superposition iff any single-state classification fires; both signals
-    are one-sided, so the likelihood-ratio test degenerates to existence of
-    a positive (with the usual false-positive caveat under heavy jitter).
-    """
-    if len(reports) == 0:
-        raise ValueError("empty report batch")
-    if len(reports) != rule.batch_n:
-        raise ValueError(f"expected batch of {rule.batch_n} reports, got {len(reports)}")
-    for report in reports:
-        if classify_single(report, rule) is InputKind.SUPERPOSITION:
-            return InputKind.SUPERPOSITION
-    return rule.no_change_guess
-
-
-def device_trial(
-    true_input: InputKind,
-    p1: float,
-    rng: np.random.Generator,
-    no_change_guess: InputKind = InputKind.DEFINITE,
-) -> tuple[Branch, InputKind]:
-    """Projective measurement in the branch basis; no timing channel.
-
-    Outcome B2 certifies a superposition; outcome B1 is uninformative and
-    yields ``no_change_guess``.
-    """
-    if true_input is InputKind.DEFINITE and p1 != 1.0:
-        raise ValueError(f"definite input requires p1 = 1, got {p1!r}")
-    state = make_input_state(true_input, p1)
-    outcome = Branch.B1 if rng.random() < born_probability(state) else Branch.B2
-    guess = InputKind.SUPERPOSITION if outcome is Branch.B2 else no_change_guess
-    return outcome, guess
 
 
 def optimal_device_bound(fidelity: float) -> float:
@@ -174,7 +125,8 @@ def _run_block(
     first = report_times(first, observer, rng)
     if observer.jitter_sigma > 0.0:
         # Change-report jitter.  No output reads the change-report time, but
-        # the draw keeps the block's variates those of the scalar model.
+        # the draw keeps the block's variates those of the per-trial model
+        # in tests/reference.py.
         rng.normal(0.0, observer.jitter_sigma, np.count_nonzero(changed))
 
     fired = np.zeros((m, batch_n), dtype=bool)

@@ -18,13 +18,12 @@ from typing import Callable
 import numpy as np
 
 from .collapse import (
-    CollapseEvent,
     CollapseModel,
     CollapseParams,
     calibrate_gamma,
+    diffusion_gamma,
     sample_collapse_times,
     sample_collapses,
-    sample_outcome,
 )
 from .config import expand_sweep, parse_config
 from .observer import (
@@ -32,7 +31,7 @@ from .observer import (
     PerceptionScenario,
     ScenarioTag,
     awareness_probability,
-    perceive_superposition,
+    perceive_collapses,
 )
 from .protocol import run_experiment
 from .report import render_csv, summary_csv_row
@@ -61,9 +60,11 @@ def _check_born_rule(seed: int) -> CheckResult:
     worst = ""
     ok = True
     jump = CollapseParams(model=CollapseModel.JUMP_EXPONENTIAL, t_c_mean=1.0)
-    diffusion = CollapseParams(model=CollapseModel.DIFFUSION, t_c_mean=1.0, gamma=2.0)
     for j, p1 in enumerate((0.1, 0.5, 0.9)):
         bound = 3.0 * math.sqrt(p1 * (1.0 - p1) / n)
+        diffusion = CollapseParams(
+            model=CollapseModel.DIFFUSION, t_c_mean=1.0, gamma=diffusion_gamma(1.0, p1, 1e-3), epsilon=1e-3
+        )
         _, jump_upper = sample_collapses(p1, jump, _rng(seed, 10 + j), n)
         _, diffusion_upper = sample_collapses(p1, diffusion, _rng(seed, 20 + j), n)
         for label, hit_upper in (("jump", jump_upper), ("diffusion", diffusion_upper)):
@@ -101,14 +102,14 @@ def _check_collapse_time_law(seed: int) -> CheckResult:
 def _check_case2_awareness(seed: int) -> CheckResult:
     observer = ObserverParams(t_p=0.001, jitter_sigma=0.0, resolution=0.01)
     scenario = PerceptionScenario(tag=ScenarioTag.FIXED_C1)
+    collapse = CollapseParams(model=CollapseModel.DETERMINISTIC_TIME, t_c_mean=1.0)
+
+    def change_count(p1: float, n: int, rng: np.random.Generator) -> int:
+        times, hit_upper = sample_collapses(p1, collapse, rng, n)
+        return int(perceive_collapses(observer, scenario, times, hit_upper, rng)[1].sum())
+
     n = 20_000
-    rng = _rng(seed, 40)
-    changes = 0
-    for _ in range(n):
-        event = CollapseEvent(time=1.0, outcome=sample_outcome(0.5, rng))
-        if perceive_superposition(observer, scenario, event, rng).change_detected:
-            changes += 1
-    freq = changes / n
+    freq = change_count(0.5, n, _rng(seed, 40)) / n
     bound = 3.0 * math.sqrt(0.25 / n)
     ok = abs(freq - 0.5) <= bound
 
@@ -117,12 +118,7 @@ def _check_case2_awareness(seed: int) -> CheckResult:
     for j, p1 in enumerate(np.round(np.arange(0.1, 0.95, 0.1), 10)):
         p1 = float(p1)
         expected = awareness_probability(scenario, p1)
-        rng_j = _rng(seed, 41 + j)
-        k = 0
-        for _ in range(n_grid):
-            event = CollapseEvent(time=1.0, outcome=sample_outcome(p1, rng_j))
-            if perceive_superposition(observer, scenario, event, rng_j).change_detected:
-                k += 1
+        k = change_count(p1, n_grid, _rng(seed, 41 + j))
         sigma = math.sqrt(max(expected * (1.0 - expected), 1e-12) / n_grid)
         if abs(k / n_grid - expected) > 3.0 * sigma:
             grid_ok = False

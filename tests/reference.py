@@ -1,10 +1,13 @@
-"""References for the experiment kernel and the diffusion sampler.
+"""The scalar per-trial model, and references for the experiment kernel and
+the diffusion sampler.
 
-``reference_run`` runs decisions one at a time through the package's scalar
-API (``collapse_for_input``, ``perceive_*``, ``classify_batch``,
-``device_trial``), each trial on its own ``SeedSequence`` spawn-key stream.
-This is the model as stated, one report at a time; ``run_experiment``'s
-block kernel must agree with it statistically.
+The first part states the model one trial at a time: a collapse event per
+superposed copy (``collapse_for_input``), a timestamped perception report
+(``perceive_definite``, ``perceive_superposition``), a guess from a batch of
+reports (``classify_single``, ``classify_batch``) and the projective device
+(``device_trial``).  ``reference_run`` runs decisions through it, each trial
+on its own ``SeedSequence`` spawn-key stream; ``run_experiment``'s block
+kernel must agree with it statistically.
 
 ``per_walker_diffusion_collapses`` is the exact diffusion sampler written
 with one position and one set of J* constants per walker, choosing the form
@@ -19,19 +22,194 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
-from qscsim.collapse import CollapseEvent, CollapseParams, collapse_for_input
-from qscsim.observer import (
-    ObserverParams,
-    PerceptionReport,
-    PerceptionScenario,
-    perceive_definite,
-    perceive_superposition,
-)
-from qscsim.protocol import DecisionRule, classify_batch, classify_single, device_trial
-from qscsim.states import InputKind, make_input_state
+from qscsim.collapse import CollapseParams, sample_collapses
+from qscsim.errors import ModelMisuseError
+from qscsim.observer import ObserverParams, PerceptionScenario, ScenarioTag
+from qscsim.protocol import DecisionRule, RuleKind
+from qscsim.states import Branch, InputKind, InputState, born_probability, make_input_state
+
+
+@dataclass(frozen=True)
+class CollapseEvent:
+    """One collapse: its instant and outcome branch."""
+
+    time: float
+    outcome: Branch
+
+    def __post_init__(self) -> None:
+        if self.time < 0.0:
+            raise ValueError(f"collapse time must be >= 0, got {self.time!r}")
+
+
+def sample_outcome(p1: float, rng: np.random.Generator) -> Branch:
+    """Draw the collapse outcome: B1 with probability ``p1``."""
+    if not 0.0 <= p1 <= 1.0:
+        raise ValueError(f"p1 must be in [0, 1], got {p1!r}")
+    return Branch.B1 if rng.random() < p1 else Branch.B2
+
+
+def collapse_for_input(
+    state: InputState, params: CollapseParams, rng: np.random.Generator
+) -> CollapseEvent | None:
+    """Collapse event for one prepared input, or None for a definite input.
+
+    A definite input involves no superposition, hence no collapse wait.  A
+    superposed input gets one draw of :func:`sample_collapses`.
+    """
+    if state.kind is InputKind.DEFINITE:
+        return None
+    times, hit_upper = sample_collapses(born_probability(state), params, rng, 1)
+    return CollapseEvent(time=float(times[0]), outcome=Branch.B1 if hit_upper[0] else Branch.B2)
+
+
+class Percept(Enum):
+    """Percept labels; INITIAL is the notional pre-measurement state and never
+    appears in a report."""
+
+    INITIAL = "initial"
+    C1 = "c1"
+    C2 = "c2"
+    DISTINCT = "distinct"
+
+
+@dataclass(frozen=True)
+class PerceptionReport:
+    """Timestamped account of what the observer experienced in one trial."""
+
+    first_percept_time: float
+    first_percept: Percept
+    change_detected: bool
+    change_time: float | None
+    final_percept: Percept
+
+    def __post_init__(self) -> None:
+        if self.first_percept_time < 0.0:
+            raise ValueError("first_percept_time must be >= 0")
+        if self.change_detected:
+            if self.change_time is None:
+                raise ValueError("change_detected requires change_time")
+            if self.change_time < 0.0:
+                raise ValueError("change_time must be >= 0")
+            if self.final_percept is self.first_percept:
+                raise ValueError("detected change requires final_percept != first_percept")
+        elif self.change_time is not None:
+            raise ValueError("change_time present without change_detected")
+
+
+def percept_for_branch(outcome: Branch) -> Percept:
+    return Percept.C1 if outcome is Branch.B1 else Percept.C2
+
+
+def _report_time(base: float, o: ObserverParams, rng: np.random.Generator) -> float:
+    if o.jitter_sigma == 0.0:
+        return base
+    return max(0.0, base + rng.normal(0.0, o.jitter_sigma))
+
+
+def perceive_definite(o: ObserverParams, rng: np.random.Generator) -> PerceptionReport:
+    """Report for a definite branch-1 input: percept C1 after one latency."""
+    t = _report_time(o.t_p, o, rng)
+    return PerceptionReport(
+        first_percept_time=t,
+        first_percept=Percept.C1,
+        change_detected=False,
+        change_time=None,
+        final_percept=Percept.C1,
+    )
+
+
+def perceive_superposition(
+    o: ObserverParams,
+    scenario: PerceptionScenario,
+    event: CollapseEvent | None,
+    rng: np.random.Generator,
+) -> PerceptionReport:
+    """Report for a superposed input that collapsed via ``event``.
+
+    Draw order per trial: scenario-specific percept draw (RANDOM_PERCEPT
+    only), then first-report jitter, then change-report jitter if a change is
+    reported.
+    """
+    if event is None:
+        raise ModelMisuseError("perceive_superposition needs a collapse event; definite inputs produce none")
+    post = percept_for_branch(event.outcome)
+    tag = scenario.tag
+
+    if tag is ScenarioTag.POST_COLLAPSE_ONLY:
+        t = _report_time(event.time + o.t_p, o, rng)
+        return PerceptionReport(t, post, False, None, post)
+
+    if tag is ScenarioTag.DISTINCT_PERCEPT:
+        pre = Percept.DISTINCT
+        changed = True
+    elif tag is ScenarioTag.FIXED_C1:
+        pre = Percept.C1
+        changed = event.outcome is Branch.B2
+    elif tag is ScenarioTag.FIXED_C2:
+        pre = Percept.C2
+        changed = event.outcome is Branch.B1
+    else:  # RANDOM_PERCEPT: pre-percept independent of the collapse outcome
+        pre = Percept.C1 if rng.random() < scenario.r else Percept.C2
+        changed = pre is not post
+
+    first_time = _report_time(o.t_p, o, rng)
+    if not changed:
+        return PerceptionReport(first_time, pre, False, None, pre)
+    change_time = _report_time(event.time + o.t_p, o, rng)
+    return PerceptionReport(first_time, pre, True, change_time, post)
+
+
+def classify_single(report: PerceptionReport, rule: DecisionRule) -> InputKind:
+    """Guess the input kind from one report."""
+    timing = (
+        rule.kind is not RuleKind.CHANGE_DETECTION
+        and report.first_percept_time > rule.threshold_time
+    )
+    change = rule.kind is not RuleKind.TIMING_THRESHOLD and report.change_detected
+    if timing or change:
+        return InputKind.SUPERPOSITION
+    return rule.no_change_guess
+
+
+def classify_batch(reports: Sequence[PerceptionReport], rule: DecisionRule) -> InputKind:
+    """Guess from a batch of identically prepared states.
+
+    Superposition iff any single-state classification fires; both signals
+    are one-sided, so the likelihood-ratio test degenerates to existence of
+    a positive (with the usual false-positive caveat under heavy jitter).
+    """
+    if len(reports) == 0:
+        raise ValueError("empty report batch")
+    if len(reports) != rule.batch_n:
+        raise ValueError(f"expected batch of {rule.batch_n} reports, got {len(reports)}")
+    for report in reports:
+        if classify_single(report, rule) is InputKind.SUPERPOSITION:
+            return InputKind.SUPERPOSITION
+    return rule.no_change_guess
+
+
+def device_trial(
+    true_input: InputKind,
+    p1: float,
+    rng: np.random.Generator,
+    no_change_guess: InputKind = InputKind.DEFINITE,
+) -> tuple[Branch, InputKind]:
+    """Projective measurement in the branch basis; no timing channel.
+
+    Outcome B2 certifies a superposition; outcome B1 is uninformative and
+    yields ``no_change_guess``.
+    """
+    if true_input is InputKind.DEFINITE and p1 != 1.0:
+        raise ValueError(f"definite input requires p1 = 1, got {p1!r}")
+    state = make_input_state(true_input, p1)
+    outcome = Branch.B1 if rng.random() < born_probability(state) else Branch.B2
+    guess = InputKind.SUPERPOSITION if outcome is Branch.B2 else no_change_guess
+    return outcome, guess
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,12 @@ import pytest
 from oracles import binom_3sigma, exp_mean_3sigma, exp_var_3sigma
 from qscsim.cli import main
 from qscsim.collapse import (
-    CollapseEvent,
     CollapseModel,
     CollapseParams,
     calibrate_gamma,
+    diffusion_gamma,
     sample_collapse_times,
     sample_collapses,
-    sample_outcome,
 )
 from qscsim.config import expand_sweep, parse_config
 from qscsim.observer import (
@@ -30,7 +29,7 @@ from qscsim.observer import (
     PerceptionScenario,
     ScenarioTag,
     awareness_probability,
-    perceive_superposition,
+    perceive_collapses,
 )
 from qscsim.protocol import optimal_device_bound, run_experiment
 from qscsim.selftest import run_selftest
@@ -47,9 +46,11 @@ def test_criterion_1_born_rule_conformance():
     started = time.perf_counter()
     n = 100_000
     jump = CollapseParams(model=CollapseModel.JUMP_EXPONENTIAL, t_c_mean=1.0)
-    diffusion = CollapseParams(model=CollapseModel.DIFFUSION, t_c_mean=1.0, gamma=2.0)
     details = []
     for j, p1 in enumerate((0.1, 0.5, 0.9)):
+        diffusion = CollapseParams(
+            model=CollapseModel.DIFFUSION, t_c_mean=1.0, gamma=diffusion_gamma(1.0, p1, 1e-3), epsilon=1e-3
+        )
         _, jump_upper = sample_collapses(p1, jump, np.random.default_rng(SEED + j), n)
         k_jump = int(jump_upper.sum())
         _, hit_upper = sample_collapses(p1, diffusion, np.random.default_rng(SEED + 10 + j), n)
@@ -97,24 +98,21 @@ def test_criterion_2_collapse_time_law():
 def test_criterion_3_case2_change_probability():
     observer = ObserverParams(t_p=0.001, jitter_sigma=0.0, resolution=0.01)
     scenario = PerceptionScenario(tag=ScenarioTag.FIXED_C1)
+    collapse = CollapseParams(model=CollapseModel.DETERMINISTIC_TIME, t_c_mean=1.0)
+
+    def change_count(p1, n, rng):
+        times, hit_upper = sample_collapses(p1, collapse, rng, n)
+        return int(perceive_collapses(observer, scenario, times, hit_upper, rng)[1].sum())
+
     n = 100_000
-    rng = np.random.default_rng(SEED)
-    changes = 0
-    for _ in range(n):
-        event = CollapseEvent(time=1.0, outcome=sample_outcome(0.5, rng))
-        changes += perceive_superposition(observer, scenario, event, rng).change_detected
-    freq = changes / n
+    freq = change_count(0.5, n, np.random.default_rng(SEED)) / n
     assert abs(freq - 0.5) <= 0.0047
 
     n_grid = 20_000
     for j, p1 in enumerate([round(0.1 * k, 1) for k in range(1, 10)]):
         expected = awareness_probability(scenario, p1)
         assert expected == pytest.approx(1.0 - p1, abs=1e-15)
-        rng_j = np.random.default_rng(SEED + 100 + j)
-        k = 0
-        for _ in range(n_grid):
-            event = CollapseEvent(time=1.0, outcome=sample_outcome(p1, rng_j))
-            k += perceive_superposition(observer, scenario, event, rng_j).change_detected
+        k = change_count(p1, n_grid, np.random.default_rng(SEED + 100 + j))
         assert abs(k / n_grid - expected) <= binom_3sigma(expected, n_grid), f"p1={p1}"
     _pass("C3 case-(2) probability", f"freq={freq:.4f} vs 0.5 +/-0.0047; grid 0.1..0.9 matched")
 

@@ -12,21 +12,18 @@ from oracles import (
     mean_first_passage_time,
     second_moment_first_passage_time,
 )
-from reference import per_walker_diffusion_collapses
+from reference import CollapseEvent, collapse_for_input, per_walker_diffusion_collapses, sample_outcome
 import qscsim.collapse as collapse_module
 from qscsim.collapse import (
-    CollapseEvent,
     CollapseModel,
     CollapseParams,
     calibrate_gamma,
-    collapse_for_input,
     diffusion_gamma,
     sample_collapse_times,
     sample_collapses,
-    sample_outcome,
     t_c_from_energy,
 )
-from qscsim.errors import CalibrationError, ModelMisuseError
+from qscsim.errors import CalibrationError, FieldError, ModelMisuseError
 from qscsim.states import Branch, InputKind, make_input_state
 
 
@@ -54,8 +51,18 @@ class TestCollapseParams:
             CollapseParams(model=CollapseModel.JUMP_EXPONENTIAL, t_c_mean=1.0, kappa=0.0)
 
     def test_diffusion_requires_gamma(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FieldError) as err:
             CollapseParams(model=CollapseModel.DIFFUSION, t_c_mean=1.0)
+        assert err.value.field == "gamma"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["t_c_mean", "gamma", "epsilon", "energy", "kappa"])
+    def test_non_finite_field_is_named(self, name, value):
+        fields = dict(model=CollapseModel.DIFFUSION, t_c_mean=0.5, gamma=2.0, epsilon=1e-3, energy=2.0, kappa=1.0)
+        with pytest.raises(FieldError, match="must be finite") as err:
+            CollapseParams(**{**fields, name: value})
+        assert err.value.field == name
+        assert isinstance(err.value, ValueError)
 
     def test_energy_consistency(self):
         p = CollapseParams(

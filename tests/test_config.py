@@ -1,5 +1,7 @@
 import copy
+import dataclasses
 import json
+import math
 
 import pytest
 
@@ -12,7 +14,7 @@ from qscsim.config import (
     parse_config,
     set_config_field,
 )
-from qscsim.errors import ConfigFileError, ConfigParseError, ConfigValidationError
+from qscsim.errors import ConfigFileError, ConfigParseError, ConfigValidationError, FieldError
 from qscsim.observer import ScenarioTag
 from qscsim.protocol import RuleKind
 from qscsim.states import InputKind
@@ -149,6 +151,75 @@ def test_sweep_over_t_c_mean_re_resolves_diffusion_gamma():
     assert [value for value, _ in points] == [0.5, 1.0, 4.0]
     for value, config in points:
         assert config.collapse.gamma == diffusion_gamma(value, 0.3, 1e-3)
+
+
+def test_collapse_gamma_is_not_a_sweep_target():
+    # An in-band diffusion sweep over gamma would fail at its first point,
+    # and the other collapse models never read gamma.
+    assert "collapse.gamma" not in SWEEPABLE_FIELDS
+    raw = {**MINIMAL, "input_p1": 0.3, "collapse": DIFFUSION, "sweep": {"param": "collapse.gamma", "values": [1.0, 2.0]}}
+    for call in (parse_config, expand_sweep):
+        with pytest.raises(ConfigValidationError) as err:
+            call(raw)
+        assert err.value.field_path == "sweep.param"
+
+
+def _replace_collapse(config, **fields):
+    return dataclasses.replace(config, collapse=dataclasses.replace(config.collapse, **fields))
+
+
+@pytest.mark.parametrize(
+    "field, edit",
+    [
+        ("priors", lambda c: dataclasses.replace(c, priors=1.7)),
+        ("priors", lambda c: dataclasses.replace(c, priors=math.nan)),
+        ("n_trials", lambda c: dataclasses.replace(c, n_trials=0)),
+        ("input_p1", lambda c: dataclasses.replace(c, input_p1=-0.1)),
+        ("master_seed", lambda c: dataclasses.replace(c, master_seed=2**64)),
+        ("schema_version", lambda c: dataclasses.replace(c, schema_version=2)),
+        ("collapse.gamma", lambda c: _replace_collapse(c, gamma=2.0)),
+        ("collapse.gamma", lambda c: _replace_collapse(c, t_c_mean=2.0)),
+    ],
+)
+def test_replace_on_a_loaded_config_is_validated(tmp_path, field, edit):
+    # A config built in code gets the same checks as a config file.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**MINIMAL, "input_p1": 0.3, "collapse": DIFFUSION}))
+    with pytest.raises(FieldError) as err:
+        edit(load_config(path))
+    assert err.value.field == field
+
+
+def test_gamma_check_leaves_band_and_other_models_alone():
+    # Outside (epsilon, 1 - epsilon) any diffusion gamma is taken as given,
+    # and the other models never read gamma.
+    config = parse_config({**MINIMAL, "input_p1": 0.3, "collapse": DIFFUSION})
+    assert dataclasses.replace(config, input_p1=1.0).collapse.gamma == config.collapse.gamma
+    jump = parse_config({**MINIMAL, "input_p1": 0.3, "collapse": {"model": "jump_exponential", "t_c_mean": 1.0}})
+    assert _replace_collapse(jump, gamma=2.0).collapse.gamma == 2.0
+
+
+@pytest.mark.parametrize(
+    "section, field, value, other",
+    [
+        ("collapse", "t_c_mean", 0.0, {}),
+        ("collapse", "epsilon", 0.5, {}),
+        ("collapse", "kappa", -1.0, {}),
+        ("collapse", "energy", -2.0, {"t_c_mean": 1.0}),
+        ("collapse", "energy", 3.0, {"t_c_mean": 1.0}),
+        ("observer", "t_p", 0.0, {}),
+        ("observer", "jitter_sigma", -1.0, {}),
+        ("observer", "resolution", 0.0, {}),
+        ("scenario", "r", 0.3, {}),
+        ("scenario", "r", 1.5, {"tag": "random_percept"}),
+        ("rule", "threshold_time", 0.0, {}),
+        ("rule", "batch_n", 0, {}),
+    ],
+)
+def test_dataclass_range_error_keeps_its_field_path(section, field, value, other):
+    with pytest.raises(ConfigValidationError) as err:
+        parse_config({**MINIMAL, section: {field: value, **other}})
+    assert err.value.field_path == f"{section}.{field}"
 
 
 def test_energy_resolves_or_checks_t_c():

@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from oracles import RiggedRng, binom_3sigma
-from qscsim.collapse import CollapseEvent, CollapseModel, CollapseParams
-from qscsim.errors import ModelMisuseError
+from reference import CollapseEvent, Percept, PerceptionReport, perceive_definite, perceive_superposition
+from qscsim.collapse import CollapseModel, CollapseParams
+from qscsim.errors import FieldError, ModelMisuseError
 from qscsim.observer import (
     ObserverParams,
-    Percept,
-    PerceptionReport,
     PerceptionScenario,
     ScenarioTag,
     awareness_probability,
-    perceive_definite,
-    perceive_superposition,
+    perceive_collapses,
     qsc_condition_satisfied,
 )
 from qscsim.states import Branch
@@ -42,6 +40,19 @@ class TestParams:
             ObserverParams(t_p=0.001, jitter_sigma=-1.0)
         with pytest.raises(ValueError):
             ObserverParams(t_p=0.001, resolution=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["t_p", "jitter_sigma", "resolution"])
+    def test_observer_non_finite_field_is_named(self, name, value):
+        with pytest.raises(FieldError, match="must be finite") as err:
+            ObserverParams(**{"t_p": 0.001, name: value})
+        assert err.value.field == name
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_scenario_non_finite_r_is_named(self, value):
+        with pytest.raises(FieldError, match="must be finite") as err:
+            PerceptionScenario(tag=ScenarioTag.RANDOM_PERCEPT, r=value)
+        assert err.value.field == "r"
 
     def test_scenario_r_presence(self):
         with pytest.raises(ValueError):
@@ -187,14 +198,12 @@ class TestAwarenessProbability:
     def test_simulation_matches_closed_form(self):
         n = 10_000
         rng = np.random.default_rng(5)
+        times = np.full(n, 2.0)
         for sc in ALL_SCENARIOS:
             for p1 in (0.2, 0.5, 0.8):
                 expected = awareness_probability(sc, p1)
-                hits = 0
-                for _ in range(n):
-                    outcome = Branch.B1 if rng.random() < p1 else Branch.B2
-                    rep = perceive_superposition(QUIET, sc, event(outcome), rng)
-                    hits += rep.change_detected
+                _, changed = perceive_collapses(QUIET, sc, times, rng.random(n) < p1, rng)
+                hits = int(changed.sum())
                 slack = max(binom_3sigma(expected, n), 1e-9) if 0.0 < expected < 1.0 else 0.0
                 assert abs(hits / n - expected) <= slack
 

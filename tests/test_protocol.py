@@ -6,24 +6,25 @@ import numpy as np
 import pytest
 
 from oracles import binom_3sigma, device_bound_grid, device_success_enumeration
-from reference import reference_run, run_trial, trial_rng
-from qscsim.collapse import CollapseModel, CollapseParams
-from qscsim.config import parse_config
-from qscsim.observer import (
-    ObserverParams,
+from reference import (
     Percept,
     PerceptionReport,
-    PerceptionScenario,
-    ScenarioTag,
+    classify_batch,
+    classify_single,
+    device_trial,
+    reference_run,
+    run_trial,
+    trial_rng,
 )
+from qscsim.collapse import CollapseModel, CollapseParams
+from qscsim.config import parse_config
+from qscsim.errors import FieldError
+from qscsim.observer import ObserverParams, PerceptionScenario, ScenarioTag
 from qscsim.protocol import (
     BLOCK_SIZE,
     DecisionRule,
     ExperimentSummary,
     RuleKind,
-    classify_batch,
-    classify_single,
-    device_trial,
     optimal_device_bound,
     run_experiment,
 )
@@ -56,6 +57,13 @@ class TestDecisionRule:
         with pytest.raises(ValueError):
             DecisionRule(kind=RuleKind.CHANGE_DETECTION, batch_n=0)
         assert DecisionRule(kind=RuleKind.CHANGE_DETECTION).threshold_time is None
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", list(RuleKind))
+    def test_non_finite_threshold_is_named(self, kind, value):
+        with pytest.raises(FieldError, match="must be finite") as err:
+            DecisionRule(kind=kind, threshold_time=value)
+        assert err.value.field == "threshold_time"
 
 
 class TestClassifySingle:
