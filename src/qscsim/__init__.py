@@ -15,7 +15,6 @@ from .collapse import (
     CollapseParams,
     calibrate_gamma,
     diffusion_gamma,
-    sample_collapse_times,
     sample_collapses,
     t_c_from_energy,
 )
@@ -43,6 +42,7 @@ from .protocol import (
     RuleKind,
     optimal_device_bound,
     run_experiment,
+    run_experiments,
 )
 from .states import (
     Branch,
@@ -89,7 +89,7 @@ __all__ = [
     "parse_config",
     "qsc_condition_satisfied",
     "run_experiment",
-    "sample_collapse_times",
+    "run_experiments",
     "sample_collapses",
     "state_fidelity",
     "t_c_from_energy",

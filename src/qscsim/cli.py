@@ -23,7 +23,7 @@ from .config import (
     set_config_field,
 )
 from .errors import ModelMisuseError, QscError
-from .protocol import RNG_STREAM, run_experiment
+from .protocol import RNG_STREAM, run_experiment, run_experiments
 from .report import render_csv, render_human_summary, summary_csv_row, summary_to_json_dict
 
 
@@ -107,8 +107,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     param = raw["sweep"]["param"]  # validated by expand_sweep
     rows = []
     json_points = []
-    for value, config in points:
-        summary = run_experiment(config)
+    summaries = run_experiments([config for _, config in points])
+    for (value, config), summary in zip(points, summaries):
         rows.append(summary_csv_row(summary, sweep_param=param, sweep_value=value))
         if args.json:
             json_points.append({

@@ -22,6 +22,7 @@ streams can be split reproducibly by the experiment harness.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -91,30 +92,23 @@ def t_c_from_energy(energy: float, kappa: float = DEFAULT_KAPPA) -> float:
     return kappa / energy
 
 
-def sample_collapse_times(params: CollapseParams, rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` collapse times from a law that does not depend on the input.
-
-    Only the JUMP_EXPONENTIAL and DETERMINISTIC_TIME models have such a law;
-    diffusion times arise from first passage from the input weight and come
-    from :func:`sample_collapses`.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n!r}")
-    if params.model is CollapseModel.DIFFUSION:
-        raise ModelMisuseError("diffusion collapse times come from first passage, not direct sampling")
-    if params.model is CollapseModel.DETERMINISTIC_TIME:
-        return np.full(n, params.t_c_mean)
-    return rng.exponential(params.t_c_mean, n)
-
-
 def sample_collapses(
-    p1: float, params: CollapseParams, rng: np.random.Generator, n: int
+    p1: float, params: CollapseParams | Sequence[CollapseParams], rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """``n`` independent collapses of an input with branch-1 weight ``p1``.
 
     Returns ``(times, hit_upper)``; ``hit_upper[i]`` is True when collapse
     ``i`` lands on branch B1.  The jump and deterministic models draw all
-    ``n`` times, then ``n`` Born-outcome uniforms.
+    ``n`` times, then ``n`` Born-outcome uniforms; a jump time is its mean
+    times one standard exponential draw, which rounds as
+    ``rng.exponential(t_c_mean, n)`` does.
+
+    ``params`` may also be a sequence of P laws that share ``model`` and
+    ``epsilon``.  All P are then evaluated on one set of draws, and
+    ``times`` has shape ``(P, n)``: row ``i`` is in the time scale of
+    ``params[i]`` (its ``t_c_mean``, or for diffusion its ``gamma``) and
+    equals the times of a call with ``params[i]`` alone.  ``hit_upper``
+    does not depend on the time scale and is shared.
 
     The diffusion model is sampled exactly by walk on intervals.  In
     ``x = logit(w)`` the weight obeys ``dx = gamma dW + (gamma^2/2)
@@ -128,34 +122,48 @@ def sample_collapses(
     and the step away lands on ``y - sign(y) r`` for every survivor (from
     ``y = 0`` both steps end on a band), so all live walkers share one
     position and each step's ``r`` and J* constants are scalars.  Each step
-    draws one side uniform per live walker, then their J* values.  A weight
+    draws one side uniform per live walker, then their J* values, which
+    every law of a sequence scales by its own ``(r/gamma)^2``.  A weight
     that starts inside a band has collapsed at time 0.
 
     Raises:
         ModelMisuseError: diffusion with ``p1`` in {0, 1} (the weight never
             moves, so there is nothing superposed to collapse).
     """
+    single = isinstance(params, CollapseParams)
+    laws = (params,) if single else tuple(params)
+    if not laws:
+        raise ValueError("need at least one collapse law")
+    model, epsilon = laws[0].model, laws[0].epsilon
+    if any(law.model is not model or law.epsilon != epsilon for law in laws):
+        raise ValueError("collapse laws evaluated on one set of draws must share model and epsilon")
     if not 0.0 <= p1 <= 1.0:
         raise ValueError(f"p1 must be in [0, 1], got {p1!r}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n!r}")
-    if params.model is not CollapseModel.DIFFUSION:
-        times = sample_collapse_times(params, rng, n)
-        return times, rng.random(n) < p1
+    if model is not CollapseModel.DIFFUSION:
+        t_c = np.array([law.t_c_mean for law in laws])[:, None]
+        if model is CollapseModel.DETERMINISTIC_TIME:
+            times = np.repeat(t_c, n, axis=1)
+        else:
+            times = t_c * rng.standard_exponential(n)
+        hit_upper = rng.random(n) < p1
+        return (times[0] if single else times), hit_upper
     if p1 == 0.0 or p1 == 1.0:
         raise ModelMisuseError("p1 in {0, 1} leaves no superposition to collapse")
 
-    band = math.log1p(-params.epsilon) - math.log(params.epsilon)
+    band = math.log1p(-epsilon) - math.log(epsilon)
     y = math.log(p1) - math.log1p(-p1)
-    times = np.zeros(n)
+    gammas = np.array([law.gamma for law in laws])
+    times = np.zeros((len(laws), n))
     hit_upper = np.full(n, y > 0.0)
     live = np.arange(n if abs(y) < band else 0)
     while live.size:
         r = band - abs(y)
         up = rng.random(live.size) < 0.5 * (1.0 + np.tanh(0.5 * y) * np.tanh(0.5 * r))
         # A product, not ``** 2``: it rounds as numpy's array square does.
-        scale = r / params.gamma
-        times[live] += scale * scale * _sample_j_star(0.5 * r, live.size, rng)
+        scale = r / gammas
+        times[:, live] += (scale * scale)[:, None] * _sample_j_star(0.5 * r, live.size, rng)
         away = ~up if y > 0.0 else up
         y_away = y - r if y > 0.0 else y + r
         # From y = 0 both steps end on a band; an away step that rounds onto
@@ -166,7 +174,7 @@ def sample_collapses(
         hit_upper[live[~away]] = y > 0.0
         live = live[away]
         y = y_away
-    return times, hit_upper
+    return (times[0] if single else times), hit_upper
 
 
 def _norm_cdf(x: float) -> float:

@@ -22,10 +22,17 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .collapse import DEFAULT_EPSILON, DEFAULT_KAPPA, CollapseModel, CollapseParams, diffusion_gamma
-from .errors import ConfigFileError, ConfigParseError, ConfigValidationError, FieldError, check_field
+from .errors import (
+    ConfigFileError,
+    ConfigParseError,
+    ConfigValidationError,
+    FieldError,
+    check_field,
+    check_integer,
+)
 from .observer import ObserverParams, PerceptionScenario, ScenarioTag
 from .protocol import DecisionRule, RuleKind
 from .states import InputKind
@@ -87,15 +94,7 @@ class ExperimentConfig:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
-        if self.schema_version != SCHEMA_VERSION:
-            raise FieldError(
-                "schema_version", f"unsupported version {self.schema_version!r}; this build reads {SCHEMA_VERSION}"
-            )
-        if not 0 <= self.master_seed < 2**64:
-            raise FieldError("master_seed", f"must be an unsigned 64-bit integer, got {self.master_seed!r}")
-        check_field("n_trials", self.n_trials, self.n_trials >= 1, ">= 1")
-        check_field("priors", self.priors, 0.0 <= self.priors <= 1.0, "in [0.0, 1.0]")
-        check_field("input_p1", self.input_p1, 0.0 <= self.input_p1 <= 1.0, "in [0.0, 1.0]")
+        self._check_scalars(self.schema_version, self.master_seed, self.n_trials, self.priors, self.input_p1)
         collapse = self.collapse
         if collapse.model is CollapseModel.DIFFUSION and collapse.epsilon < self.input_p1 < 1.0 - collapse.epsilon:
             closed = diffusion_gamma(collapse.t_c_mean, self.input_p1, collapse.epsilon)
@@ -105,6 +104,22 @@ class ExperimentConfig:
                     f"{collapse.gamma!r} is inconsistent with t_c_mean {collapse.t_c_mean!r}: a mean first "
                     f"passage of t_c_mean from input_p1 {self.input_p1!r} needs gamma {closed!r}; omit gamma to use it",
                 )
+
+    @staticmethod
+    def _check_scalars(schema_version: int, master_seed: int, n_trials: int, priors: float, input_p1: float) -> None:
+        """The checks of the top-level scalar fields, which :func:`parse_config`
+        also makes before it resolves the section defaults that read them."""
+        if schema_version != SCHEMA_VERSION:
+            raise FieldError(
+                "schema_version", f"unsupported version {schema_version!r}; this build reads {SCHEMA_VERSION}"
+            )
+        check_integer("master_seed", master_seed)
+        if not 0 <= master_seed < 2**64:
+            raise FieldError("master_seed", f"must be an unsigned 64-bit integer, got {master_seed!r}")
+        check_integer("n_trials", n_trials)
+        check_field("n_trials", n_trials, n_trials >= 1, ">= 1")
+        check_field("priors", priors, 0.0 <= priors <= 1.0, "in [0.0, 1.0]")
+        check_field("input_p1", input_p1, 0.0 <= input_p1 <= 1.0, "in [0.0, 1.0]")
 
 
 def default_threshold_time(observer: ObserverParams) -> float:
@@ -165,10 +180,10 @@ def _get_enum(
         raise ConfigValidationError(where, f"must be one of: {options}; got {value!r}") from None
 
 
-def _build(section: str, cls: type, **fields: Any) -> Any:
-    """``cls(**fields)``, with a field error reported at its dotted path."""
+def _build(section: str, make: Callable[..., Any], **fields: Any) -> Any:
+    """``make(**fields)``, with a field error reported at its dotted path."""
     try:
-        return cls(**fields)
+        return make(**fields)
     except FieldError as exc:
         raise ConfigValidationError(_field(section, exc.field), exc.message) from None
 
@@ -286,6 +301,11 @@ def parse_config(raw: Mapping[str, Any]) -> ExperimentConfig:
     n_trials = _get_number(raw, "n_trials", "", None, required=True, integer=True)
     priors = _get_number(raw, "priors", "", 0.5)
     input_p1 = _get_number(raw, "input_p1", "", 0.5)
+    # The collapse defaults read input_p1, so its range is checked first.
+    _build(
+        "", ExperimentConfig._check_scalars,
+        schema_version=version, master_seed=seed, n_trials=n_trials, priors=priors, input_p1=input_p1,
+    )
 
     for key in ("collapse", "observer", "scenario", "rule", "sweep"):
         if key in raw and raw[key] is not None and not isinstance(raw[key], Mapping):

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-A parameter object that gets an out-of-range or non-finite field raises
-:class:`FieldError`, a ``ValueError`` naming the field; other out-of-range
-function arguments raise plain ``ValueError``.  The other classes mark
+A parameter object that gets an out-of-range or non-finite value, or a
+non-integer one for an integer field, raises :class:`FieldError`, a
+``ValueError`` naming the field; other out-of-range function arguments
+raise plain ``ValueError``.  The other classes mark
 failure modes callers are expected to branch on.
 """
 
@@ -13,7 +14,7 @@ from typing import Any
 
 
 class FieldError(ValueError):
-    """A parameter field is out of range or not finite; ``field`` names it."""
+    """A parameter field is out of range, not finite or of the wrong type; ``field`` names it."""
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
@@ -28,6 +29,12 @@ def check_field(field: str, value: Any, ok: bool, rule: str) -> None:
         raise FieldError(field, f"must be finite, got {value!r}")
     if not ok:
         raise FieldError(field, f"must be {rule}, got {value!r}")
+
+
+def check_integer(field: str, value: Any) -> None:
+    """Raise :class:`FieldError` unless ``value`` is an ``int``; a ``bool`` is not."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FieldError(field, f"must be an integer, got {value!r}")
 
 
 class QscError(Exception):

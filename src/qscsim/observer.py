@@ -70,15 +70,16 @@ class PerceptionScenario:
 
 
 def report_times(base: np.ndarray, o: ObserverParams, rng: np.random.Generator) -> np.ndarray:
-    """Array form of the report-time jitter: one Gaussian draw per entry,
-    truncated at 0, and no draw at all when ``jitter_sigma`` is 0."""
+    """Array form of the report-time jitter for ``base`` of shape ``(points,
+    decisions, copies)``: one Gaussian draw per decision copy, shared by all
+    points, truncated at 0, and no draw at all when ``jitter_sigma`` is 0."""
     if o.jitter_sigma == 0.0:
         return base
-    return np.maximum(base + rng.normal(0.0, o.jitter_sigma, base.shape), 0.0)
+    return np.maximum(base + rng.normal(0.0, o.jitter_sigma, base.shape[1:]), 0.0)
 
 
 def perceive_collapses(
-    o: ObserverParams,
+    t_p: float | np.ndarray,
     scenario: PerceptionScenario,
     times: np.ndarray,
     hit_upper: np.ndarray,
@@ -87,23 +88,29 @@ def perceive_collapses(
     """First reports of superposed copies, before report jitter.
 
     For collapses at ``times`` landing on B1 where ``hit_upper`` is set,
-    returns each copy's un-jittered first-report time and whether it reports
-    a change, that is whether the pre-collapse percept differs from the
-    branch percept the collapse leaves (C1 for B1, C2 for B2).
-    RANDOM_PERCEPT draws one pre-percept uniform per copy (C1 below ``r``);
-    the other scenarios draw nothing.
+    returns each copy's un-jittered first-report time for latency ``t_p``
+    and whether it reports a change, that is whether the pre-collapse
+    percept differs from the branch percept the collapse leaves (C1 for B1,
+    C2 for B2).  RANDOM_PERCEPT draws one pre-percept uniform per copy (C1
+    below ``r``); the other scenarios draw nothing.
+
+    ``times`` may carry a leading point axis over a ``hit_upper`` that all
+    points share, with ``t_p`` an array that broadcasts against it (one
+    latency per point); the report times then carry that axis, and the
+    change flags, which do not depend on timing, have the shape of
+    ``hit_upper``.
     """
     tag = scenario.tag
     if tag is ScenarioTag.POST_COLLAPSE_ONLY:
-        return times + o.t_p, np.zeros(times.shape, dtype=bool)
-    first = np.full(times.shape, o.t_p)
+        return times + t_p, np.zeros(hit_upper.shape, dtype=bool)
+    first = np.full(times.shape, t_p)
     if tag is ScenarioTag.DISTINCT_PERCEPT:
-        return first, np.ones(times.shape, dtype=bool)
+        return first, np.ones(hit_upper.shape, dtype=bool)
     if tag is ScenarioTag.FIXED_C1:
         return first, ~hit_upper
     if tag is ScenarioTag.FIXED_C2:
         return first, hit_upper
-    pre_c1 = rng.random(times.shape) < scenario.r
+    pre_c1 = rng.random(hit_upper.shape) < scenario.r
     return first, pre_c1 != hit_upper
 
 

@@ -10,7 +10,8 @@ input never triggers either), so the batch rule over identically prepared
 states is "any positive fires".
 
 :func:`run_experiment` runs decisions in fixed-size blocks with array
-operations.
+operations; :func:`run_experiments` runs many configs, and evaluates every
+group of them that shares a random-stream layout on one set of draws.
 
 The device baseline performs a projective measurement in the branch basis
 with no timing channel; its single-copy success is capped by the optimal
@@ -21,6 +22,7 @@ collapse-vs-perception gap is identifiable.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -28,7 +30,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .collapse import sample_collapses
-from .errors import FieldError, check_field
+from .errors import FieldError, check_field, check_integer
 from .observer import perceive_collapses, report_times
 from .states import InputKind, born_probability, make_input_state, state_fidelity
 from .stats import RateEstimate
@@ -42,6 +44,9 @@ BLOCK_SIZE = 4096
 #: Names the random-stream layout of :func:`run_experiment`; it changes
 #: whenever the layout does.
 RNG_STREAM = "block-v1"
+#: A slice of a group of points that share draws holds at most this many
+#: blocks' worth of decisions (see :func:`run_experiments`).
+_SLICE_BLOCKS = 16
 
 
 class RuleKind(Enum):
@@ -69,6 +74,7 @@ class DecisionRule:
             check_field("threshold_time", self.threshold_time, self.threshold_time > 0.0, "> 0")
         elif self.kind is not RuleKind.CHANGE_DETECTION:
             raise FieldError("threshold_time", f"required for {self.kind.value}")
+        check_integer("batch_n", self.batch_n)
         check_field("batch_n", self.batch_n, self.batch_n >= 1, ">= 1")
 
 
@@ -102,25 +108,45 @@ def optimal_device_bound(fidelity: float) -> float:
     return 0.5 * (1.0 + math.sqrt(1.0 - fidelity))
 
 
+def _stream_layout(config: "ExperimentConfig") -> tuple:
+    """Every field that can change a draw or a draw count.  Configs that
+    agree on these draw the same variates in every block."""
+    return (
+        config.master_seed, config.n_trials, config.priors, config.input_p1,
+        config.collapse.model, config.collapse.epsilon, config.observer.jitter_sigma, config.scenario,
+        config.rule.kind, config.rule.batch_n, config.rule.no_change_guess, config.device_baseline,
+    )
+
+
 def _run_block(
-    config: "ExperimentConfig", rng: np.random.Generator, m: int, p1: float, collapses: bool
-) -> tuple[int, int, int, int, float, float]:
-    """Run ``m`` decisions; return ``(n_definite, correct_definite,
-    correct_superposition, device_correct, report-time sum definite,
-    report-time sum superposition)``."""
-    rule = config.rule
-    observer = config.observer
+    configs: Sequence["ExperimentConfig"], rng: np.random.Generator, m: int, p1: float, collapses: bool
+) -> tuple[int, np.ndarray, np.ndarray, int, list[float], list[float]]:
+    """Run ``m`` decisions of every config in ``configs``, which share one
+    stream layout, on one set of draws.
+
+    The per-point values (``t_c_mean``, the diffusion ``gamma``, ``t_p``,
+    ``threshold_time``) run along a leading point axis.  Returns
+    ``(n_definite, correct_definite, correct_superposition, device_correct,
+    report-time sums definite, report-time sums superposition)``; the
+    correct counts and the sums have one entry per config.  Each sum is
+    taken over the same contiguous array as for that config alone, so that
+    numpy's pairwise summation rounds it the same way.
+    """
+    lead = configs[0]
+    rule = lead.rule
+    observer = lead.observer
     batch_n = rule.batch_n
-    definite = rng.random(m) < config.priors
+    t_p = np.array([config.observer.t_p for config in configs])[:, None, None]
+    definite = rng.random(m) < lead.priors
     superposed = ~definite
     n_sup = int(np.count_nonzero(superposed))
 
-    first = np.full((m, batch_n), observer.t_p)
+    first = np.full((len(configs), m, batch_n), t_p)
     changed = np.zeros((n_sup, batch_n), dtype=bool)
     if collapses and n_sup:
-        times, hit_upper = sample_collapses(p1, config.collapse, rng, n_sup * batch_n)
-        first[superposed], changed = perceive_collapses(
-            observer, config.scenario, times.reshape(n_sup, batch_n), hit_upper.reshape(n_sup, batch_n), rng
+        times, hit_upper = sample_collapses(p1, [config.collapse for config in configs], rng, n_sup * batch_n)
+        first[:, superposed], changed = perceive_collapses(
+            t_p, lead.scenario, times.reshape(-1, n_sup, batch_n), hit_upper.reshape(n_sup, batch_n), rng
         )
     first = report_times(first, observer, rng)
     if observer.jitter_sigma > 0.0:
@@ -129,21 +155,23 @@ def _run_block(
         # in tests/reference.py.
         rng.normal(0.0, observer.jitter_sigma, np.count_nonzero(changed))
 
-    fired = np.zeros((m, batch_n), dtype=bool)
-    if rule.kind is not RuleKind.CHANGE_DETECTION:
-        fired = first > rule.threshold_time
+    if rule.kind is RuleKind.CHANGE_DETECTION:
+        fired = np.zeros(first.shape, dtype=bool)
+    else:
+        fired = first > np.array([config.rule.threshold_time for config in configs])[:, None, None]
     if rule.kind is not RuleKind.TIMING_THRESHOLD:
-        fired[superposed] |= changed
-    fired = fired.any(axis=1)
+        fired[:, superposed] |= changed
+    fired = fired.any(axis=2)
 
     n_def = m - n_sup
     if rule.no_change_guess is InputKind.DEFINITE:
-        correct_def = n_def - int(np.count_nonzero(fired[definite]))
-        correct_sup = int(np.count_nonzero(fired[superposed]))
+        correct_def = n_def - fired[:, definite].sum(axis=1)
+        correct_sup = fired[:, superposed].sum(axis=1)
     else:
-        correct_def, correct_sup = 0, n_sup
+        correct_def = np.zeros(len(configs), dtype=int)
+        correct_sup = np.full(len(configs), n_sup)
     device_correct = 0
-    if config.device_baseline:
+    if lead.device_baseline:
         # A definite input always reads B1; a superposition reads B2, which
         # certifies it, when the uniform lands at or above p1.
         u = rng.random(m)
@@ -153,8 +181,87 @@ def _run_block(
             device_correct = n_sup
     return (
         n_def, correct_def, correct_sup, device_correct,
-        float(first[definite].sum()), float(first[superposed].sum()),
+        [float(reports.sum()) for reports in first[:, definite]],
+        [float(reports.sum()) for reports in first[:, superposed]],
     )
+
+
+def _run_group(configs: Sequence["ExperimentConfig"]) -> list[ExperimentSummary]:
+    """Summaries of configs that share one stream layout, from one pass over the blocks."""
+    lead = configs[0]
+    n = lead.n_trials
+    batch_n = lead.rule.batch_n
+    definite_state = make_input_state(InputKind.DEFINITE, 1.0)
+    prepared_superposition = make_input_state(InputKind.SUPERPOSITION, lead.input_p1)
+    p1 = born_probability(prepared_superposition)
+    # A weight within rounding of 1 prepares a definite state: it never collapses.
+    collapses = prepared_superposition.kind is InputKind.SUPERPOSITION
+
+    blocks = [
+        _run_block(
+            configs,
+            np.random.default_rng(np.random.SeedSequence(lead.master_seed, spawn_key=(block,))),
+            min(BLOCK_SIZE, n - start),
+            p1,
+            collapses,
+        )
+        for block, start in enumerate(range(0, n, BLOCK_SIZE))
+    ]
+    n_def, correct_def, correct_sup, device_correct, time_def, time_sup = zip(*blocks)
+    n_definite = sum(n_def)
+    n_superposition = n - n_definite
+    correct_def = sum(correct_def).tolist()
+    correct_sup = sum(correct_sup).tolist()
+
+    def mean_time(partial_sums: tuple[list[float], ...], point: int, count: int) -> float | None:
+        return math.fsum(sums[point] for sums in partial_sums) / (count * batch_n) if count else None
+
+    device_success = None
+    device_bound = None
+    if lead.device_baseline:
+        device_success = RateEstimate.from_counts(sum(device_correct), n)
+        device_bound = optimal_device_bound(state_fidelity(definite_state, prepared_superposition))
+
+    return [
+        ExperimentSummary(
+            n_trials=n,
+            definite=RateEstimate.from_counts(correct_def[point], n_definite),
+            superposition=RateEstimate.from_counts(correct_sup[point], n_superposition),
+            overall=RateEstimate.from_counts(correct_def[point] + correct_sup[point], n),
+            mean_report_time_definite=mean_time(time_def, point, n_definite),
+            mean_report_time_superposition=mean_time(time_sup, point, n_superposition),
+            device_success=device_success,
+            device_bound=device_bound,
+            master_seed=lead.master_seed,
+        )
+        for point in range(len(configs))
+    ]
+
+
+def run_experiments(configs: Sequence["ExperimentConfig"]) -> list[ExperimentSummary]:
+    """Run every config, in order; configs that share a stream layout share draws.
+
+    Each config's summary equals :func:`run_experiment`'s.  Configs that
+    differ only in ``collapse.t_c_mean``, the diffusion ``gamma``,
+    ``observer.t_p``, ``observer.resolution``, ``rule.threshold_time`` or
+    the collapse ``energy``/``kappa`` draw the same variates, so each group
+    of them runs as one pass over the blocks, with every block's variates
+    drawn once and the per-point values along a leading axis.  With ``m``
+    decisions per block, a group runs in slices of
+    ``max(1, _SLICE_BLOCKS * BLOCK_SIZE // m)`` points, so that a slice's
+    arrays hold at most ``_SLICE_BLOCKS`` blocks' worth; each slice draws
+    the block variates anew.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for index, config in enumerate(configs):
+        groups.setdefault(_stream_layout(config), []).append(index)
+    summaries: dict[int, ExperimentSummary] = {}
+    for members in groups.values():
+        per_slice = max(1, _SLICE_BLOCKS * BLOCK_SIZE // min(configs[members[0]].n_trials, BLOCK_SIZE))
+        for start in range(0, len(members), per_slice):
+            part = members[start : start + per_slice]
+            summaries.update(zip(part, _run_group([configs[index] for index in part])))
+    return [summaries[index] for index in range(len(configs))]
 
 
 def run_experiment(config: "ExperimentConfig") -> ExperimentSummary:
@@ -178,45 +285,4 @@ def run_experiment(config: "ExperimentConfig") -> ExperimentSummary:
     integer counts and report-time partial sums, which are combined in block
     order (the sums with ``math.fsum``), so memory stays at one block.
     """
-    n = config.n_trials
-    batch_n = config.rule.batch_n
-    definite_state = make_input_state(InputKind.DEFINITE, 1.0)
-    prepared_superposition = make_input_state(InputKind.SUPERPOSITION, config.input_p1)
-    p1 = born_probability(prepared_superposition)
-    # A weight within rounding of 1 prepares a definite state: it never collapses.
-    collapses = prepared_superposition.kind is InputKind.SUPERPOSITION
-
-    blocks = [
-        _run_block(
-            config,
-            np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=(block,))),
-            min(BLOCK_SIZE, n - start),
-            p1,
-            collapses,
-        )
-        for block, start in enumerate(range(0, n, BLOCK_SIZE))
-    ]
-    n_def, correct_def, correct_sup, device_correct, time_def, time_sup = zip(*blocks)
-    n_definite = sum(n_def)
-    n_superposition = n - n_definite
-
-    def mean_time(partial_sums: tuple[float, ...], count: int) -> float | None:
-        return math.fsum(partial_sums) / (count * batch_n) if count else None
-
-    device_success = None
-    device_bound = None
-    if config.device_baseline:
-        device_success = RateEstimate.from_counts(sum(device_correct), n)
-        device_bound = optimal_device_bound(state_fidelity(definite_state, prepared_superposition))
-
-    return ExperimentSummary(
-        n_trials=n,
-        definite=RateEstimate.from_counts(sum(correct_def), n_definite),
-        superposition=RateEstimate.from_counts(sum(correct_sup), n_superposition),
-        overall=RateEstimate.from_counts(sum(correct_def) + sum(correct_sup), n),
-        mean_report_time_definite=mean_time(time_def, n_definite),
-        mean_report_time_superposition=mean_time(time_sup, n_superposition),
-        device_success=device_success,
-        device_bound=device_bound,
-        master_seed=config.master_seed,
-    )
+    return run_experiments([config])[0]

@@ -22,7 +22,6 @@ from .collapse import (
     CollapseParams,
     calibrate_gamma,
     diffusion_gamma,
-    sample_collapse_times,
     sample_collapses,
 )
 from .config import expand_sweep, parse_config
@@ -33,7 +32,7 @@ from .observer import (
     awareness_probability,
     perceive_collapses,
 )
-from .protocol import run_experiment
+from .protocol import run_experiment, run_experiments
 from .report import render_csv, summary_csv_row
 from .stats import binomial_chi_square_pvalue
 
@@ -82,7 +81,7 @@ def _check_collapse_time_law(seed: int) -> CheckResult:
     n = 200_000
     t_c = 2.0
     params = CollapseParams(model=CollapseModel.JUMP_EXPONENTIAL, t_c_mean=t_c)
-    x = sample_collapse_times(params, _rng(seed, 30), n)
+    x, _ = sample_collapses(0.5, params, _rng(seed, 30), n)
     mean = float(x.mean())
     var = float(x.var(ddof=1))
     mean_bound = 3.0 * t_c / math.sqrt(n)
@@ -106,7 +105,7 @@ def _check_case2_awareness(seed: int) -> CheckResult:
 
     def change_count(p1: float, n: int, rng: np.random.Generator) -> int:
         times, hit_upper = sample_collapses(p1, collapse, rng, n)
-        return int(perceive_collapses(observer, scenario, times, hit_upper, rng)[1].sum())
+        return int(perceive_collapses(observer.t_p, scenario, times, hit_upper, rng)[1].sum())
 
     n = 20_000
     freq = change_count(0.5, n, _rng(seed, 40)) / n
@@ -179,7 +178,7 @@ def _check_qsc_failure_mode(seed: int) -> CheckResult:
             "values": [t_p + k * resolution for k in (0, 0.5, 1, 2, 5, 10)],
         },
     }
-    accs = [run_experiment(cfg).overall for _, cfg in expand_sweep(raw)]
+    accs = [s.overall for s in run_experiments([cfg for _, cfg in expand_sweep(raw)])]
     chance_ok = abs(accs[0].estimate - 0.5) <= 0.045
     monotone_ok = True
     for a, b in zip(accs, accs[1:]):

@@ -20,7 +20,6 @@ from qscsim.collapse import (
     CollapseParams,
     calibrate_gamma,
     diffusion_gamma,
-    sample_collapse_times,
     sample_collapses,
 )
 from qscsim.config import expand_sweep, parse_config
@@ -71,7 +70,7 @@ def test_criterion_2_collapse_time_law():
     t_c = 2.0
     params = CollapseParams(model=CollapseModel.JUMP_EXPONENTIAL, t_c_mean=t_c)
     started = time.perf_counter()
-    draws = sample_collapse_times(params, np.random.default_rng(SEED), n)
+    draws, _ = sample_collapses(0.5, params, np.random.default_rng(SEED), n)
     mean = float(draws.mean())
     var = float(draws.var(ddof=1))
     elapsed = time.perf_counter() - started
@@ -102,7 +101,7 @@ def test_criterion_3_case2_change_probability():
 
     def change_count(p1, n, rng):
         times, hit_upper = sample_collapses(p1, collapse, rng, n)
-        return int(perceive_collapses(observer, scenario, times, hit_upper, rng)[1].sum())
+        return int(perceive_collapses(observer.t_p, scenario, times, hit_upper, rng)[1].sum())
 
     n = 100_000
     freq = change_count(0.5, n, np.random.default_rng(SEED)) / n

@@ -141,27 +141,48 @@ class TestRun:
 SWEEP_JUMP = {"n_trials": 200, "collapse": {"model": "jump_exponential", "t_c_mean": 0.02}}
 
 
+DIFFUSION_POINTS = {"input_p1": 0.3, "collapse": {"model": "diffusion", "t_c_mean": 0.02}}
+RANDOM_PERCEPT = {
+    "scenario": {"tag": "random_percept", "r": 0.3},
+    "rule": {"kind": "combined", "threshold_time": 0.05, "batch_n": 2},
+}
+FIXED_C1 = {"scenario": {"tag": "fixed_c1"}, "rule": {"kind": "combined", "threshold_time": 0.05, "batch_n": 3}}
+NO_JITTER = {"observer": {"t_p": 0.001, "jitter_sigma": 0.0, "resolution": 0.01}}
+
+
 class TestSweep:
+    # Points that share a stream layout run on one set of draws; each must
+    # still equal a separate run of its own config.
     @pytest.mark.parametrize(
-        "param, values",
+        "param, values, extra, flags",
         [
-            ("collapse.t_c_mean", [0.05, 0.002, 0.01]),
-            ("observer.t_p", [0.03, 0.001]),
-            ("rule.batch_n", [3, 1]),
+            ("collapse.t_c_mean", [0.05, 0.002, 0.01], {}, []),
+            ("observer.t_p", [0.03, 0.001], {}, []),
+            ("rule.batch_n", [3, 1], {}, []),
+            ("collapse.t_c_mean", [0.05, 0.002, 0.01], DIFFUSION_POINTS, []),
+            ("observer.t_p", [0.03, 0.001, 0.01], RANDOM_PERCEPT, []),
+            ("rule.threshold_time", [0.001, 0.03, 0.01], FIXED_C1, ["--device-baseline"]),
+            ("collapse.t_c_mean", [0.001, 0.0015, 0.05], NO_JITTER, []),
+            ("collapse.t_c_mean", [0.05, 0.002, 0.01], {"n_trials": 9000}, []),
+            ("priors", [0.8, 0.2, 0.5], {}, []),
         ],
     )
-    def test_sweep_point_equals_run(self, tmp_path, capsys, param, values):
-        path = write_config(tmp_path, {**SWEEP_JUMP, "sweep": {"param": param, "values": values}})
-        assert main(["sweep", "--config", path, "--json"]) == 0
+    def test_sweep_point_equals_run(self, tmp_path, capsys, param, values, extra, flags):
+        base = {**SWEEP_JUMP, **extra}
+        path = write_config(tmp_path, {**base, "sweep": {"param": param, "values": values}})
+        assert main(["sweep", "--config", path, "--json", *flags]) == 0
         points = json.loads(capsys.readouterr().out)["points"]
         assert [p["sweep_value"] for p in points] == sorted(values)
         section, _, key = param.partition(".")
         for point in points:
-            raw = {**BASE_CONFIG, **SWEEP_JUMP}
-            raw[section] = {**raw[section], key: point["sweep_value"]}
+            raw = {**BASE_CONFIG, **base}
+            if key:
+                raw[section] = {**raw[section], key: point["sweep_value"]}
+            else:
+                raw[section] = point["sweep_value"]
             run_path = tmp_path / "point.json"
             run_path.write_text(json.dumps(raw))
-            assert main(["run", "--config", str(run_path), "--json"]) == 0
+            assert main(["run", "--config", str(run_path), "--json", *flags]) == 0
             single = json.loads(capsys.readouterr().out)
             assert point["summary"] == single["summary"]
             assert point["resolved_config"] == single["resolved_config"]

@@ -19,7 +19,6 @@ from qscsim.collapse import (
     CollapseParams,
     calibrate_gamma,
     diffusion_gamma,
-    sample_collapse_times,
     sample_collapses,
     t_c_from_energy,
 )
@@ -84,16 +83,45 @@ class TestSampleCollapseTime:
         times, _ = sample_collapses(0.5, deterministic(2.0), np.random.default_rng(0), 100)
         assert np.all(times == 2.0)
 
-    def test_diffusion_is_misuse(self):
+    def test_group_must_share_model_and_epsilon(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(ModelMisuseError):
-            sample_collapse_times(diffusion(), rng, 10)
+        with pytest.raises(ValueError, match="share model and epsilon"):
+            sample_collapses(0.5, [jump(1.0), deterministic(1.0)], rng, 10)
+        with pytest.raises(ValueError, match="share model and epsilon"):
+            sample_collapses(0.5, [diffusion(epsilon=1e-3), diffusion(epsilon=1e-2)], rng, 10)
+        with pytest.raises(ValueError, match="at least one"):
+            sample_collapses(0.5, [], rng, 10)
 
     def test_exponential_moments(self):
         n = 200_000
-        x = sample_collapse_times(jump(2.0), np.random.default_rng(11), n)
+        x, _ = sample_collapses(0.5, jump(2.0), np.random.default_rng(11), n)
         assert abs(float(x.mean()) - 2.0) <= exp_mean_3sigma(2.0, n)
         assert abs(float(x.var(ddof=1)) - 4.0) <= exp_var_3sigma(2.0, n)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scaled_standard_exponential_is_numpy_exponential(self, seed):
+        # The jump law draws one standard exponential per time and scales it
+        # per point; that rounds exactly as numpy's own scaled draw.
+        for t_c in (1e-3, 0.3, 2.0, 180.0):
+            expected = np.random.default_rng(seed).exponential(t_c, 100_000)
+            times, _ = sample_collapses(0.5, jump(t_c), np.random.default_rng(seed), 100_000)
+            assert times.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "laws",
+        [
+            [jump(0.5), jump(2.0), jump(180.0)],
+            [deterministic(0.5), deterministic(3.0)],
+            [diffusion(gamma=0.7), diffusion(gamma=2.0), diffusion(t_c=9.0, gamma=5.5)],
+        ],
+    )
+    def test_group_rows_equal_single_draws(self, laws):
+        times, hit_upper = sample_collapses(0.3, laws, np.random.default_rng(21), 3000)
+        assert times.shape == (len(laws), 3000)
+        for row, law in zip(times, laws):
+            single_times, single_upper = sample_collapses(0.3, law, np.random.default_rng(21), 3000)
+            assert row.tobytes() == single_times.tobytes()
+            assert np.array_equal(hit_upper, single_upper)
 
     def test_scalar_and_batch_share_the_law(self):
         rng = np.random.default_rng(3)

@@ -140,6 +140,14 @@ def test_diffusion_gamma_with_input_p1_in_a_band(p1):
     assert err.value.field_path == "collapse.gamma"
 
 
+@pytest.mark.parametrize("p1", [1.5, -0.5])
+def test_input_p1_out_of_range_is_named_before_an_omitted_diffusion_gamma(p1):
+    with pytest.raises(ConfigValidationError) as err:
+        parse_config({**MINIMAL, "input_p1": p1, "collapse": DIFFUSION})
+    assert err.value.field_path == "input_p1"
+    assert "in [0.0, 1.0]" in err.value.message
+
+
 def test_sweep_over_t_c_mean_re_resolves_diffusion_gamma():
     raw = {
         **MINIMAL,
@@ -176,6 +184,13 @@ def _replace_collapse(config, **fields):
         ("n_trials", lambda c: dataclasses.replace(c, n_trials=0)),
         ("input_p1", lambda c: dataclasses.replace(c, input_p1=-0.1)),
         ("master_seed", lambda c: dataclasses.replace(c, master_seed=2**64)),
+        ("master_seed", lambda c: dataclasses.replace(c, master_seed=42.0)),
+        ("master_seed", lambda c: dataclasses.replace(c, master_seed=True)),
+        ("n_trials", lambda c: dataclasses.replace(c, n_trials=10.5)),
+        ("n_trials", lambda c: dataclasses.replace(c, n_trials=True)),
+        ("n_trials", lambda c: dataclasses.replace(c, n_trials="10")),
+        ("batch_n", lambda c: dataclasses.replace(c.rule, batch_n=2.5)),
+        ("batch_n", lambda c: dataclasses.replace(c.rule, batch_n=True)),
         ("schema_version", lambda c: dataclasses.replace(c, schema_version=2)),
         ("collapse.gamma", lambda c: _replace_collapse(c, gamma=2.0)),
         ("collapse.gamma", lambda c: _replace_collapse(c, t_c_mean=2.0)),

@@ -202,7 +202,7 @@ class TestAwarenessProbability:
         for sc in ALL_SCENARIOS:
             for p1 in (0.2, 0.5, 0.8):
                 expected = awareness_probability(sc, p1)
-                _, changed = perceive_collapses(QUIET, sc, times, rng.random(n) < p1, rng)
+                _, changed = perceive_collapses(QUIET.t_p, sc, times, rng.random(n) < p1, rng)
                 hits = int(changed.sum())
                 slack = max(binom_3sigma(expected, n), 1e-9) if 0.0 < expected < 1.0 else 0.0
                 assert abs(hits / n - expected) <= slack

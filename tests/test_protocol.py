@@ -20,6 +20,7 @@ from qscsim.collapse import CollapseModel, CollapseParams
 from qscsim.config import parse_config
 from qscsim.errors import FieldError
 from qscsim.observer import ObserverParams, PerceptionScenario, ScenarioTag
+import qscsim.protocol as protocol
 from qscsim.protocol import (
     BLOCK_SIZE,
     DecisionRule,
@@ -27,6 +28,7 @@ from qscsim.protocol import (
     RuleKind,
     optimal_device_bound,
     run_experiment,
+    run_experiments,
 )
 from qscsim.states import Branch, InputKind
 from qscsim.stats import RateEstimate
@@ -302,6 +304,62 @@ class TestRunExperiment:
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
+
+    def test_points_with_one_stream_layout_share_a_block_pass(self, monkeypatch):
+        # t_c_mean and t_p change no draw, so those points run as one group;
+        # priors changes the draws, so that point runs alone.  Each summary
+        # still equals its own run.
+        def jump(**overrides):
+            return experiment_config(collapse={"model": "jump_exponential", "t_c_mean": 0.01}, **overrides)
+
+        configs = [
+            jump(),
+            experiment_config(collapse={"model": "jump_exponential", "t_c_mean": 0.04}),
+            jump(priors=0.3),
+            jump(observer={"t_p": 0.02, "jitter_sigma": 0.0}),
+        ]
+        expected = [run_experiment(config) for config in configs]
+        sizes = []
+        real = protocol._run_group
+        monkeypatch.setattr(protocol, "_run_group", lambda group: sizes.append(len(group)) or real(group))
+        assert run_experiments(configs) == expected
+        assert sizes == [3, 1]
+
+    def test_large_groups_run_in_slices(self, monkeypatch):
+        # With two blocks' worth per slice, full blocks take two points at a
+        # time; the summaries do not depend on the slicing.
+        configs = [
+            experiment_config(n_trials=BLOCK_SIZE + 10, collapse={"model": "jump_exponential", "t_c_mean": 0.01 * k})
+            for k in range(1, 6)
+        ]
+        expected = [run_experiment(config) for config in configs]
+        monkeypatch.setattr(protocol, "_SLICE_BLOCKS", 2)
+        points = []
+        real = protocol._run_block
+        monkeypatch.setattr(
+            protocol, "_run_block", lambda group, *rest: points.append(len(group)) or real(group, *rest)
+        )
+        assert run_experiments(configs) == expected
+        assert points == [2, 2, 2, 2, 1, 1]
+
+    def test_memory_of_a_group_is_bounded_by_its_slices(self):
+        def peak(n_points):
+            configs = [
+                experiment_config(
+                    n_trials=BLOCK_SIZE, collapse={"model": "jump_exponential", "t_c_mean": 0.001 * (k + 1)},
+                    rule={"kind": "timing_threshold", "threshold_time": 0.05, "batch_n": 5},
+                )
+                for k in range(n_points)
+            ]
+            tracemalloc.start()
+            try:
+                run_experiments(configs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_slice = peak(protocol._SLICE_BLOCKS)
+        assert peak(4 * protocol._SLICE_BLOCKS) < 1.5 * one_slice
 
 
 SCENARIOS = ["post_collapse_only", "distinct_percept", "fixed_c1", "fixed_c2", "random_percept"]
