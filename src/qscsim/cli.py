@@ -22,7 +22,7 @@ from .config import (
     read_raw_config,
     set_config_field,
 )
-from .errors import ModelMisuseError, QscError
+from .errors import ConfigValidationError, ModelMisuseError, QscError
 from .protocol import RNG_STREAM, run_experiment, run_experiments
 from .report import render_csv, render_human_summary, summary_csv_row, summary_to_json_dict
 
@@ -134,7 +134,15 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     raw_for_parse = raw
     if isinstance(raw.get("collapse"), dict) and "gamma" in raw["collapse"]:
         raw_for_parse = set_config_field(raw, "collapse.gamma", None)
-    config = parse_config(raw_for_parse)
+    try:
+        config = parse_config(raw_for_parse)
+    except ConfigValidationError as exc:
+        # Without a gamma, only a diffusion input_p1 outside the band fails here.
+        if exc.field_path != "collapse.gamma":
+            raise
+        raise ConfigValidationError(
+            "input_p1", f"calibrate needs input_p1 inside (epsilon, 1 - epsilon), got {raw.get('input_p1')!r}"
+        ) from None
     if config.collapse.model is not CollapseModel.DIFFUSION:
         raise ModelMisuseError(
             f"calibrate applies to the diffusion model; config selects {config.collapse.model.value}"

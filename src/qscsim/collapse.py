@@ -68,15 +68,16 @@ class CollapseParams:
     kappa: float = DEFAULT_KAPPA
 
     def __post_init__(self) -> None:
+        # energy and kappa first: a t_c_mean left unset is derived from them.
+        if self.energy is not None:
+            check_field("energy", self.energy, self.energy > 0.0, "> 0")
+        check_field("kappa", self.kappa, self.kappa > 0.0, "> 0")
         check_field("t_c_mean", self.t_c_mean, self.t_c_mean > 0.0, "> 0")
         check_field("epsilon", self.epsilon, 0.0 < self.epsilon < 0.5, "in (0.0, 0.5)")
         if self.gamma is not None:
             check_field("gamma", self.gamma, self.gamma > 0.0, "> 0")
         elif self.model is CollapseModel.DIFFUSION:
             raise FieldError("gamma", "required for the diffusion model")
-        if self.energy is not None:
-            check_field("energy", self.energy, self.energy > 0.0, "> 0")
-        check_field("kappa", self.kappa, self.kappa > 0.0, "> 0")
         if self.energy is not None:
             implied = self.kappa / self.energy
             if abs(self.t_c_mean - implied) > 1e-9 * self.t_c_mean:

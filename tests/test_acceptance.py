@@ -7,7 +7,6 @@ tuned at runtime.
 """
 
 import json
-import math
 import time
 
 import numpy as np
@@ -15,23 +14,22 @@ import pytest
 
 from oracles import binom_3sigma, exp_mean_3sigma, exp_var_3sigma
 from qscsim.cli import main
-from qscsim.collapse import (
-    CollapseModel,
-    CollapseParams,
-    calibrate_gamma,
-    diffusion_gamma,
-    sample_collapses,
-)
+from qscsim.collapse import CollapseModel, CollapseParams, calibrate_gamma, sample_collapses
 from qscsim.config import expand_sweep, parse_config
-from qscsim.observer import (
-    ObserverParams,
-    PerceptionScenario,
-    ScenarioTag,
-    awareness_probability,
-    perceive_collapses,
-)
+from qscsim.observer import awareness_probability
 from qscsim.protocol import optimal_device_bound, run_experiment
-from qscsim.selftest import run_selftest
+from qscsim.selftest import (
+    CASE2_GRID,
+    CASE2_SCENARIO,
+    batch_config,
+    born_counts,
+    change_counts,
+    exponential_moments,
+    gap_sweep,
+    monotone_within_2sigma,
+    qsc_config,
+    run_selftest,
+)
 from qscsim.stats import binomial_chi_square_pvalue
 
 SEED = 42
@@ -44,22 +42,13 @@ def _pass(criterion: str, detail: str) -> None:
 def test_criterion_1_born_rule_conformance():
     started = time.perf_counter()
     n = 100_000
-    jump = CollapseParams(model=CollapseModel.JUMP_EXPONENTIAL, t_c_mean=1.0)
     details = []
-    for j, p1 in enumerate((0.1, 0.5, 0.9)):
-        diffusion = CollapseParams(
-            model=CollapseModel.DIFFUSION, t_c_mean=1.0, gamma=diffusion_gamma(1.0, p1, 1e-3), epsilon=1e-3
-        )
-        _, jump_upper = sample_collapses(p1, jump, np.random.default_rng(SEED + j), n)
-        k_jump = int(jump_upper.sum())
-        _, hit_upper = sample_collapses(p1, diffusion, np.random.default_rng(SEED + 10 + j), n)
-        k_diffusion = int(hit_upper.sum())
-        for label, k in (("jump", k_jump), ("diffusion", k_diffusion)):
-            freq = k / n
-            assert abs(freq - p1) <= binom_3sigma(p1, n), f"{label} p1={p1}: freq={freq}"
-            pvalue = binomial_chi_square_pvalue(k, n, p1)
-            assert pvalue > 0.001, f"{label} p1={p1}: chi-square p={pvalue}"
-            details.append(f"{label}@{p1}:{freq:.4f}")
+    for label, p1, k in born_counts(n, lambda stream: np.random.default_rng(SEED + stream)):
+        freq = k / n
+        assert abs(freq - p1) <= binom_3sigma(p1, n), f"{label} p1={p1}: freq={freq}"
+        pvalue = binomial_chi_square_pvalue(k, n, p1)
+        assert pvalue > 0.001, f"{label} p1={p1}: chi-square p={pvalue}"
+        details.append(f"{label}@{p1}:{freq:.4f}")
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"criterion 1 runtime {elapsed:.1f}s exceeds 10s"
     _pass("C1 born-rule conformance", f"{'; '.join(details)}; {elapsed:.1f}s")
@@ -68,11 +57,8 @@ def test_criterion_1_born_rule_conformance():
 def test_criterion_2_collapse_time_law():
     n = 1_000_000
     t_c = 2.0
-    params = CollapseParams(model=CollapseModel.JUMP_EXPONENTIAL, t_c_mean=t_c)
     started = time.perf_counter()
-    draws, _ = sample_collapses(0.5, params, np.random.default_rng(SEED), n)
-    mean = float(draws.mean())
-    var = float(draws.var(ddof=1))
+    mean, var = exponential_moments(t_c, n, np.random.default_rng(SEED))
     elapsed = time.perf_counter() - started
     assert abs(mean - t_c) <= exp_mean_3sigma(t_c, n)  # = 0.006 at t_c=2, n=1e6
     assert abs(var - t_c * t_c) <= exp_var_3sigma(t_c, n)
@@ -95,50 +81,24 @@ def test_criterion_2_collapse_time_law():
 
 
 def test_criterion_3_case2_change_probability():
-    observer = ObserverParams(t_p=0.001, jitter_sigma=0.0, resolution=0.01)
-    scenario = PerceptionScenario(tag=ScenarioTag.FIXED_C1)
-    collapse = CollapseParams(model=CollapseModel.DETERMINISTIC_TIME, t_c_mean=1.0)
-
-    def change_count(p1, n, rng):
-        times, hit_upper = sample_collapses(p1, collapse, rng, n)
-        return int(perceive_collapses(observer.t_p, scenario, times, hit_upper, rng)[1].sum())
-
     n = 100_000
-    freq = change_count(0.5, n, np.random.default_rng(SEED)) / n
+    [k] = change_counts((0.5,), n, lambda _: np.random.default_rng(SEED))
+    freq = k / n
     assert abs(freq - 0.5) <= 0.0047
 
     n_grid = 20_000
-    for j, p1 in enumerate([round(0.1 * k, 1) for k in range(1, 10)]):
-        expected = awareness_probability(scenario, p1)
+    counts = change_counts(CASE2_GRID, n_grid, lambda j: np.random.default_rng(SEED + 100 + j))
+    for p1, k in zip(CASE2_GRID, counts):
+        expected = awareness_probability(CASE2_SCENARIO, p1)
         assert expected == pytest.approx(1.0 - p1, abs=1e-15)
-        k = change_count(p1, n_grid, np.random.default_rng(SEED + 100 + j))
         assert abs(k / n_grid - expected) <= binom_3sigma(expected, n_grid), f"p1={p1}"
     _pass("C3 case-(2) probability", f"freq={freq:.4f} vs 0.5 +/-0.0047; grid 0.1..0.9 matched")
 
 
-def _qsc_raw(scenario_tag: str, rule_kind: str, device: bool, seed: int) -> dict:
-    rule = {"kind": rule_kind, "batch_n": 1}  # criteria 4/7 quantify single-copy decisions
-    if rule_kind != "change_detection":
-        rule["threshold_time"] = 0.05
-    return {
-        "master_seed": seed,
-        "n_trials": 10_000,
-        "collapse": {"model": "jump_exponential", "t_c_mean": 180.0},
-        "observer": {"t_p": 0.001, "jitter_sigma": 0.0002, "resolution": 0.01},
-        "scenario": {"tag": scenario_tag},
-        "rule": rule,
-        "device_baseline": device,
-    }
-
-
 def test_criterion_4_qsc_separation():
     started = time.perf_counter()
-    timing = run_experiment(
-        parse_config(_qsc_raw("post_collapse_only", "timing_threshold", True, SEED))
-    )
-    change = run_experiment(
-        parse_config(_qsc_raw("distinct_percept", "change_detection", False, SEED + 1))
-    )
+    timing = run_experiment(parse_config(qsc_config(SEED, 10_000, "post_collapse_only", "timing_threshold", True)))
+    change = run_experiment(parse_config(qsc_config(SEED + 1, 10_000, "distinct_percept", "change_detection", False)))
     elapsed = time.perf_counter() - started
     assert timing.overall.estimate >= 0.999
     assert change.overall.estimate >= 0.999
@@ -160,29 +120,10 @@ def test_criterion_4_qsc_separation():
 
 
 def test_criterion_5_qsc_failure_mode():
-    t_p = 0.001
-    resolution = 0.01
-    raw = {
-        "master_seed": SEED,
-        "n_trials": 10_000,
-        "collapse": {"model": "deterministic_time", "t_c_mean": t_p},
-        "observer": {"t_p": t_p, "jitter_sigma": 0.0002, "resolution": resolution},
-        "scenario": {"tag": "post_collapse_only"},
-        "rule": {"kind": "timing_threshold", "batch_n": 1},
-        "sweep": {
-            "param": "collapse.t_c_mean",
-            "values": [t_p + k * resolution for k in (0, 0.5, 1, 2, 5, 10)],
-        },
-    }
-    rates = [run_experiment(cfg).overall for _, cfg in expand_sweep(raw)]
+    rates = gap_sweep(SEED, 10_000)
     chance = rates[0].estimate
     assert abs(chance - 0.5) <= 0.02
-    for a, b in zip(rates, rates[1:]):
-        sigma = math.sqrt(
-            a.estimate * (1.0 - a.estimate) / a.trials
-            + b.estimate * (1.0 - b.estimate) / b.trials
-        )
-        assert b.estimate >= a.estimate - 2.0 * sigma - 1e-12
+    assert monotone_within_2sigma(rates), [r.estimate for r in rates]
     assert rates[-1].estimate >= 0.999
     _pass(
         "C5 QSC failure mode",
@@ -190,26 +131,12 @@ def test_criterion_5_qsc_failure_mode():
     )
 
 
-def _batch_raw(batch_n: int, n_trials: int) -> dict:
-    return {
-        "master_seed": SEED,
-        "n_trials": n_trials,
-        "priors": 0.0,
-        "input_p1": 0.5,
-        "collapse": {"model": "deterministic_time", "t_c_mean": 1.0},
-        "observer": {"t_p": 0.001, "jitter_sigma": 0.0, "resolution": 0.01},
-        "scenario": {"tag": "fixed_c1"},
-        "rule": {"kind": "change_detection", "batch_n": batch_n},
-    }
-
-
 def test_criterion_6_batch_detection():
-    headline = run_experiment(parse_config(_batch_raw(5, 100_000)))
+    headline = run_experiment(parse_config(batch_config(SEED, 100_000, 5)))
     rate = headline.superposition.estimate
     assert abs(rate - 0.96875) <= 0.005
 
-    raw = _batch_raw(5, 20_000)
-    raw["sweep"] = {"param": "rule.batch_n", "values": [1, 2, 3, 5, 8]}
+    raw = batch_config(SEED, 20_000, 5) | {"sweep": {"param": "rule.batch_n", "values": [1, 2, 3, 5, 8]}}
     sweep_rates = []
     for value, config in expand_sweep(raw):
         summary = run_experiment(config)
@@ -224,7 +151,7 @@ def test_criterion_6_batch_detection():
 
 def test_criterion_7_reproducibility(tmp_path):
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(_qsc_raw("post_collapse_only", "timing_threshold", True, SEED) | {"n_trials": 2000}))
+    config_path.write_text(json.dumps(qsc_config(SEED, 2000, "post_collapse_only", "timing_threshold", True)))
     out = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
     assert main(["run", "--config", str(config_path), "--out", str(out[0])]) == 0
     assert main(["run", "--config", str(config_path), "--out", str(out[1])]) == 0
@@ -232,8 +159,7 @@ def test_criterion_7_reproducibility(tmp_path):
     assert out[0].read_bytes() == out[1].read_bytes() == out[2].read_bytes()
 
     sweep_path = tmp_path / "sweep.json"
-    raw = _batch_raw(1, 1000)
-    raw["sweep"] = {"param": "rule.batch_n", "values": [1, 2, 4]}
+    raw = batch_config(SEED, 1000, 1) | {"sweep": {"param": "rule.batch_n", "values": [1, 2, 4]}}
     sweep_path.write_text(json.dumps(raw))
     sweep_out = [tmp_path / name for name in ("s1.csv", "s2.csv")]
     for path in sweep_out:

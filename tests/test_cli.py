@@ -295,6 +295,17 @@ class TestCalibrate:
         assert main(["calibrate", "--config", path, *args]) == 0
         assert json.loads(capsys.readouterr().out) == plain
 
+    @pytest.mark.parametrize("p1", [0.0, 0.0005, 1.0])
+    def test_weight_outside_the_band_is_named(self, tmp_path, capsys, p1):
+        # The configured gamma is ignored, so the error names input_p1, not gamma.
+        path = write_config(
+            tmp_path, {"input_p1": p1, "collapse": {"model": "diffusion", "t_c_mean": 1.0, "gamma": 2.0}}
+        )
+        assert main(["calibrate", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: input_p1: calibrate needs input_p1 inside (epsilon, 1 - epsilon)")
+        assert "gamma" not in err
+
     def test_wrong_model_is_an_error(self, config_path, capsys):
         assert main(["calibrate", "--config", config_path]) == 1
         assert "diffusion" in capsys.readouterr().err

@@ -222,6 +222,9 @@ def test_gamma_check_leaves_band_and_other_models_alone():
         ("collapse", "kappa", -1.0, {}),
         ("collapse", "energy", -2.0, {"t_c_mean": 1.0}),
         ("collapse", "energy", 3.0, {"t_c_mean": 1.0}),
+        # a t_c_mean derived from a bad energy or kappa is not blamed for it
+        ("collapse", "energy", -2.0, {}),
+        ("collapse", "kappa", -1.0, {"energy": 2.0}),
         ("observer", "t_p", 0.0, {}),
         ("observer", "jitter_sigma", -1.0, {}),
         ("observer", "resolution", 0.0, {}),

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 import threading
 import tracemalloc
@@ -17,7 +19,7 @@ from reference import (
     trial_rng,
 )
 from qscsim.collapse import CollapseModel, CollapseParams
-from qscsim.config import parse_config
+from qscsim.config import parse_config, set_config_field
 from qscsim.errors import FieldError
 from qscsim.observer import ObserverParams, PerceptionScenario, ScenarioTag
 import qscsim.protocol as protocol
@@ -218,6 +220,61 @@ def experiment_config(**overrides):
     return parse_config(raw)
 
 
+#: Bases of the stream-layout check: on the jump base every draw-count
+#: field matters; the diffusion base covers the fields only diffusion reads.
+JUMP_LAYOUT_BASE = {
+    "master_seed": 7,
+    "n_trials": 600,
+    "input_p1": 0.3,
+    "collapse": {"model": "jump_exponential", "t_c_mean": 0.02},
+    "observer": {"t_p": 0.001, "jitter_sigma": 0.002, "resolution": 0.01},
+    "scenario": {"tag": "random_percept", "r": 0.4},
+    "rule": {"kind": "combined", "threshold_time": 0.03, "batch_n": 2},
+    "device_baseline": True,
+}
+LAYOUT_BASES = {
+    "jump": JUMP_LAYOUT_BASE,
+    "diffusion": JUMP_LAYOUT_BASE | {"collapse": {"model": "diffusion", "t_c_mean": 0.02}, "scenario": {"tag": "fixed_c1"}},
+}
+#: One valid change per leaf field of a config: (base, new raw value).  A
+#: diffusion gamma left unset follows t_c_mean, epsilon and input_p1, as at
+#: a sweep point; so only the jump base takes a gamma alone.
+#: ``schema_version`` has no other valid value.
+LEAF_CHANGES = {
+    "master_seed": ("jump", 8),
+    "n_trials": ("jump", 500),
+    "priors": ("jump", 0.6),
+    "input_p1": ("diffusion", 0.4),
+    "collapse.model": ("jump", "deterministic_time"),
+    "collapse.t_c_mean": ("diffusion", 0.03),
+    "collapse.gamma": ("jump", 2.0),
+    "collapse.epsilon": ("diffusion", 0.01),
+    "collapse.energy": ("jump", 50.0),
+    "collapse.kappa": ("jump", 2.0),
+    "observer.t_p": ("jump", 0.002),
+    "observer.jitter_sigma": ("jump", 0.001),
+    "observer.resolution": ("jump", 0.02),
+    "scenario.tag": ("diffusion", "fixed_c2"),
+    "scenario.r": ("jump", 0.7),
+    "rule.kind": ("jump", "timing_threshold"),
+    "rule.threshold_time": ("jump", 0.04),
+    "rule.batch_n": ("jump", 3),
+    "rule.no_change_guess": ("jump", "superposition"),
+    "device_baseline": ("jump", False),
+    "sweep": ("jump", {"param": "priors", "values": [0.6]}),
+    "schema_version": None,
+}
+
+
+def leaf_fields(obj, prefix=""):
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if dataclasses.is_dataclass(value):
+            yield from leaf_fields(value, f"{prefix}{field.name}.")
+        else:
+            yield prefix + field.name
+
+
 class TestRunExperiment:
     def test_deterministic_and_thread_invariant(self, monkeypatch):
         # The kernel runs in the calling thread, so no thread count can
@@ -360,6 +417,21 @@ class TestRunExperiment:
 
         one_slice = peak(protocol._SLICE_BLOCKS)
         assert peak(4 * protocol._SLICE_BLOCKS) < 1.5 * one_slice
+
+    def test_stream_layout_key_is_complete(self):
+        # A config that differs from another in one field, run next to it,
+        # gives its own run's summary, whether or not the two share draws.
+        bases = {name: parse_config(raw) for name, raw in LAYOUT_BASES.items()}
+        assert set(leaf_fields(bases["jump"])) == set(LEAF_CHANGES)
+        for path, change in LEAF_CHANGES.items():
+            if change is None:
+                continue
+            name, value = change
+            base = bases[name]
+            changed = parse_config(set_config_field(LAYOUT_BASES[name], path, value))
+            attrs = path.split(".")
+            assert functools.reduce(getattr, attrs, changed) != functools.reduce(getattr, attrs, base), path
+            assert run_experiments([base, changed]) == [run_experiment(base), run_experiment(changed)], path
 
 
 SCENARIOS = ["post_collapse_only", "distinct_percept", "fixed_c1", "fixed_c2", "random_percept"]
