@@ -16,7 +16,6 @@ from .collapse import (
     calibrate_gamma,
     diffusion_gamma,
     sample_collapses,
-    t_c_from_energy,
 )
 from .config import ExperimentConfig, SweepSpec, expand_sweep, load_config, parse_config
 from .errors import (
@@ -29,33 +28,19 @@ from .errors import (
     ModelMisuseError,
     QscError,
 )
-from .observer import (
-    ObserverParams,
-    PerceptionScenario,
-    ScenarioTag,
-    awareness_probability,
-    qsc_condition_satisfied,
-)
+from .observer import ObserverParams, PerceptionScenario, ScenarioTag, awareness_probability
 from .protocol import (
     DecisionRule,
     ExperimentSummary,
+    InputKind,
     RuleKind,
     optimal_device_bound,
     run_experiment,
     run_experiments,
 )
-from .states import (
-    Branch,
-    InputKind,
-    InputState,
-    born_probability,
-    make_input_state,
-    state_fidelity,
-)
-from .stats import RateEstimate, wilson_interval
+from .stats import RateEstimate
 
 __all__ = [
-    "Branch",
     "Calibration",
     "CalibrationError",
     "CollapseModel",
@@ -69,7 +54,6 @@ __all__ = [
     "ExperimentSummary",
     "FieldError",
     "InputKind",
-    "InputState",
     "ModelMisuseError",
     "ObserverParams",
     "PerceptionScenario",
@@ -79,21 +63,15 @@ __all__ = [
     "ScenarioTag",
     "SweepSpec",
     "awareness_probability",
-    "born_probability",
     "calibrate_gamma",
     "diffusion_gamma",
     "expand_sweep",
     "load_config",
-    "make_input_state",
     "optimal_device_bound",
     "parse_config",
-    "qsc_condition_satisfied",
     "run_experiment",
     "run_experiments",
     "sample_collapses",
-    "state_fidelity",
-    "t_c_from_energy",
-    "wilson_interval",
 ]
 
 __version__ = "0.1.0"

@@ -86,13 +86,6 @@ class CollapseParams:
                 )
 
 
-def t_c_from_energy(energy: float, kappa: float = DEFAULT_KAPPA) -> float:
-    """Mean collapse time implied by a perception energy (inverse relation)."""
-    if energy <= 0.0:
-        raise ValueError(f"energy must be > 0, got {energy!r}")
-    return kappa / energy
-
-
 def sample_collapses(
     p1: float, params: CollapseParams | Sequence[CollapseParams], rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -334,8 +327,8 @@ def calibrate_gamma(
             outside ``t_c_target * (1 +- tolerance)``.
     """
     gamma = diffusion_gamma(t_c_target, p1, epsilon)
-    if not tolerance > 0.0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tolerance!r}")
     if n_runs < 2:
         raise ValueError(f"n_runs must be >= 2, got {n_runs!r}")
     params = CollapseParams(model=CollapseModel.DIFFUSION, t_c_mean=t_c_target, gamma=gamma, epsilon=epsilon)

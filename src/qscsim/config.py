@@ -34,8 +34,7 @@ from .errors import (
     check_integer,
 )
 from .observer import ObserverParams, PerceptionScenario, ScenarioTag
-from .protocol import DecisionRule, RuleKind
-from .states import InputKind
+from .protocol import DecisionRule, InputKind, RuleKind
 
 SCHEMA_VERSION = 1
 

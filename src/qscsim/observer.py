@@ -26,7 +26,6 @@ from enum import Enum
 
 import numpy as np
 
-from .collapse import CollapseParams
 from .errors import FieldError, check_field
 
 
@@ -133,17 +132,3 @@ def awareness_probability(scenario: PerceptionScenario, p1: float) -> float:
     if tag is ScenarioTag.FIXED_C2:
         return p1
     return scenario.r * (1.0 - p1) + (1.0 - scenario.r) * p1
-
-
-def qsc_condition_satisfied(
-    o: ObserverParams, c: CollapseParams, margin: float = 5.0
-) -> bool:
-    """Whether the collapse-vs-perception time gap is identifiable.
-
-    True iff ``t_c_mean - t_p`` exceeds ``margin`` times the larger of the
-    observer's timing resolution and report jitter.
-    """
-    if margin < 1.0:
-        raise ValueError(f"margin must be >= 1, got {margin!r}")
-    gap = c.t_c_mean - o.t_p
-    return gap > margin * max(o.resolution, o.jitter_sigma)

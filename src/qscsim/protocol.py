@@ -32,7 +32,6 @@ import numpy as np
 from .collapse import sample_collapses
 from .errors import FieldError, check_field, check_integer
 from .observer import perceive_collapses, report_times
-from .states import InputKind, born_probability, make_input_state, state_fidelity
 from .stats import RateEstimate
 
 if TYPE_CHECKING:
@@ -47,6 +46,13 @@ RNG_STREAM = "block-v1"
 #: A slice of a group of points that share draws holds at most this many
 #: blocks' worth of decisions (see :func:`run_experiments`).
 _SLICE_BLOCKS = 16
+#: Branch-2 weight below which a prepared input is definite and never collapses.
+DEFINITE_WEIGHT_TOL = 1e-12
+
+
+class InputKind(Enum):
+    DEFINITE = "definite"
+    SUPERPOSITION = "superposition"
 
 
 class RuleKind(Enum):
@@ -102,7 +108,10 @@ class ExperimentSummary:
 
 def optimal_device_bound(fidelity: float) -> float:
     """Maximum equal-prior single-copy success probability of any physical
-    measurement strategy against a state pair with the given fidelity."""
+    measurement strategy against a state pair with the given fidelity.
+
+    For the definite branch-1 state against a superposition with branch-1
+    weight ``p1`` the fidelity is ``p1``."""
     if not 0.0 <= fidelity <= 1.0:
         raise ValueError(f"fidelity must be in [0, 1], got {fidelity!r}")
     return 0.5 * (1.0 + math.sqrt(1.0 - fidelity))
@@ -191,11 +200,9 @@ def _run_group(configs: Sequence["ExperimentConfig"]) -> list[ExperimentSummary]
     lead = configs[0]
     n = lead.n_trials
     batch_n = lead.rule.batch_n
-    definite_state = make_input_state(InputKind.DEFINITE, 1.0)
-    prepared_superposition = make_input_state(InputKind.SUPERPOSITION, lead.input_p1)
-    p1 = born_probability(prepared_superposition)
+    p1 = lead.input_p1
     # A weight within rounding of 1 prepares a definite state: it never collapses.
-    collapses = prepared_superposition.kind is InputKind.SUPERPOSITION
+    collapses = 1.0 - p1 >= DEFINITE_WEIGHT_TOL
 
     blocks = [
         _run_block(
@@ -220,7 +227,7 @@ def _run_group(configs: Sequence["ExperimentConfig"]) -> list[ExperimentSummary]
     device_bound = None
     if lead.device_baseline:
         device_success = RateEstimate.from_counts(sum(device_correct), n)
-        device_bound = optimal_device_bound(state_fidelity(definite_state, prepared_superposition))
+        device_bound = optimal_device_bound(p1)
 
     return [
         ExperimentSummary(

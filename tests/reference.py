@@ -30,8 +30,14 @@ import numpy as np
 from qscsim.collapse import CollapseParams, sample_collapses
 from qscsim.errors import ModelMisuseError
 from qscsim.observer import ObserverParams, PerceptionScenario, ScenarioTag
-from qscsim.protocol import DecisionRule, RuleKind
-from qscsim.states import Branch, InputKind, InputState, born_probability, make_input_state
+from qscsim.protocol import DEFINITE_WEIGHT_TOL, DecisionRule, InputKind, RuleKind
+
+
+class Branch(Enum):
+    """Collapse outcome: B1 is the branch the definite input occupies."""
+
+    B1 = "b1"
+    B2 = "b2"
 
 
 @dataclass(frozen=True)
@@ -53,17 +59,17 @@ def sample_outcome(p1: float, rng: np.random.Generator) -> Branch:
     return Branch.B1 if rng.random() < p1 else Branch.B2
 
 
-def collapse_for_input(
-    state: InputState, params: CollapseParams, rng: np.random.Generator
-) -> CollapseEvent | None:
-    """Collapse event for one prepared input, or None for a definite input.
+def collapse_for_input(p1: float, params: CollapseParams, rng: np.random.Generator) -> CollapseEvent | None:
+    """Collapse event for one input with branch-1 weight ``p1``, or None for
+    a definite input.
 
-    A definite input involves no superposition, hence no collapse wait.  A
+    An input whose branch-2 weight is below ``DEFINITE_WEIGHT_TOL`` is
+    definite: it involves no superposition, hence no collapse wait.  A
     superposed input gets one draw of :func:`sample_collapses`.
     """
-    if state.kind is InputKind.DEFINITE:
+    if 1.0 - p1 < DEFINITE_WEIGHT_TOL:
         return None
-    times, hit_upper = sample_collapses(born_probability(state), params, rng, 1)
+    times, hit_upper = sample_collapses(p1, params, rng, 1)
     return CollapseEvent(time=float(times[0]), outcome=Branch.B1 if hit_upper[0] else Branch.B2)
 
 
@@ -206,8 +212,7 @@ def device_trial(
     """
     if true_input is InputKind.DEFINITE and p1 != 1.0:
         raise ValueError(f"definite input requires p1 = 1, got {p1!r}")
-    state = make_input_state(true_input, p1)
-    outcome = Branch.B1 if rng.random() < born_probability(state) else Branch.B2
+    outcome = Branch.B1 if rng.random() < p1 else Branch.B2
     guess = InputKind.SUPERPOSITION if outcome is Branch.B2 else no_change_guess
     return outcome, guess
 
@@ -229,8 +234,8 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(trial_index,)))
 
 
-def _report(state, collapse_params, observer_params, scenario, rng):
-    event = collapse_for_input(state, collapse_params, rng)
+def _report(p1, collapse_params, observer_params, scenario, rng):
+    event = collapse_for_input(p1, collapse_params, rng)
     if event is None:
         return event, perceive_definite(observer_params, rng)
     return event, perceive_superposition(observer_params, scenario, event, rng)
@@ -248,8 +253,7 @@ def run_trial(
     """Prepare, collapse, perceive, classify: one single-state trial."""
     if true_input is InputKind.DEFINITE and p1 != 1.0:
         raise ValueError(f"definite input requires p1 = 1, got {p1!r}")
-    state = make_input_state(true_input, p1)
-    event, report = _report(state, collapse_params, observer_params, scenario, rng)
+    event, report = _report(p1, collapse_params, observer_params, scenario, rng)
     guess = classify_single(report, rule)
     return TrialRecord(true_input, p1, event, report, guess, guess is true_input)
 
@@ -276,9 +280,8 @@ def reference_run(config, n_trials: int) -> ReferenceTally:
         definite = rng.random() < config.priors
         kind = InputKind.DEFINITE if definite else InputKind.SUPERPOSITION
         p1 = 1.0 if definite else config.input_p1
-        state = make_input_state(kind, p1)
         reports = [
-            _report(state, config.collapse, config.observer, config.scenario, rng)[1] for _ in range(batch_n)
+            _report(p1, config.collapse, config.observer, config.scenario, rng)[1] for _ in range(batch_n)
         ]
         correct = classify_batch(reports, config.rule) is kind
         mean_time = sum(r.first_percept_time for r in reports) / batch_n

@@ -306,6 +306,14 @@ class TestCalibrate:
         assert err.startswith("error: input_p1: calibrate needs input_p1 inside (epsilon, 1 - epsilon)")
         assert "gamma" not in err
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("tolerance", ["inf", "-inf", "nan", "0"])
+    def test_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, tolerance, json_flag):
+        path = self.calibration_config(tmp_path)
+        # "--tolerance=-inf": argparse reads a separate "-inf" as an option.
+        assert main(["calibrate", "--config", path, f"--tolerance={tolerance}", "--runs", "512", *json_flag]) == 1
+        assert "tolerance" in capsys.readouterr().err
+
     def test_wrong_model_is_an_error(self, config_path, capsys):
         assert main(["calibrate", "--config", config_path]) == 1
         assert "diffusion" in capsys.readouterr().err

@@ -12,7 +12,7 @@ from oracles import (
     mean_first_passage_time,
     second_moment_first_passage_time,
 )
-from reference import CollapseEvent, collapse_for_input, per_walker_diffusion_collapses, sample_outcome
+from reference import Branch, CollapseEvent, collapse_for_input, per_walker_diffusion_collapses, sample_outcome
 import qscsim.collapse as collapse_module
 from qscsim.collapse import (
     CollapseModel,
@@ -20,10 +20,8 @@ from qscsim.collapse import (
     calibrate_gamma,
     diffusion_gamma,
     sample_collapses,
-    t_c_from_energy,
 )
 from qscsim.errors import CalibrationError, FieldError, ModelMisuseError
-from qscsim.states import Branch, InputKind, make_input_state
 
 
 def jump(t_c=2.0):
@@ -70,12 +68,6 @@ class TestCollapseParams:
         assert p.energy == 2.0
         with pytest.raises(ValueError):
             CollapseParams(model=CollapseModel.JUMP_EXPONENTIAL, t_c_mean=1.0, energy=2.0)
-
-    def test_t_c_from_energy(self):
-        assert t_c_from_energy(4.0) == 0.25
-        assert t_c_from_energy(2.0, kappa=3.0) == 1.5
-        with pytest.raises(ValueError):
-            t_c_from_energy(0.0)
 
 
 class TestSampleCollapseTime:
@@ -125,8 +117,7 @@ class TestSampleCollapseTime:
 
     def test_scalar_and_batch_share_the_law(self):
         rng = np.random.default_rng(3)
-        state = make_input_state(InputKind.SUPERPOSITION, 0.5)
-        draws = [collapse_for_input(state, jump(2.0), rng).time for _ in range(5000)]
+        draws = [collapse_for_input(0.5, jump(2.0), rng).time for _ in range(5000)]
         assert abs(np.mean(draws) - 2.0) <= exp_mean_3sigma(2.0, 5000)
 
 
@@ -244,9 +235,8 @@ class TestDiffusion:
     def test_single_walker_agrees_with_ensemble_statistics(self):
         n = 2000
         params = diffusion()
-        state = make_input_state(InputKind.SUPERPOSITION, 0.3)
         rng = np.random.default_rng(77)
-        mean_single = float(np.mean([collapse_for_input(state, params, rng).time for _ in range(n)]))
+        mean_single = float(np.mean([collapse_for_input(0.3, params, rng).time for _ in range(n)]))
         times, _ = sample_collapses(0.3, params, np.random.default_rng(78), 20_000)
         se = float(times.std()) / math.sqrt(n)
         assert abs(mean_single - float(times.mean())) <= 4.0 * se
@@ -330,24 +320,21 @@ def count_ensembles(monkeypatch):
 
 class TestCollapseForInput:
     def test_definite_input_has_no_event(self):
-        state = make_input_state(InputKind.DEFINITE, 1.0)
-        assert collapse_for_input(state, jump(), np.random.default_rng(0)) is None
+        assert collapse_for_input(1.0, jump(), np.random.default_rng(0)) is None
 
     def test_near_definite_weight_has_no_event(self):
-        state = make_input_state(InputKind.SUPERPOSITION, 0.999999999999)
-        assert collapse_for_input(state, jump(), np.random.default_rng(0)) is None
+        assert collapse_for_input(0.999999999999, jump(), np.random.default_rng(0)) is None
+        assert collapse_for_input(1.0 - 2e-12, jump(), np.random.default_rng(0)) is not None
 
     def test_deterministic_superposition_event(self):
-        state = make_input_state(InputKind.SUPERPOSITION, 0.5)
         rng = np.random.default_rng(13)
-        events = [collapse_for_input(state, deterministic(2.0), rng) for _ in range(400)]
+        events = [collapse_for_input(0.5, deterministic(2.0), rng) for _ in range(400)]
         assert all(ev.time == 2.0 for ev in events)
         b1 = sum(ev.outcome is Branch.B1 for ev in events)
         assert abs(b1 / 400 - 0.5) <= binom_3sigma(0.5, 400)
 
     def test_diffusion_dispatch(self):
-        state = make_input_state(InputKind.SUPERPOSITION, 0.5)
-        ev = collapse_for_input(state, diffusion(), np.random.default_rng(3))
+        ev = collapse_for_input(0.5, diffusion(), np.random.default_rng(3))
         assert isinstance(ev, CollapseEvent)
         assert ev.time > 0.0
 

@@ -16,8 +16,7 @@ from qscsim.config import (
 )
 from qscsim.errors import ConfigFileError, ConfigParseError, ConfigValidationError, FieldError
 from qscsim.observer import ScenarioTag
-from qscsim.protocol import RuleKind
-from qscsim.states import InputKind
+from qscsim.protocol import InputKind, RuleKind
 
 MINIMAL = {"master_seed": 42, "n_trials": 1000}
 

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import RiggedRng, binom_3sigma
-from reference import CollapseEvent, Percept, PerceptionReport, perceive_definite, perceive_superposition
-from qscsim.collapse import CollapseModel, CollapseParams
+from reference import Branch, CollapseEvent, Percept, PerceptionReport, perceive_definite, perceive_superposition
 from qscsim.errors import FieldError, ModelMisuseError
 from qscsim.observer import (
     ObserverParams,
@@ -13,9 +12,7 @@ from qscsim.observer import (
     ScenarioTag,
     awareness_probability,
     perceive_collapses,
-    qsc_condition_satisfied,
 )
-from qscsim.states import Branch
 
 QUIET = ObserverParams(t_p=0.001, jitter_sigma=0.0, resolution=0.01)
 
@@ -211,25 +208,3 @@ class TestAwarenessProbability:
         with pytest.raises(ValueError):
             awareness_probability(ALL_SCENARIOS[0], 1.5)
 
-
-class TestQscCondition:
-    def test_large_gap_satisfies(self):
-        o = ObserverParams(t_p=0.001, jitter_sigma=0.0002, resolution=0.01)
-        c = CollapseParams(model=CollapseModel.JUMP_EXPONENTIAL, t_c_mean=180.0)
-        assert qsc_condition_satisfied(o, c, margin=5.0)
-
-    def test_zero_gap_fails(self):
-        o = ObserverParams(t_p=1.0, jitter_sigma=0.0, resolution=0.01)
-        c = CollapseParams(model=CollapseModel.JUMP_EXPONENTIAL, t_c_mean=1.0)
-        assert not qsc_condition_satisfied(o, c)
-
-    def test_threshold_arithmetic(self):
-        o = ObserverParams(t_p=0.01, jitter_sigma=0.0, resolution=0.01)
-        c = CollapseParams(model=CollapseModel.JUMP_EXPONENTIAL, t_c_mean=0.05)
-        assert not qsc_condition_satisfied(o, c, margin=5.0)  # gap 0.04 < 0.05
-
-    def test_margin_validated(self):
-        o = ObserverParams(t_p=0.001)
-        c = CollapseParams(model=CollapseModel.JUMP_EXPONENTIAL, t_c_mean=1.0)
-        with pytest.raises(ValueError):
-            qsc_condition_satisfied(o, c, margin=0.5)

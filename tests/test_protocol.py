@@ -9,6 +9,7 @@ import pytest
 
 from oracles import binom_3sigma, device_bound_grid, device_success_enumeration
 from reference import (
+    Branch,
     Percept,
     PerceptionReport,
     classify_batch,
@@ -27,12 +28,12 @@ from qscsim.protocol import (
     BLOCK_SIZE,
     DecisionRule,
     ExperimentSummary,
+    InputKind,
     RuleKind,
     optimal_device_bound,
     run_experiment,
     run_experiments,
 )
-from qscsim.states import Branch, InputKind
 from qscsim.stats import RateEstimate
 
 QUIET = ObserverParams(t_p=0.001, jitter_sigma=0.0, resolution=0.01)
@@ -313,6 +314,28 @@ class TestRunExperiment:
             assert 0.0 <= rate.lo <= rate.estimate <= rate.hi <= 1.0
         assert summary.device_bound == pytest.approx(0.8535533905932737, abs=1e-12)
         assert summary.master_seed == 42
+
+    @pytest.mark.parametrize("input_p1", [0.2, 0.3, 0.5, 0.7, 0.999])
+    def test_device_bound_is_the_closed_form(self, input_p1):
+        # The pair's fidelity is input_p1 itself, with no amplitude round trip.
+        summary = run_experiment(experiment_config(n_trials=100, input_p1=input_p1, device_baseline=True))
+        assert summary.device_bound == 0.5 * (1.0 + math.sqrt(1.0 - input_p1))
+
+    def test_near_unit_weight_is_prepared_definite(self):
+        # A branch-2 weight under DEFINITE_WEIGHT_TOL never collapses, so the
+        # superposition reports at t_p and reads as definite; just above the
+        # tolerance it collapses after about t_c_mean and fires the timing rule.
+        def near_unit(input_p1):
+            return run_experiment(
+                experiment_config(
+                    priors=0.0, input_p1=input_p1, collapse={"model": "jump_exponential", "t_c_mean": 180.0}
+                )
+            )
+
+        inside = near_unit(1.0 - 5e-13)
+        assert inside.superposition.estimate == 0.0
+        assert abs(inside.mean_report_time_superposition - 0.001) <= 1e-15
+        assert near_unit(1.0 - 2e-12).superposition.estimate >= 0.99
 
     def test_batch_consumes_batch_n_states(self):
         config = experiment_config(
