@@ -23,7 +23,6 @@ from .errors import (
     ConfigError,
     ConfigFileError,
     ConfigParseError,
-    ConfigValidationError,
     FieldError,
     ModelMisuseError,
     QscError,
@@ -48,7 +47,6 @@ __all__ = [
     "ConfigError",
     "ConfigFileError",
     "ConfigParseError",
-    "ConfigValidationError",
     "DecisionRule",
     "ExperimentConfig",
     "ExperimentSummary",

@@ -22,7 +22,7 @@ from .config import (
     read_raw_config,
     set_config_field,
 )
-from .errors import ConfigValidationError, ModelMisuseError, QscError
+from .errors import FieldError, ModelMisuseError, QscError
 from .protocol import RNG_STREAM, run_experiment, run_experiments
 from .report import render_csv, render_human_summary, summary_csv_row, summary_to_json_dict
 
@@ -34,8 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, config_required: bool = True) -> None:
-        p.add_argument("--config", required=config_required, help="path to a JSON experiment config")
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the config master_seed")
         p.add_argument("--out", default=None, help="write results as CSV to this path")
         p.add_argument("--threads", type=int, default=1, help="accepted for compatibility and ignored; must be >= 1")
@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--device-baseline", action="store_true", help="also run the projective-device baseline")
 
     p_cal = sub.add_parser("calibrate", help="calibrate the diffusion strength to the target mean collapse time")
-    common(p_cal, config_required=True)
+    common(p_cal)
     p_cal.add_argument("--tolerance", type=float, default=0.02, help="relative tolerance on the mean first-passage time")
     p_cal.add_argument("--runs", type=int, default=8192, help="walkers in the verification ensemble")
     p_cal.add_argument("--save-config", default=None, help="write the config with the calibrated gamma to this path")
@@ -79,7 +79,10 @@ def _dumps(obj: object, indent: int | None = None) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    Path(path).write_text(text)
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise QscError(f"cannot write {path}: {exc}") from None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -131,21 +134,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     raw = _load_raw(args)
     # calibrate fits gamma itself, so a configured one is ignored, not checked.
-    raw_for_parse = raw
-    if isinstance(raw.get("collapse"), dict) and "gamma" in raw["collapse"]:
-        raw_for_parse = set_config_field(raw, "collapse.gamma", None)
-    try:
-        config = parse_config(raw_for_parse)
-    except ConfigValidationError as exc:
-        # Without a gamma, only a diffusion input_p1 outside the band fails here.
-        if exc.field_path != "collapse.gamma":
-            raise
-        raise ConfigValidationError(
-            "input_p1", f"calibrate needs input_p1 inside (epsilon, 1 - epsilon), got {raw.get('input_p1')!r}"
-        ) from None
+    if isinstance(raw.get("collapse"), dict):
+        raw = set_config_field(raw, "collapse.gamma", None)
+    config = parse_config(raw)
     if config.collapse.model is not CollapseModel.DIFFUSION:
         raise ModelMisuseError(
             f"calibrate applies to the diffusion model; config selects {config.collapse.model.value}"
+        )
+    if not config.collapse.epsilon < config.input_p1 < 1.0 - config.collapse.epsilon:
+        raise FieldError(
+            "input_p1", f"calibrate needs input_p1 inside (epsilon, 1 - epsilon), got {config.input_p1!r}"
         )
     target = config.collapse.t_c_mean
     cal = calibrate_gamma(
@@ -199,10 +197,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except QscError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (QscError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

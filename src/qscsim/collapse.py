@@ -56,8 +56,9 @@ class CollapseParams:
     inverse-energy relation ``t_c_mean = kappa / energy``; construction
     rejects inconsistent pairs.  Construction also rejects a non-finite or
     out-of-range field with a :class:`~qscsim.errors.FieldError` naming it.
-    A diffusion ``gamma`` is not tied to ``t_c_mean`` here, since that needs
-    the input weight; :class:`~qscsim.config.ExperimentConfig` checks the pair.
+    Whether a diffusion ``gamma`` is needed, and its tie to ``t_c_mean``,
+    depend on the input weight, so :class:`~qscsim.config.ExperimentConfig`
+    checks them; here ``gamma`` may be None.
     """
 
     model: CollapseModel
@@ -76,8 +77,6 @@ class CollapseParams:
         check_field("epsilon", self.epsilon, 0.0 < self.epsilon < 0.5, "in (0.0, 0.5)")
         if self.gamma is not None:
             check_field("gamma", self.gamma, self.gamma > 0.0, "> 0")
-        elif self.model is CollapseModel.DIFFUSION:
-            raise FieldError("gamma", "required for the diffusion model")
         if self.energy is not None:
             implied = self.kappa / self.energy
             if abs(self.t_c_mean - implied) > 1e-9 * self.t_c_mean:
@@ -123,6 +122,8 @@ def sample_collapses(
     Raises:
         ModelMisuseError: diffusion with ``p1`` in {0, 1} (the weight never
             moves, so there is nothing superposed to collapse).
+        ValueError: a law with ``gamma`` None, for diffusion from a ``p1``
+            that starts between the bands (``n`` > 0).
     """
     single = isinstance(params, CollapseParams)
     laws = (params,) if single else tuple(params)
@@ -148,10 +149,12 @@ def sample_collapses(
 
     band = math.log1p(-epsilon) - math.log(epsilon)
     y = math.log(p1) - math.log1p(-p1)
+    live = np.arange(n if abs(y) < band else 0)
+    if live.size and any(law.gamma is None for law in laws):
+        raise ValueError(f"gamma is required for diffusion from p1 {p1!r}, which starts between the bands")
     gammas = np.array([law.gamma for law in laws])
     times = np.zeros((len(laws), n))
     hit_upper = np.full(n, y > 0.0)
-    live = np.arange(n if abs(y) < band else 0)
     while live.size:
         r = band - abs(y)
         up = rng.random(live.size) < 0.5 * (1.0 + np.tanh(0.5 * y) * np.tanh(0.5 * r))

@@ -2,9 +2,10 @@
 
 Configs are JSON objects with a versioned schema.  Unknown keys are errors
 (not warnings) so that result files can always be traced back to an exact
-parameter set.  This module checks JSON types and resolves defaults; the
-range checks are the parameter dataclasses' own, and their field errors are
-reported at the dotted path of the offending field.  Defaults follow the
+parameter set.  This module checks JSON types and resolves defaults, among
+them the closed-form diffusion ``gamma``; the range checks are the parameter
+dataclasses' own, and their :class:`~qscsim.errors.FieldError` is re-raised
+with the dotted path of the offending field.  Defaults follow the
 reference magnitudes of the protocol: millisecond perception latency against
 a minutes-scale mean collapse time.
 
@@ -19,20 +20,13 @@ per decision hedges against early stochastic collapses); a bare
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from .collapse import DEFAULT_EPSILON, DEFAULT_KAPPA, CollapseModel, CollapseParams, diffusion_gamma
-from .errors import (
-    ConfigFileError,
-    ConfigParseError,
-    ConfigValidationError,
-    FieldError,
-    check_field,
-    check_integer,
-)
+from .errors import ConfigFileError, ConfigParseError, FieldError, check_field, check_integer
 from .observer import ObserverParams, PerceptionScenario, ScenarioTag
 from .protocol import DecisionRule, InputKind, RuleKind
 
@@ -74,10 +68,11 @@ class ExperimentConfig:
     """Fully validated experiment definition with all defaults resolved.
 
     Construction checks the top-level fields, and for diffusion from an input
-    weight inside ``(epsilon, 1 - epsilon)`` that ``collapse.gamma`` gives a
-    mean first passage of ``collapse.t_c_mean`` (to 1e-9 relative).  A field
-    out of range raises a :class:`~qscsim.errors.FieldError` that names it
-    by its dotted path.
+    weight inside ``(epsilon, 1 - epsilon)`` that ``collapse.gamma`` is given
+    and yields a mean first passage of ``collapse.t_c_mean`` (to 1e-9
+    relative).  Outside that band a diffusion ``gamma`` is never read, so it
+    may be None.  A field out of range raises a
+    :class:`~qscsim.errors.FieldError` that names it by its dotted path.
     """
 
     master_seed: int
@@ -93,32 +88,32 @@ class ExperimentConfig:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
-        self._check_scalars(self.schema_version, self.master_seed, self.n_trials, self.priors, self.input_p1)
-        collapse = self.collapse
-        if collapse.model is CollapseModel.DIFFUSION and collapse.epsilon < self.input_p1 < 1.0 - collapse.epsilon:
-            closed = diffusion_gamma(collapse.t_c_mean, self.input_p1, collapse.epsilon)
+        if self.schema_version != SCHEMA_VERSION:
+            raise FieldError(
+                "schema_version", f"unsupported version {self.schema_version!r}; this build reads {SCHEMA_VERSION}"
+            )
+        check_integer("master_seed", self.master_seed)
+        if not 0 <= self.master_seed < 2**64:
+            raise FieldError("master_seed", f"must be an unsigned 64-bit integer, got {self.master_seed!r}")
+        check_integer("n_trials", self.n_trials)
+        check_field("n_trials", self.n_trials, self.n_trials >= 1, ">= 1")
+        check_field("priors", self.priors, 0.0 <= self.priors <= 1.0, "in [0.0, 1.0]")
+        check_field("input_p1", self.input_p1, 0.0 <= self.input_p1 <= 1.0, "in [0.0, 1.0]")
+        collapse, p1 = self.collapse, self.input_p1
+        if collapse.model is CollapseModel.DIFFUSION and collapse.epsilon < p1 < 1.0 - collapse.epsilon:
+            closed = diffusion_gamma(collapse.t_c_mean, p1, collapse.epsilon)
+            if collapse.gamma is None:
+                raise FieldError(
+                    "collapse.gamma",
+                    f"required for diffusion from input_p1 {p1!r} inside (epsilon, 1 - epsilon); "
+                    f"the closed form for t_c_mean {collapse.t_c_mean!r} is {closed!r}",
+                )
             if abs(collapse.gamma - closed) > 1e-9 * closed:
                 raise FieldError(
                     "collapse.gamma",
                     f"{collapse.gamma!r} is inconsistent with t_c_mean {collapse.t_c_mean!r}: a mean first "
-                    f"passage of t_c_mean from input_p1 {self.input_p1!r} needs gamma {closed!r}; omit gamma to use it",
+                    f"passage of t_c_mean from input_p1 {p1!r} needs gamma {closed!r}; omit gamma to use it",
                 )
-
-    @staticmethod
-    def _check_scalars(schema_version: int, master_seed: int, n_trials: int, priors: float, input_p1: float) -> None:
-        """The checks of the top-level scalar fields, which :func:`parse_config`
-        also makes before it resolves the section defaults that read them."""
-        if schema_version != SCHEMA_VERSION:
-            raise FieldError(
-                "schema_version", f"unsupported version {schema_version!r}; this build reads {SCHEMA_VERSION}"
-            )
-        check_integer("master_seed", master_seed)
-        if not 0 <= master_seed < 2**64:
-            raise FieldError("master_seed", f"must be an unsigned 64-bit integer, got {master_seed!r}")
-        check_integer("n_trials", n_trials)
-        check_field("n_trials", n_trials, n_trials >= 1, ">= 1")
-        check_field("priors", priors, 0.0 <= priors <= 1.0, "in [0.0, 1.0]")
-        check_field("input_p1", input_p1, 0.0 <= input_p1 <= 1.0, "in [0.0, 1.0]")
 
 
 def default_threshold_time(observer: ObserverParams) -> float:
@@ -132,11 +127,19 @@ def _check_unknown(section: Mapping[str, Any], allowed: set[str], path: str) -> 
     if unknown:
         name = sorted(unknown)[0]
         where = f"{path}.{name}" if path else name
-        raise ConfigValidationError(where, "unknown key")
+        raise FieldError(where, "unknown key")
 
 
 def _field(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
+
+
+def _check_number(where: str, value: Any) -> None:
+    """Raise :class:`FieldError` unless ``value`` is a JSON number that is finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FieldError(where, f"expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, +-inf and integers beyond the float range
+        raise FieldError(where, f"must be finite, got {value!r}")
 
 
 def _get_number(
@@ -151,16 +154,13 @@ def _get_number(
     where = _field(path, key)
     if key not in section or section[key] is None:
         if required:
-            raise ConfigValidationError(where, "required field is missing")
+            raise FieldError(where, "required field is missing")
         return default
     value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigValidationError(where, f"expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigValidationError(where, f"must be finite, got {value!r}")
+    _check_number(where, value)
     if integer:
         if not isinstance(value, int):
-            raise ConfigValidationError(where, f"expected an integer, got {value!r}")
+            raise FieldError(where, f"expected an integer, got {value!r}")
         return value
     return float(value)
 
@@ -176,7 +176,7 @@ def _get_enum(
         return enum_type(value)
     except ValueError:
         options = ", ".join(member.value for member in enum_type)
-        raise ConfigValidationError(where, f"must be one of: {options}; got {value!r}") from None
+        raise FieldError(where, f"must be one of: {options}; got {value!r}") from None
 
 
 def _build(section: str, make: Callable[..., Any], **fields: Any) -> Any:
@@ -184,17 +184,7 @@ def _build(section: str, make: Callable[..., Any], **fields: Any) -> Any:
     try:
         return make(**fields)
     except FieldError as exc:
-        raise ConfigValidationError(_field(section, exc.field), exc.message) from None
-
-
-def _closed_form_gamma(t_c_mean: float, input_p1: float, epsilon: float) -> float | None:
-    """The default diffusion strength, :func:`~qscsim.collapse.diffusion_gamma`;
-    None where it has no value (an ``input_p1`` outside ``(epsilon, 1 - epsilon)``
-    or a parameter out of range), so that construction names the field."""
-    try:
-        return diffusion_gamma(t_c_mean, input_p1, epsilon)
-    except ValueError:
-        return None
+        raise FieldError(_field(section, exc.field), exc.message) from None
 
 
 def _parse_collapse(section: Mapping[str, Any], input_p1: float) -> CollapseParams:
@@ -206,23 +196,17 @@ def _parse_collapse(section: Mapping[str, Any], input_p1: float) -> CollapsePara
     t_c_mean = _get_number(section, "t_c_mean", path, None)
     if t_c_mean is None:
         t_c_mean = kappa / energy if energy else DEFAULT_T_C_MEAN
-    epsilon = _get_number(section, "epsilon", path, DEFAULT_EPSILON)
-    gamma = _get_number(section, "gamma", path, None)
-    defaulted = model is CollapseModel.DIFFUSION and gamma is None
-    if defaulted:
-        gamma = _closed_form_gamma(t_c_mean, input_p1, epsilon)
-    try:
-        return _build(
-            path, CollapseParams,
-            model=model, t_c_mean=t_c_mean, gamma=gamma, epsilon=epsilon, energy=energy, kappa=kappa,
-        )
-    except ConfigValidationError as exc:
-        if defaulted and exc.field_path == "collapse.gamma":
-            raise ConfigValidationError(
-                exc.field_path,
-                f"required for diffusion when input_p1 {input_p1!r} is not inside (epsilon, 1 - epsilon)",
-            ) from None
-        raise
+    collapse = _build(
+        path, CollapseParams,
+        model=model, t_c_mean=t_c_mean, epsilon=_get_number(section, "epsilon", path, DEFAULT_EPSILON),
+        gamma=_get_number(section, "gamma", path, None), energy=energy, kappa=kappa,
+    )
+    # An omitted diffusion gamma is the closed form wherever one exists;
+    # outside (epsilon, 1 - epsilon) it is never read.
+    in_band = collapse.epsilon < input_p1 < 1.0 - collapse.epsilon
+    if collapse.model is CollapseModel.DIFFUSION and collapse.gamma is None and in_band:
+        collapse = replace(collapse, gamma=diffusion_gamma(collapse.t_c_mean, input_p1, collapse.epsilon))
+    return collapse
 
 
 def _parse_observer(section: Mapping[str, Any]) -> ObserverParams:
@@ -263,22 +247,19 @@ def _parse_sweep(section: Mapping[str, Any]) -> SweepSpec:
     path = "sweep"
     _check_unknown(section, {"param", "values"}, path)
     if "param" not in section or not isinstance(section["param"], str):
-        raise ConfigValidationError("sweep.param", "required string field")
+        raise FieldError("sweep.param", "required string field")
     param = section["param"]
     if param not in SWEEPABLE_FIELDS:
         options = ", ".join(sorted(SWEEPABLE_FIELDS))
-        raise ConfigValidationError("sweep.param", f"not sweepable; choose one of: {options}")
+        raise FieldError("sweep.param", f"not sweepable; choose one of: {options}")
     values = section.get("values")
     if not isinstance(values, list) or len(values) == 0:
-        raise ConfigValidationError("sweep.values", "must be a non-empty list")
+        raise FieldError("sweep.values", "must be a non-empty list")
     want = SWEEPABLE_FIELDS[param]
     for i, value in enumerate(values):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigValidationError(f"sweep.values[{i}]", f"expected a number, got {value!r}")
-        if not math.isfinite(value):
-            raise ConfigValidationError(f"sweep.values[{i}]", f"must be finite, got {value!r}")
+        _check_number(f"sweep.values[{i}]", value)
         if want is int and not isinstance(value, int):
-            raise ConfigValidationError(f"sweep.values[{i}]", f"{param} takes integers, got {value!r}")
+            raise FieldError(f"sweep.values[{i}]", f"{param} takes integers, got {value!r}")
     cast = (lambda v: int(v)) if want is int else (lambda v: float(v))
     return SweepSpec(param=param, values=tuple(cast(v) for v in values))
 
@@ -292,7 +273,7 @@ _TOP_KEYS = {
 def parse_config(raw: Mapping[str, Any]) -> ExperimentConfig:
     """Validate a raw JSON object and resolve every default."""
     if not isinstance(raw, Mapping):
-        raise ConfigValidationError("", "config must be a JSON object")
+        raise FieldError("", "config must be a JSON object")
     _check_unknown(raw, _TOP_KEYS, "")
 
     version = _get_number(raw, "schema_version", "", SCHEMA_VERSION, integer=True)
@@ -300,15 +281,10 @@ def parse_config(raw: Mapping[str, Any]) -> ExperimentConfig:
     n_trials = _get_number(raw, "n_trials", "", None, required=True, integer=True)
     priors = _get_number(raw, "priors", "", 0.5)
     input_p1 = _get_number(raw, "input_p1", "", 0.5)
-    # The collapse defaults read input_p1, so its range is checked first.
-    _build(
-        "", ExperimentConfig._check_scalars,
-        schema_version=version, master_seed=seed, n_trials=n_trials, priors=priors, input_p1=input_p1,
-    )
 
     for key in ("collapse", "observer", "scenario", "rule", "sweep"):
         if key in raw and raw[key] is not None and not isinstance(raw[key], Mapping):
-            raise ConfigValidationError(key, "must be a JSON object")
+            raise FieldError(key, "must be a JSON object")
 
     collapse = _parse_collapse(raw.get("collapse") or {}, input_p1)
     observer = _parse_observer(raw.get("observer") or {})
@@ -317,7 +293,7 @@ def parse_config(raw: Mapping[str, Any]) -> ExperimentConfig:
 
     device = raw.get("device_baseline", False)
     if not isinstance(device, bool):
-        raise ConfigValidationError("device_baseline", f"expected true/false, got {device!r}")
+        raise FieldError("device_baseline", f"expected true/false, got {device!r}")
 
     sweep = None
     if raw.get("sweep") is not None:
@@ -385,7 +361,7 @@ def expand_sweep(raw: Mapping[str, Any]) -> list[tuple[Any, ExperimentConfig]]:
     """
     base = parse_config(raw)
     if base.sweep is None:
-        raise ConfigValidationError("sweep", "required for sweep expansion")
+        raise FieldError("sweep", "required for sweep expansion")
     param = base.sweep.param
     points = []
     for value in sorted(base.sweep.values):
@@ -393,10 +369,8 @@ def expand_sweep(raw: Mapping[str, Any]) -> list[tuple[Any, ExperimentConfig]]:
         raw_point.pop("sweep", None)
         try:
             config = parse_config(raw_point)
-        except ConfigValidationError as exc:
-            raise ConfigValidationError(
-                exc.field_path, f"{exc.message} (sweep point {param} = {value!r})"
-            ) from None
+        except FieldError as exc:
+            raise FieldError(exc.field, f"{exc.message} (sweep point {param} = {value!r})") from None
         points.append((value, config))
     return points
 

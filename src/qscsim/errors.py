@@ -1,25 +1,17 @@
 """Exception types shared across the package.
 
-A parameter object that gets an out-of-range or non-finite value, or a
-non-integer one for an integer field, raises :class:`FieldError`, a
-``ValueError`` naming the field; other out-of-range function arguments
-raise plain ``ValueError``.  The other classes mark
-failure modes callers are expected to branch on.
+A parameter object or config that gets an out-of-range or non-finite value,
+or a non-integer one for an integer field, raises :class:`FieldError`, both
+a ``ConfigError`` and a ``ValueError``, naming the field (by its dotted path
+when it comes from a config); other out-of-range function arguments raise
+plain ``ValueError``.  The other classes mark failure modes callers are
+expected to branch on.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Any
-
-
-class FieldError(ValueError):
-    """A parameter field is out of range, not finite or of the wrong type; ``field`` names it."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}")
-        self.field = field
-        self.message = message
 
 
 def check_field(field: str, value: Any, ok: bool, rule: str) -> None:
@@ -61,10 +53,10 @@ class ConfigParseError(ConfigError):
     """Config file is not valid JSON."""
 
 
-class ConfigValidationError(ConfigError):
-    """Config contents violate the schema; ``field_path`` names the offender."""
+class FieldError(ConfigError, ValueError):
+    """A field is out of range, not finite or of the wrong type; ``field`` names it (dotted, from a config)."""
 
-    def __init__(self, field_path: str, message: str):
-        super().__init__(f"{field_path}: {message}")
-        self.field_path = field_path
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field}: {message}")
+        self.field = field
         self.message = message

@@ -11,17 +11,17 @@ from dataclasses import dataclass
 Z95 = 1.959963984540054
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
-    """95% (by default) Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes must be in [0, {trials}], got {successes!r}")
     p = successes / trials
-    z2 = z * z
+    z2 = Z95 * Z95
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
+    half = Z95 * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
     # The endpoints are algebraically exact at the boundaries; pin them so
     # float rounding cannot push hi below an estimate of exactly 1 (or lo
     # above an estimate of exactly 0).

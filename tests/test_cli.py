@@ -94,6 +94,11 @@ class TestRun:
             ("observer.jitter_sigma", {"observer": {"t_p": 0.001, "jitter_sigma": math.inf}}),
             ("collapse.t_c_mean", {"collapse": {"model": "jump_exponential", "t_c_mean": math.nan}}),
             ("sweep.values[1]", {"sweep": {"param": "priors", "values": [0.5, math.inf]}}),
+            # integers beyond the float range
+            ("priors", {"priors": 10**401}),
+            ("master_seed", {"master_seed": 10**401}),
+            ("collapse.t_c_mean", {"collapse": {"model": "jump_exponential", "t_c_mean": 10**401}}),
+            ("sweep.values[0]", {"sweep": {"param": "priors", "values": [10**401]}}),
         ],
     )
     def test_non_finite_number_names_field(self, tmp_path, capsys, field, extra):
@@ -101,7 +106,7 @@ class TestRun:
         assert main(["run", "--config", path, "--json"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert field in captured.err and "finite" in captured.err
+        assert captured.err.startswith(f"error: {field}: must be finite") and captured.err.count("\n") == 1
 
     def test_seed_override(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -349,6 +354,26 @@ def test_json_stdout_is_one_strict_line(tmp_path, capsys, verb, extra, flags, ke
     assert set(payload) == keys
     if verb == "sweep":
         assert all(set(point) == {"sweep_value", "resolved_config", "summary"} for point in payload["points"])
+
+
+@pytest.mark.parametrize(
+    "verb, extra, flags",
+    [
+        ("run", {}, ["--out"]),
+        ("sweep", {"sweep": {"param": "collapse.t_c_mean", "values": [1.0, 2.0]}}, ["--out"]),
+        (
+            "calibrate",
+            {"collapse": {"model": "diffusion", "t_c_mean": 1.0}},
+            ["--tolerance", "0.1", "--runs", "512", "--save-config"],
+        ),
+    ],
+)
+def test_unwritable_output_path_is_one_error_line(tmp_path, capsys, verb, extra, flags):
+    path = write_config(tmp_path, {"n_trials": 100, **extra})
+    target = tmp_path / "missing" / "out.txt"
+    assert main([verb, "--config", path, "--json", *flags, str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
 
 def test_unknown_command_rejected(capsys):

@@ -48,9 +48,13 @@ class TestCollapseParams:
             CollapseParams(model=CollapseModel.JUMP_EXPONENTIAL, t_c_mean=1.0, kappa=0.0)
 
     def test_diffusion_requires_gamma(self):
-        with pytest.raises(FieldError) as err:
-            CollapseParams(model=CollapseModel.DIFFUSION, t_c_mean=1.0)
-        assert err.value.field == "gamma"
+        # Only walkers that start between the bands read gamma; the config
+        # ties it to t_c_mean there.
+        params = CollapseParams(model=CollapseModel.DIFFUSION, t_c_mean=1.0)
+        with pytest.raises(ValueError, match="gamma"):
+            sample_collapses(0.3, params, np.random.default_rng(0), 10)
+        times, hit_upper = sample_collapses(5e-4, params, np.random.default_rng(0), 10)
+        assert np.all(times == 0.0) and not hit_upper.any()
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["t_c_mean", "gamma", "epsilon", "energy", "kappa"])

@@ -14,9 +14,9 @@ from qscsim.config import (
     parse_config,
     set_config_field,
 )
-from qscsim.errors import ConfigFileError, ConfigParseError, ConfigValidationError, FieldError
+from qscsim.errors import ConfigError, ConfigFileError, ConfigParseError, FieldError, ModelMisuseError
 from qscsim.observer import ScenarioTag
-from qscsim.protocol import InputKind, RuleKind
+from qscsim.protocol import InputKind, RuleKind, run_experiment
 
 MINIMAL = {"master_seed": 42, "n_trials": 1000}
 
@@ -43,61 +43,62 @@ def test_minimal_config_gets_documented_defaults():
 
 
 def test_required_fields():
-    with pytest.raises(ConfigValidationError) as err:
+    with pytest.raises(FieldError) as err:
         parse_config({"n_trials": 10})
-    assert err.value.field_path == "master_seed"
-    with pytest.raises(ConfigValidationError) as err:
+    assert err.value.field == "master_seed"
+    assert isinstance(err.value, ConfigError) and isinstance(err.value, ValueError)
+    with pytest.raises(FieldError) as err:
         parse_config({"master_seed": 1})
-    assert err.value.field_path == "n_trials"
+    assert err.value.field == "n_trials"
 
 
-def test_negative_collapse_time_names_field_path():
-    with pytest.raises(ConfigValidationError) as err:
+def test_negative_collapse_time_names_its_dotted_path():
+    with pytest.raises(FieldError) as err:
         parse_config({**MINIMAL, "collapse": {"t_c_mean": -1}})
-    assert err.value.field_path == "collapse.t_c_mean"
+    assert err.value.field == "collapse.t_c_mean"
 
 
 def test_unknown_keys_are_errors():
-    with pytest.raises(ConfigValidationError) as err:
+    with pytest.raises(FieldError) as err:
         parse_config({**MINIMAL, "surprise": 1})
-    assert err.value.field_path == "surprise"
-    with pytest.raises(ConfigValidationError) as err:
+    assert err.value.field == "surprise"
+    with pytest.raises(FieldError) as err:
         parse_config({**MINIMAL, "observer": {"t_p": 0.001, "latency": 2}})
-    assert err.value.field_path == "observer.latency"
+    assert err.value.field == "observer.latency"
 
 
 def test_master_seed_range_and_types():
-    with pytest.raises(ConfigValidationError):
+    with pytest.raises(FieldError):
         parse_config({"master_seed": -1, "n_trials": 10})
-    with pytest.raises(ConfigValidationError):
+    with pytest.raises(FieldError):
         parse_config({"master_seed": 2**64, "n_trials": 10})
-    with pytest.raises(ConfigValidationError):
+    with pytest.raises(FieldError):
         parse_config({"master_seed": 1.5, "n_trials": 10})
-    with pytest.raises(ConfigValidationError):
+    with pytest.raises(FieldError):
         parse_config({"master_seed": 1, "n_trials": 0})
 
 
 def test_schema_version_checked():
     assert parse_config({**MINIMAL, "schema_version": 1}).schema_version == 1
-    with pytest.raises(ConfigValidationError) as err:
+    with pytest.raises(FieldError) as err:
         parse_config({**MINIMAL, "schema_version": 2})
-    assert err.value.field_path == "schema_version"
+    assert err.value.field == "schema_version"
 
 
 def test_enum_fields_report_options():
-    with pytest.raises(ConfigValidationError) as err:
+    with pytest.raises(FieldError) as err:
         parse_config({**MINIMAL, "collapse": {"model": "psychic"}})
-    assert err.value.field_path == "collapse.model"
+    assert err.value.field == "collapse.model"
     assert "jump_exponential" in str(err.value)
 
 
 def test_scenario_r_rules():
     config = parse_config({**MINIMAL, "scenario": {"tag": "random_percept", "r": 0.25}})
     assert config.scenario.r == 0.25
-    with pytest.raises(ConfigValidationError) as err:
+    with pytest.raises(FieldError) as err:
         parse_config({**MINIMAL, "scenario": {"tag": "random_percept"}})
-    assert err.value.field_path == "scenario.r"
-    with pytest.raises(ConfigValidationError):
+    assert err.value.field == "scenario.r"
+    with pytest.raises(FieldError):
         parse_config({**MINIMAL, "scenario": {"tag": "fixed_c1", "r": 0.25}})
 
 
@@ -121,29 +122,44 @@ def test_diffusion_gamma_consistent_is_kept_as_given():
 
 @pytest.mark.parametrize("gamma", [2.0, diffusion_gamma(1.0, 0.5, 1e-3) * (1.0 + 2e-9), -1.0, 0.0])
 def test_diffusion_gamma_inconsistent_with_t_c_mean_is_an_error(gamma):
-    with pytest.raises(ConfigValidationError) as err:
+    with pytest.raises(FieldError) as err:
         parse_config({**MINIMAL, "collapse": {**DIFFUSION, "gamma": gamma}})
-    assert err.value.field_path == "collapse.gamma"
+    assert err.value.field == "collapse.gamma"
     if gamma > 0.0:
         assert "t_c_mean 1.0" in str(err.value)
+
+
+def _run_outcome(config):
+    try:
+        return run_experiment(config)
+    except (ModelMisuseError, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 @pytest.mark.parametrize("p1", [0.0, 1e-4, 1e-3, 1.0 - 1e-3, 1.0])
 def test_diffusion_gamma_with_input_p1_in_a_band(p1):
     # The closed form needs epsilon < input_p1 < 1 - epsilon; outside it an
-    # explicit gamma is taken as given and an omitted one is an error.
-    config = parse_config({**MINIMAL, "input_p1": p1, "collapse": {**DIFFUSION, "gamma": 2.0}})
-    assert config.collapse.gamma == 2.0
-    with pytest.raises(ConfigValidationError) as err:
-        parse_config({**MINIMAL, "input_p1": p1, "collapse": DIFFUSION})
-    assert err.value.field_path == "collapse.gamma"
+    # explicit gamma is taken as given and an omitted one stays None.
+    given = parse_config({**MINIMAL, "n_trials": 200, "input_p1": p1, "collapse": {**DIFFUSION, "gamma": 2.0}})
+    assert given.collapse.gamma == 2.0
+    omitted = parse_config({**MINIMAL, "n_trials": 200, "input_p1": p1, "collapse": DIFFUSION})
+    assert omitted.collapse.gamma is None
+    assert config_to_json_dict(omitted)["collapse"]["gamma"] is None
+    if p1 == 1.0 - 1e-3:
+        # The double 0.999 lies a rounding error inside the band, where the
+        # exact sampler still walks; there the run needs a gamma.
+        with pytest.raises(ValueError, match="gamma is required"):
+            run_experiment(omitted)
+    else:
+        # At 0.0 both runs fail alike: there is nothing superposed to collapse.
+        assert _run_outcome(omitted) == _run_outcome(given)
 
 
 @pytest.mark.parametrize("p1", [1.5, -0.5])
 def test_input_p1_out_of_range_is_named_before_an_omitted_diffusion_gamma(p1):
-    with pytest.raises(ConfigValidationError) as err:
+    with pytest.raises(FieldError) as err:
         parse_config({**MINIMAL, "input_p1": p1, "collapse": DIFFUSION})
-    assert err.value.field_path == "input_p1"
+    assert err.value.field == "input_p1"
     assert "in [0.0, 1.0]" in err.value.message
 
 
@@ -166,9 +182,9 @@ def test_collapse_gamma_is_not_a_sweep_target():
     assert "collapse.gamma" not in SWEEPABLE_FIELDS
     raw = {**MINIMAL, "input_p1": 0.3, "collapse": DIFFUSION, "sweep": {"param": "collapse.gamma", "values": [1.0, 2.0]}}
     for call in (parse_config, expand_sweep):
-        with pytest.raises(ConfigValidationError) as err:
+        with pytest.raises(FieldError) as err:
             call(raw)
-        assert err.value.field_path == "sweep.param"
+        assert err.value.field == "sweep.param"
 
 
 def _replace_collapse(config, **fields):
@@ -193,6 +209,7 @@ def _replace_collapse(config, **fields):
         ("schema_version", lambda c: dataclasses.replace(c, schema_version=2)),
         ("collapse.gamma", lambda c: _replace_collapse(c, gamma=2.0)),
         ("collapse.gamma", lambda c: _replace_collapse(c, t_c_mean=2.0)),
+        ("collapse.gamma", lambda c: _replace_collapse(c, gamma=None)),
     ],
 )
 def test_replace_on_a_loaded_config_is_validated(tmp_path, field, edit):
@@ -217,6 +234,8 @@ def test_gamma_check_leaves_band_and_other_models_alone():
     "section, field, value, other",
     [
         ("collapse", "t_c_mean", 0.0, {}),
+        # an integer beyond the float range is not finite
+        ("collapse", "t_c_mean", 10**401, {}),
         ("collapse", "epsilon", 0.5, {}),
         ("collapse", "kappa", -1.0, {}),
         ("collapse", "energy", -2.0, {"t_c_mean": 1.0}),
@@ -233,10 +252,10 @@ def test_gamma_check_leaves_band_and_other_models_alone():
         ("rule", "batch_n", 0, {}),
     ],
 )
-def test_dataclass_range_error_keeps_its_field_path(section, field, value, other):
-    with pytest.raises(ConfigValidationError) as err:
+def test_dataclass_range_error_keeps_its_dotted_path(section, field, value, other):
+    with pytest.raises(FieldError) as err:
         parse_config({**MINIMAL, section: {field: value, **other}})
-    assert err.value.field_path == f"{section}.{field}"
+    assert err.value.field == f"{section}.{field}"
 
 
 def test_energy_resolves_or_checks_t_c():
@@ -244,7 +263,7 @@ def test_energy_resolves_or_checks_t_c():
     assert config.collapse.t_c_mean == 0.5
     ok = parse_config({**MINIMAL, "collapse": {"t_c_mean": 0.5, "energy": 2.0}})
     assert ok.collapse.energy == 2.0
-    with pytest.raises(ConfigValidationError):
+    with pytest.raises(FieldError):
         parse_config({**MINIMAL, "collapse": {"t_c_mean": 1.0, "energy": 2.0}})
 
 
@@ -252,9 +271,9 @@ def test_dt_cross_check_named():
     # Diffusion is sampled exactly, with no time step: a config that still
     # sets one is rejected at that field, whatever its value.
     for dt in (0.5, 1e-4):
-        with pytest.raises(ConfigValidationError) as err:
+        with pytest.raises(FieldError) as err:
             parse_config({**MINIMAL, "collapse": {"model": "diffusion", "t_c_mean": 1.0, "gamma": 3.7, "dt": dt}})
-        assert err.value.field_path == "collapse.dt"
+        assert err.value.field == "collapse.dt"
     assert "collapse.dt" not in SWEEPABLE_FIELDS
 
 
@@ -270,23 +289,23 @@ def test_sweep_expansion_ordered_by_value():
 
 
 def test_sweep_validation():
-    with pytest.raises(ConfigValidationError) as err:
+    with pytest.raises(FieldError) as err:
         parse_config({**MINIMAL, "sweep": {"param": "collapse.t_c_mean", "values": []}})
-    assert err.value.field_path == "sweep.values"
-    with pytest.raises(ConfigValidationError) as err:
+    assert err.value.field == "sweep.values"
+    with pytest.raises(FieldError) as err:
         parse_config({**MINIMAL, "sweep": {"param": "master_seed", "values": [1]}})
-    assert err.value.field_path == "sweep.param"
-    with pytest.raises(ConfigValidationError) as err:
+    assert err.value.field == "sweep.param"
+    with pytest.raises(FieldError) as err:
         parse_config({**MINIMAL, "sweep": {"param": "rule.batch_n", "values": [1, 2.5]}})
-    assert "sweep.values[1]" == err.value.field_path
+    assert "sweep.values[1]" == err.value.field
     assert SWEEPABLE_FIELDS["rule.batch_n"] is int
 
 
 def test_sweep_point_revalidates():
     raw = {**MINIMAL, "sweep": {"param": "observer.t_p", "values": [0.001, -0.5]}}
-    with pytest.raises(ConfigValidationError) as err:
+    with pytest.raises(FieldError) as err:
         expand_sweep(raw)
-    assert err.value.field_path == "observer.t_p"
+    assert err.value.field == "observer.t_p"
     assert "observer.t_p = -0.5" in str(err.value)
 
 
@@ -385,6 +404,6 @@ def test_config_echo_contains_resolved_values():
 
 
 def test_device_baseline_type_checked():
-    with pytest.raises(ConfigValidationError):
+    with pytest.raises(FieldError):
         parse_config({**MINIMAL, "device_baseline": "yes"})
     assert parse_config({**MINIMAL, "device_baseline": True}).device_baseline
