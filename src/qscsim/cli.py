@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .collapse import CollapseModel, calibrate_gamma
+from .collapse import CollapseModel, between_bands, calibrate_gamma
 from .config import (
     config_to_json_dict,
     expand_sweep,
@@ -141,7 +141,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         raise ModelMisuseError(
             f"calibrate applies to the diffusion model; config selects {config.collapse.model.value}"
         )
-    if not config.collapse.epsilon < config.input_p1 < 1.0 - config.collapse.epsilon:
+    if not between_bands(config.input_p1, config.collapse.epsilon):
         raise FieldError(
             "input_p1", f"calibrate needs input_p1 inside (epsilon, 1 - epsilon), got {config.input_p1!r}"
         )

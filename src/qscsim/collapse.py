@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -61,10 +61,10 @@ class CollapseParams:
     checks them; here ``gamma`` may be None.
     """
 
-    model: CollapseModel
-    t_c_mean: float
+    model: CollapseModel = field(metadata={"json": CollapseModel.JUMP_EXPONENTIAL, "draws": True})
+    t_c_mean: float = field(metadata={"json": 180.0, "sweep": True})
     gamma: float | None = None
-    epsilon: float = DEFAULT_EPSILON
+    epsilon: float = field(default=DEFAULT_EPSILON, metadata={"sweep": True, "draws": True})
     energy: float | None = None
     kappa: float = DEFAULT_KAPPA
 
@@ -117,13 +117,13 @@ def sample_collapses(
     position and each step's ``r`` and J* constants are scalars.  Each step
     draws one side uniform per live walker, then their J* values, which
     every law of a sequence scales by its own ``(r/gamma)^2``.  A weight
-    that starts inside a band has collapsed at time 0.
+    that does not start :func:`between_bands` has collapsed at time 0.
 
     Raises:
         ModelMisuseError: diffusion with ``p1`` in {0, 1} (the weight never
             moves, so there is nothing superposed to collapse).
         ValueError: a law with ``gamma`` None, for diffusion from a ``p1``
-            that starts between the bands (``n`` > 0).
+            that starts :func:`between_bands` (``n`` > 0).
     """
     single = isinstance(params, CollapseParams)
     laws = (params,) if single else tuple(params)
@@ -147,9 +147,8 @@ def sample_collapses(
     if p1 == 0.0 or p1 == 1.0:
         raise ModelMisuseError("p1 in {0, 1} leaves no superposition to collapse")
 
-    band = math.log1p(-epsilon) - math.log(epsilon)
-    y = math.log(p1) - math.log1p(-p1)
-    live = np.arange(n if abs(y) < band else 0)
+    y, band = _logit_start(p1, epsilon)
+    live = np.arange(n if between_bands(p1, epsilon) else 0)
     if live.size and any(law.gamma is None for law in laws):
         raise ValueError(f"gamma is required for diffusion from p1 {p1!r}, which starts between the bands")
     gammas = np.array([law.gamma for law in laws])
@@ -172,6 +171,30 @@ def sample_collapses(
         live = live[away]
         y = y_away
     return (times[0] if single else times), hit_upper
+
+
+def _logit_start(p1: float, epsilon: float) -> tuple[float, float]:
+    """A walk's start ``logit(p1)`` and its band ``logit(1 - epsilon)``."""
+    return math.log(p1) - math.log1p(-p1), math.log1p(-epsilon) - math.log(epsilon)
+
+
+def _passage_bracket(p1: float, epsilon: float) -> float:
+    """The bracket ``gamma^2 T(p1) / 2`` of :func:`diffusion_gamma`."""
+    bracket = (1.0 - 2.0 * epsilon) * math.log((1.0 - epsilon) / epsilon)
+    return bracket - (2.0 * p1 - 1.0) * math.log(p1 / (1.0 - p1))
+
+
+def between_bands(p1: float, epsilon: float) -> bool:
+    """Whether a diffusion from branch-1 weight ``p1`` walks, and so needs a ``gamma``.
+
+    It needs ``epsilon < p1 < 1 - epsilon``, a start inside the bands in
+    ``x = logit(w)`` and a positive closed form in :func:`diffusion_gamma`;
+    they differ only within rounding of a band, where a start has collapsed.
+    """
+    if not epsilon < p1 < 1.0 - epsilon:
+        return False
+    y, band = _logit_start(p1, epsilon)
+    return abs(y) < band and _passage_bracket(p1, epsilon) > 0.0
 
 
 def _norm_cdf(x: float) -> float:
@@ -300,14 +323,13 @@ def diffusion_gamma(t_c_mean: float, p1: float, epsilon: float) -> float:
 
     Solving (1/2) gamma^2 w^2 (1-w)^2 u'' = -1 with u = 0 at the bands gives
     T(p1) = (2/gamma^2) [(1-2e) ln((1-e)/e) - (2 p1 - 1) ln(p1/(1-p1))].
+    ``p1`` must start :func:`between_bands`, which keeps the bracket positive.
     """
     if not t_c_mean > 0.0:
         raise ValueError(f"t_c_mean must be > 0, got {t_c_mean!r}")
-    if not 0.0 < epsilon < p1 < 1.0 - epsilon:
+    if not (0.0 < epsilon and between_bands(p1, epsilon)):
         raise ValueError(f"need 0 < epsilon < p1 < 1 - epsilon, got epsilon={epsilon!r}, p1={p1!r}")
-    bracket = (1.0 - 2.0 * epsilon) * math.log((1.0 - epsilon) / epsilon)
-    bracket -= (2.0 * p1 - 1.0) * math.log(p1 / (1.0 - p1))
-    return math.sqrt(2.0 * bracket / t_c_mean)
+    return math.sqrt(2.0 * _passage_bracket(p1, epsilon) / t_c_mean)
 
 
 def calibrate_gamma(

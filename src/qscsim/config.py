@@ -9,6 +9,12 @@ with the dotted path of the offending field.  Defaults follow the
 reference magnitudes of the protocol: millisecond perception latency against
 a minutes-scale mean collapse time.
 
+Each config key is a parameter-dataclass field, declared once: the reader,
+the echo, :data:`SWEEPABLE_FIELDS` and the stream-layout key come from its
+type, default and ``metadata``: ``json`` (the config default, where the
+dataclass has none or another), ``required``, ``sweep`` (a sweep may target
+it) and ``draws`` (it can change a draw or a draw count).
+
 The decision threshold, when left null, resolves to
 ``t_p + 5 * max(jitter_sigma, resolution)``: five noise scales leave
 negligible false-positive mass under Gaussian jitter.  The config-level
@@ -19,40 +25,24 @@ per decision hedges against early stochastic collapses); a bare
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 import sys
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Mapping
+from dataclasses import MISSING, dataclass, field, is_dataclass, replace
+from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any
 
-from .collapse import DEFAULT_EPSILON, DEFAULT_KAPPA, CollapseModel, CollapseParams, diffusion_gamma
+from .collapse import CollapseModel, CollapseParams, between_bands, diffusion_gamma
 from .errors import ConfigFileError, ConfigParseError, FieldError, check_field, check_integer
-from .observer import ObserverParams, PerceptionScenario, ScenarioTag
-from .protocol import DecisionRule, InputKind, RuleKind
+from .observer import ObserverParams, PerceptionScenario
+from .protocol import DecisionRule, RuleKind, field_types, leaf_fields
 
 SCHEMA_VERSION = 1
 
-DEFAULT_T_P = 0.001
-DEFAULT_T_C_MEAN = 180.0
-DEFAULT_JITTER_SIGMA = 0.0002
-DEFAULT_RESOLUTION = 0.01
 DEFAULT_THRESHOLD_NOISE_MARGIN = 5.0
-DEFAULT_BATCH_N = 5
-
-#: Fields a sweep may target, with the scalar type the values must carry.
-SWEEPABLE_FIELDS: dict[str, type] = {
-    "n_trials": int,
-    "priors": float,
-    "input_p1": float,
-    "collapse.t_c_mean": float,
-    "collapse.epsilon": float,
-    "observer.t_p": float,
-    "observer.jitter_sigma": float,
-    "observer.resolution": float,
-    "scenario.r": float,
-    "rule.threshold_time": float,
-    "rule.batch_n": int,
-}
 
 
 @dataclass(frozen=True)
@@ -68,24 +58,24 @@ class ExperimentConfig:
     """Fully validated experiment definition with all defaults resolved.
 
     Construction checks the top-level fields, and for diffusion from an input
-    weight inside ``(epsilon, 1 - epsilon)`` that ``collapse.gamma`` is given
-    and yields a mean first passage of ``collapse.t_c_mean`` (to 1e-9
-    relative).  Outside that band a diffusion ``gamma`` is never read, so it
-    may be None.  A field out of range raises a
-    :class:`~qscsim.errors.FieldError` that names it by its dotted path.
+    weight :func:`~qscsim.collapse.between_bands` that ``collapse.gamma`` is
+    given and yields a mean first passage of ``collapse.t_c_mean`` (to 1e-9
+    relative); elsewhere it is never read and may be None.  A field out of
+    range raises a :class:`~qscsim.errors.FieldError` naming its dotted path.
     """
 
-    master_seed: int
-    n_trials: int
-    priors: float
-    input_p1: float
+    # Keyword-only so that it can come first: the echo keeps declaration order.
+    schema_version: int = field(default=SCHEMA_VERSION, kw_only=True)
+    master_seed: int = field(metadata={"required": True, "draws": True})
+    n_trials: int = field(metadata={"required": True, "sweep": True, "draws": True})
+    priors: float = field(metadata={"json": 0.5, "sweep": True, "draws": True})
+    input_p1: float = field(metadata={"json": 0.5, "sweep": True, "draws": True})
     collapse: CollapseParams
     observer: ObserverParams
     scenario: PerceptionScenario
     rule: DecisionRule
-    device_baseline: bool
+    device_baseline: bool = field(metadata={"json": False, "draws": True})
     sweep: SweepSpec | None
-    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
         if self.schema_version != SCHEMA_VERSION:
@@ -100,7 +90,7 @@ class ExperimentConfig:
         check_field("priors", self.priors, 0.0 <= self.priors <= 1.0, "in [0.0, 1.0]")
         check_field("input_p1", self.input_p1, 0.0 <= self.input_p1 <= 1.0, "in [0.0, 1.0]")
         collapse, p1 = self.collapse, self.input_p1
-        if collapse.model is CollapseModel.DIFFUSION and collapse.epsilon < p1 < 1.0 - collapse.epsilon:
+        if collapse.model is CollapseModel.DIFFUSION and between_bands(p1, collapse.epsilon):
             closed = diffusion_gamma(collapse.t_c_mean, p1, collapse.epsilon)
             if collapse.gamma is None:
                 raise FieldError(
@@ -116,18 +106,15 @@ class ExperimentConfig:
                 )
 
 
-def default_threshold_time(observer: ObserverParams) -> float:
-    return observer.t_p + DEFAULT_THRESHOLD_NOISE_MARGIN * max(
-        observer.jitter_sigma, observer.resolution
-    )
+#: Fields a sweep may target, with the scalar type the values must carry.
+SWEEPABLE_FIELDS: dict[str, type] = {
+    path: kind for path, f, kind in leaf_fields(ExperimentConfig) if f.metadata.get("sweep")
+}
 
 
-def _check_unknown(section: Mapping[str, Any], allowed: set[str], path: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        name = sorted(unknown)[0]
-        where = f"{path}.{name}" if path else name
-        raise FieldError(where, "unknown key")
+def _check_unknown(section: Mapping[str, Any], allowed: frozenset[str] | set[str], path: str) -> None:
+    if not allowed.issuperset(section):
+        raise FieldError(_field(path, min(set(section) - allowed)), "unknown key")
 
 
 def _field(path: str, key: str) -> str:
@@ -142,41 +129,47 @@ def _check_number(where: str, value: Any) -> None:
         raise FieldError(where, f"must be finite, got {value!r}")
 
 
-def _get_number(
-    section: Mapping[str, Any],
-    key: str,
-    path: str,
-    default: float | None,
-    *,
-    required: bool = False,
-    integer: bool = False,
-) -> Any:
-    where = _field(path, key)
-    if key not in section or section[key] is None:
-        if required:
-            raise FieldError(where, "required field is missing")
-        return default
-    value = section[key]
-    _check_number(where, value)
-    if integer:
-        if not isinstance(value, int):
-            raise FieldError(where, f"expected an integer, got {value!r}")
-        return value
-    return float(value)
+@functools.cache
+def _plan(cls: type, path: str) -> tuple[frozenset[str], tuple[tuple[str, str, type, Any], ...]]:
+    """The keys a ``cls`` section at ``path`` allows, and each non-section field's ``(name,
+    dotted path, type or enum members by value, JSON default or MISSING if required)``."""
+    scalars = []
+    for f, kind in field_types(cls):
+        if not is_dataclass(kind):
+            default = f.metadata.get("json", None if f.default is MISSING else f.default)
+            if issubclass(kind, Enum):
+                kind = {member.value: member for member in kind}
+            scalars.append((f.name, _field(path, f.name), kind, MISSING if f.metadata.get("required") else default))
+    return frozenset(f.name for f, _ in field_types(cls)), tuple(scalars)
 
 
-def _get_enum(
-    section: Mapping[str, Any], key: str, path: str, enum_type: type, default: Any
-) -> Any:
-    where = _field(path, key)
-    if key not in section or section[key] is None:
-        return default
-    value = section[key]
-    try:
-        return enum_type(value)
-    except ValueError:
-        options = ", ".join(member.value for member in enum_type)
-        raise FieldError(where, f"must be one of: {options}; got {value!r}") from None
+def _read(cls: type, section: Mapping[str, Any], path: str) -> dict[str, Any]:
+    """A ``cls`` section's fields that are not sections, type-checked, null ones at their JSON default."""
+    allowed, scalars = _plan(cls, path)
+    _check_unknown(section, allowed, path)
+    values = {}
+    for name, where, kind, default in scalars:
+        value = section.get(name)
+        # A null true/false is a type error, not the default.
+        if value is None and (kind is not bool or name not in section):
+            if default is MISSING:
+                raise FieldError(where, "required field is missing")
+            value = default
+        elif kind is float or kind is int:
+            _check_number(where, value)
+            if kind is int and not isinstance(value, int):
+                raise FieldError(where, f"expected an integer, got {value!r}")
+            value = kind(value)
+        elif kind is bool:
+            if not isinstance(value, bool):
+                raise FieldError(where, f"expected true/false, got {value!r}")
+        else:
+            try:
+                value = kind[value]
+            except (KeyError, TypeError):  # TypeError: an unhashable value
+                raise FieldError(where, f"must be one of: {', '.join(kind)}; got {value!r}") from None
+        values[name] = value
+    return values
 
 
 def _build(section: str, make: Callable[..., Any], **fields: Any) -> Any:
@@ -187,65 +180,8 @@ def _build(section: str, make: Callable[..., Any], **fields: Any) -> Any:
         raise FieldError(_field(section, exc.field), exc.message) from None
 
 
-def _parse_collapse(section: Mapping[str, Any], input_p1: float) -> CollapseParams:
-    path = "collapse"
-    _check_unknown(section, {"model", "t_c_mean", "gamma", "epsilon", "energy", "kappa"}, path)
-    model = _get_enum(section, "model", path, CollapseModel, CollapseModel.JUMP_EXPONENTIAL)
-    kappa = _get_number(section, "kappa", path, DEFAULT_KAPPA)
-    energy = _get_number(section, "energy", path, None)
-    t_c_mean = _get_number(section, "t_c_mean", path, None)
-    if t_c_mean is None:
-        t_c_mean = kappa / energy if energy else DEFAULT_T_C_MEAN
-    collapse = _build(
-        path, CollapseParams,
-        model=model, t_c_mean=t_c_mean, epsilon=_get_number(section, "epsilon", path, DEFAULT_EPSILON),
-        gamma=_get_number(section, "gamma", path, None), energy=energy, kappa=kappa,
-    )
-    # An omitted diffusion gamma is the closed form wherever one exists;
-    # outside (epsilon, 1 - epsilon) it is never read.
-    in_band = collapse.epsilon < input_p1 < 1.0 - collapse.epsilon
-    if collapse.model is CollapseModel.DIFFUSION and collapse.gamma is None and in_band:
-        collapse = replace(collapse, gamma=diffusion_gamma(collapse.t_c_mean, input_p1, collapse.epsilon))
-    return collapse
-
-
-def _parse_observer(section: Mapping[str, Any]) -> ObserverParams:
-    path = "observer"
-    _check_unknown(section, {"t_p", "jitter_sigma", "resolution"}, path)
-    return _build(
-        path, ObserverParams,
-        t_p=_get_number(section, "t_p", path, DEFAULT_T_P),
-        jitter_sigma=_get_number(section, "jitter_sigma", path, DEFAULT_JITTER_SIGMA),
-        resolution=_get_number(section, "resolution", path, DEFAULT_RESOLUTION),
-    )
-
-
-def _parse_scenario(section: Mapping[str, Any]) -> PerceptionScenario:
-    path = "scenario"
-    _check_unknown(section, {"tag", "r"}, path)
-    tag = _get_enum(section, "tag", path, ScenarioTag, ScenarioTag.POST_COLLAPSE_ONLY)
-    return _build(path, PerceptionScenario, tag=tag, r=_get_number(section, "r", path, None))
-
-
-def _parse_rule(section: Mapping[str, Any], observer: ObserverParams) -> DecisionRule:
-    path = "rule"
-    _check_unknown(section, {"kind", "threshold_time", "batch_n", "no_change_guess"}, path)
-    kind = _get_enum(section, "kind", path, RuleKind, RuleKind.TIMING_THRESHOLD)
-    threshold = _get_number(section, "threshold_time", path, None)
-    if threshold is None and kind is not RuleKind.CHANGE_DETECTION:
-        threshold = default_threshold_time(observer)
-    return _build(
-        path, DecisionRule,
-        kind=kind,
-        threshold_time=threshold,
-        batch_n=_get_number(section, "batch_n", path, DEFAULT_BATCH_N, integer=True),
-        no_change_guess=_get_enum(section, "no_change_guess", path, InputKind, InputKind.DEFINITE),
-    )
-
-
 def _parse_sweep(section: Mapping[str, Any]) -> SweepSpec:
-    path = "sweep"
-    _check_unknown(section, {"param", "values"}, path)
+    _check_unknown(section, {"param", "values"}, "sweep")
     if "param" not in section or not isinstance(section["param"], str):
         raise FieldError("sweep.param", "required string field")
     param = section["param"]
@@ -260,58 +196,38 @@ def _parse_sweep(section: Mapping[str, Any]) -> SweepSpec:
         _check_number(f"sweep.values[{i}]", value)
         if want is int and not isinstance(value, int):
             raise FieldError(f"sweep.values[{i}]", f"{param} takes integers, got {value!r}")
-    cast = (lambda v: int(v)) if want is int else (lambda v: float(v))
-    return SweepSpec(param=param, values=tuple(cast(v) for v in values))
-
-
-_TOP_KEYS = {
-    "schema_version", "master_seed", "n_trials", "priors", "input_p1",
-    "collapse", "observer", "scenario", "rule", "device_baseline", "sweep",
-}
+    return SweepSpec(param=param, values=tuple(want(v) for v in values))
 
 
 def parse_config(raw: Mapping[str, Any]) -> ExperimentConfig:
     """Validate a raw JSON object and resolve every default."""
     if not isinstance(raw, Mapping):
         raise FieldError("", "config must be a JSON object")
-    _check_unknown(raw, _TOP_KEYS, "")
-
-    version = _get_number(raw, "schema_version", "", SCHEMA_VERSION, integer=True)
-    seed = _get_number(raw, "master_seed", "", None, required=True, integer=True)
-    n_trials = _get_number(raw, "n_trials", "", None, required=True, integer=True)
-    priors = _get_number(raw, "priors", "", 0.5)
-    input_p1 = _get_number(raw, "input_p1", "", 0.5)
-
+    top = _read(ExperimentConfig, raw, "")
     for key in ("collapse", "observer", "scenario", "rule", "sweep"):
-        if key in raw and raw[key] is not None and not isinstance(raw[key], Mapping):
+        if raw.get(key) is not None and not isinstance(raw[key], Mapping):
             raise FieldError(key, "must be a JSON object")
 
-    collapse = _parse_collapse(raw.get("collapse") or {}, input_p1)
-    observer = _parse_observer(raw.get("observer") or {})
-    scenario = _parse_scenario(raw.get("scenario") or {})
-    rule = _parse_rule(raw.get("rule") or {}, observer)
-
-    device = raw.get("device_baseline", False)
-    if not isinstance(device, bool):
-        raise FieldError("device_baseline", f"expected true/false, got {device!r}")
-
-    sweep = None
-    if raw.get("sweep") is not None:
-        sweep = _parse_sweep(raw["sweep"])
-
+    section = raw.get("collapse") or {}
+    collapse = _read(CollapseParams, section, "collapse")
+    if section.get("t_c_mean") is None and collapse["energy"]:
+        collapse["t_c_mean"] = collapse["kappa"] / collapse["energy"]
+    collapse = _build("collapse", CollapseParams, **collapse)
+    # An omitted diffusion gamma is the closed form wherever the walk needs one.
+    p1 = top["input_p1"]
+    if collapse.model is CollapseModel.DIFFUSION and collapse.gamma is None and between_bands(p1, collapse.epsilon):
+        collapse = replace(collapse, gamma=diffusion_gamma(collapse.t_c_mean, p1, collapse.epsilon))
+    observer = _build("observer", ObserverParams, **_read(ObserverParams, raw.get("observer") or {}, "observer"))
+    scenario = _build("scenario", PerceptionScenario, **_read(PerceptionScenario, raw.get("scenario") or {}, "scenario"))
+    rule = _read(DecisionRule, raw.get("rule") or {}, "rule")
+    if rule["threshold_time"] is None and rule["kind"] is not RuleKind.CHANGE_DETECTION:
+        noise = max(observer.jitter_sigma, observer.resolution)
+        rule["threshold_time"] = observer.t_p + DEFAULT_THRESHOLD_NOISE_MARGIN * noise
+    rule = _build("rule", DecisionRule, **rule)
+    sweep = None if raw.get("sweep") is None else _parse_sweep(raw["sweep"])
     return _build(
         "", ExperimentConfig,
-        master_seed=seed,
-        n_trials=n_trials,
-        priors=priors,
-        input_p1=input_p1,
-        collapse=collapse,
-        observer=observer,
-        scenario=scenario,
-        rule=rule,
-        device_baseline=device,
-        sweep=sweep,
-        schema_version=version,
+        **top, collapse=collapse, observer=observer, scenario=scenario, rule=rule, sweep=sweep,
     )
 
 
@@ -322,12 +238,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def read_raw_config(path: str | Path) -> dict[str, Any]:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigFileError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(f"config file {path} is not valid UTF-8: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer beyond Python's digit limit
         raise ConfigParseError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigParseError(f"config file {path} must contain a JSON object")
@@ -375,37 +293,24 @@ def expand_sweep(raw: Mapping[str, Any]) -> list[tuple[Any, ExperimentConfig]]:
     return points
 
 
-def config_to_json_dict(config: ExperimentConfig) -> dict[str, Any]:
-    """Resolved parameter set as a JSON-serializable dict (for echoing)."""
-    out: dict[str, Any] = {
-        "schema_version": config.schema_version,
-        "master_seed": config.master_seed,
-        "n_trials": config.n_trials,
-        "priors": config.priors,
-        "input_p1": config.input_p1,
-        "collapse": {
-            "model": config.collapse.model.value,
-            "t_c_mean": config.collapse.t_c_mean,
-            "gamma": config.collapse.gamma,
-            "epsilon": config.collapse.epsilon,
-            "energy": config.collapse.energy,
-            "kappa": config.collapse.kappa,
-        },
-        "observer": {
-            "t_p": config.observer.t_p,
-            "jitter_sigma": config.observer.jitter_sigma,
-            "resolution": config.observer.resolution,
-        },
-        "scenario": {"tag": config.scenario.tag.value, "r": config.scenario.r},
-        "rule": {
-            "kind": config.rule.kind.value,
-            "threshold_time": config.rule.threshold_time,
-            "batch_n": config.rule.batch_n,
-            "no_change_guess": config.rule.no_change_guess.value,
-        },
-        "device_baseline": config.device_baseline,
-        "sweep": None,
-    }
-    if config.sweep is not None:
-        out["sweep"] = {"param": config.sweep.param, "values": list(config.sweep.values)}
+def config_to_json_dict(config: Any) -> dict[str, Any]:
+    """Resolved parameter set as a JSON-serializable dict (for echoing), fields in
+    declaration order: an enum as its value, a tuple as a list, a section as a dict."""
+    out = {}
+    for name, echo in _echo_plan(type(config)):
+        value = getattr(config, name)
+        out[name] = value if echo is None or value is None else echo(value)
     return out
+
+
+@functools.cache
+def _echo_plan(cls: type) -> tuple[tuple[str, Callable[[Any], Any] | None], ...]:
+    """Each field of ``cls`` with how :func:`config_to_json_dict` turns it into JSON."""
+    def echo(kind: type | None) -> Callable[[Any], Any] | None:
+        if kind is None:  # a generic: tuple[Any, ...]
+            return list
+        if issubclass(kind, Enum):
+            return operator.attrgetter("value")
+        return config_to_json_dict if is_dataclass(kind) else None
+
+    return tuple((f.name, echo(kind)) for f, kind in field_types(cls))

@@ -21,7 +21,7 @@ report generation (noise and discriminability are separate knobs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -42,9 +42,9 @@ class ObserverParams:
     """Perception latency ``t_p``, report-time jitter, and timing resolution
     (the smallest time difference the observer can identify)."""
 
-    t_p: float
-    jitter_sigma: float = 0.0
-    resolution: float = 0.01
+    t_p: float = field(metadata={"json": 0.001, "sweep": True})
+    jitter_sigma: float = field(default=0.0, metadata={"json": 0.0002, "sweep": True, "draws": True})
+    resolution: float = field(default=0.01, metadata={"sweep": True})
 
     def __post_init__(self) -> None:
         check_field("t_p", self.t_p, self.t_p > 0.0, "> 0")
@@ -56,8 +56,8 @@ class ObserverParams:
 class PerceptionScenario:
     """Which pre-collapse perception case governs a superposed input."""
 
-    tag: ScenarioTag
-    r: float | None = None
+    tag: ScenarioTag = field(metadata={"json": ScenarioTag.POST_COLLAPSE_ONLY, "draws": True})
+    r: float | None = field(default=None, metadata={"sweep": True, "draws": True})
 
     def __post_init__(self) -> None:
         if self.tag is ScenarioTag.RANDOM_PERCEPT:

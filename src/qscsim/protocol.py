@@ -21,9 +21,13 @@ collapse-vs-perception gap is identifiable.
 
 from __future__ import annotations
 
+import builtins
+import functools
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
+import operator
+import sys
+from collections.abc import Iterator, Sequence
+from dataclasses import Field, dataclass, field, fields, is_dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -70,10 +74,10 @@ class DecisionRule:
     decision; ``no_change_guess`` is returned when no signal fires.
     """
 
-    kind: RuleKind
-    threshold_time: float | None = None
-    batch_n: int = 1
-    no_change_guess: InputKind = InputKind.DEFINITE
+    kind: RuleKind = field(metadata={"json": RuleKind.TIMING_THRESHOLD, "draws": True})
+    threshold_time: float | None = field(default=None, metadata={"sweep": True})
+    batch_n: int = field(default=1, metadata={"json": 5, "sweep": True, "draws": True})
+    no_change_guess: InputKind = field(default=InputKind.DEFINITE, metadata={"draws": True})
 
     def __post_init__(self) -> None:
         if self.threshold_time is not None:
@@ -117,14 +121,33 @@ def optimal_device_bound(fidelity: float) -> float:
     return 0.5 * (1.0 + math.sqrt(1.0 - fidelity))
 
 
+@functools.cache
+def field_types(cls: type) -> tuple[tuple[Field, type | None], ...]:
+    """Each field of the dataclass ``cls`` with the type its (PEP 563 string)
+    annotation names in the module of ``cls``; ``X | None`` gives ``X``, a generic None."""
+    scope = {**vars(builtins), **vars(sys.modules[cls.__module__])}
+    return tuple((f, scope.get(f.type.removesuffix(" | None"))) for f in fields(cls))
+
+
+def leaf_fields(cls: type, prefix: str = "") -> Iterator[tuple[str, Field, type | None]]:
+    """``(dotted path, field, type)`` of each field of ``cls``, descending into dataclass fields."""
+    for f, kind in field_types(cls):
+        if is_dataclass(kind):
+            yield from leaf_fields(kind, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, f, kind
+
+
+@functools.cache
+def _draw_paths(cls: type) -> tuple[str, ...]:
+    """Dotted paths of the fields of ``cls`` declared ``draws``."""
+    return tuple(path for path, f, _ in leaf_fields(cls) if f.metadata.get("draws"))
+
+
 def _stream_layout(config: "ExperimentConfig") -> tuple:
-    """Every field that can change a draw or a draw count.  Configs that
-    agree on these draw the same variates in every block."""
-    return (
-        config.master_seed, config.n_trials, config.priors, config.input_p1,
-        config.collapse.model, config.collapse.epsilon, config.observer.jitter_sigma, config.scenario,
-        config.rule.kind, config.rule.batch_n, config.rule.no_change_guess, config.device_baseline,
-    )
+    """The values of every field that can change a draw or a draw count.
+    Configs that agree on these draw the same variates in every block."""
+    return operator.attrgetter(*_draw_paths(type(config)))(config)
 
 
 def _run_block(
@@ -249,11 +272,10 @@ def run_experiments(configs: Sequence["ExperimentConfig"]) -> list[ExperimentSum
     """Run every config, in order; configs that share a stream layout share draws.
 
     Each config's summary equals :func:`run_experiment`'s.  Configs that
-    differ only in ``collapse.t_c_mean``, the diffusion ``gamma``,
-    ``observer.t_p``, ``observer.resolution``, ``rule.threshold_time`` or
-    the collapse ``energy``/``kappa`` draw the same variates, so each group
-    of them runs as one pass over the blocks, with every block's variates
-    drawn once and the per-point values along a leading axis.  With ``m``
+    differ only in fields not declared ``draws``, such as ``t_c_mean`` or
+    ``t_p``, draw the same variates, so each group of them runs as one pass
+    over the blocks, with every block's variates drawn once and the
+    per-point values along a leading axis.  With ``m``
     decisions per block, a group runs in slices of
     ``max(1, _SLICE_BLOCKS * BLOCK_SIZE // m)`` points, so that a slice's
     arrays hold at most ``_SLICE_BLOCKS`` blocks' worth; each slice draws

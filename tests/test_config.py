@@ -3,9 +3,10 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
-from qscsim.collapse import CollapseModel, diffusion_gamma
+from qscsim.collapse import CollapseModel, CollapseParams, between_bands, diffusion_gamma, sample_collapses
 from qscsim.config import (
     SWEEPABLE_FIELDS,
     config_to_json_dict,
@@ -16,7 +17,7 @@ from qscsim.config import (
 )
 from qscsim.errors import ConfigError, ConfigFileError, ConfigParseError, FieldError, ModelMisuseError
 from qscsim.observer import ScenarioTag
-from qscsim.protocol import InputKind, RuleKind, run_experiment
+from qscsim.protocol import ExperimentSummary, InputKind, RuleKind, _draw_paths, run_experiment
 
 MINIMAL = {"master_seed": 42, "n_trials": 1000}
 
@@ -145,14 +146,28 @@ def test_diffusion_gamma_with_input_p1_in_a_band(p1):
     omitted = parse_config({**MINIMAL, "n_trials": 200, "input_p1": p1, "collapse": DIFFUSION})
     assert omitted.collapse.gamma is None
     assert config_to_json_dict(omitted)["collapse"]["gamma"] is None
-    if p1 == 1.0 - 1e-3:
-        # The double 0.999 lies a rounding error inside the band, where the
-        # exact sampler still walks; there the run needs a gamma.
-        with pytest.raises(ValueError, match="gamma is required"):
-            run_experiment(omitted)
-    else:
-        # At 0.0 both runs fail alike: there is nothing superposed to collapse.
-        assert _run_outcome(omitted) == _run_outcome(given)
+    # At 0.0 both runs fail alike: there is nothing superposed to collapse.
+    assert _run_outcome(omitted) == _run_outcome(given)
+
+
+@pytest.mark.parametrize(
+    "p1", [edge for band in (1e-3, 1.0 - 1e-3) for edge in (math.nextafter(band, 0.0), band, math.nextafter(band, 1.0))]
+)
+def test_band_edge_start_needs_gamma_exactly_when_it_walks(p1):
+    # The config asks for gamma, and the sampler walks, from the same starts;
+    # a run without gamma runs or names collapse.gamma.
+    raw = {**MINIMAL, "n_trials": 200, "input_p1": p1, "collapse": DIFFUSION}
+    try:
+        config = parse_config(raw)
+    except FieldError as exc:
+        assert exc.field == "collapse.gamma"
+        return
+    assert isinstance(run_experiment(config), ExperimentSummary)
+    law = CollapseParams(model=CollapseModel.DIFFUSION, t_c_mean=1.0, gamma=2.0, epsilon=1e-3)
+    times, _ = sample_collapses(p1, law, np.random.default_rng(5), 8)
+    walks = bool(np.all(times > 0.0))
+    assert walks == bool(np.any(times > 0.0))
+    assert (config.collapse.gamma is not None) == walks == between_bands(p1, 1e-3)
 
 
 @pytest.mark.parametrize("p1", [1.5, -0.5])
@@ -298,7 +313,20 @@ def test_sweep_validation():
     with pytest.raises(FieldError) as err:
         parse_config({**MINIMAL, "sweep": {"param": "rule.batch_n", "values": [1, 2.5]}})
     assert "sweep.values[1]" == err.value.field
-    assert SWEEPABLE_FIELDS["rule.batch_n"] is int
+    assert list(SWEEPABLE_FIELDS.items()) == [
+        ("n_trials", int), ("priors", float), ("input_p1", float),
+        ("collapse.t_c_mean", float), ("collapse.epsilon", float),
+        ("observer.t_p", float), ("observer.jitter_sigma", float), ("observer.resolution", float),
+        ("scenario.r", float), ("rule.threshold_time", float), ("rule.batch_n", int),
+    ]
+
+
+def test_stream_layout_paths():
+    assert _draw_paths(type(parse_config(MINIMAL))) == (
+        "master_seed", "n_trials", "priors", "input_p1", "collapse.model", "collapse.epsilon",
+        "observer.jitter_sigma", "scenario.tag", "scenario.r", "rule.kind", "rule.batch_n",
+        "rule.no_change_guess", "device_baseline",
+    )
 
 
 def test_sweep_point_revalidates():
@@ -392,6 +420,13 @@ def test_missing_file_and_bad_json(tmp_path):
     array.write_text("[1, 2]")
     with pytest.raises(ConfigParseError):
         load_config(array)
+    digits = tmp_path / "digits.json"
+    digits.write_text(json.dumps(MINIMAL)[:-1] + ', "priors": ' + "1" * 5000 + "}")
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'{"master_seed": 1, "n_trials": 1}\xff')
+    for path in (digits, binary):
+        with pytest.raises(ConfigParseError, match=str(path)):
+            load_config(path)
 
 
 def test_config_echo_contains_resolved_values():
@@ -400,7 +435,39 @@ def test_config_echo_contains_resolved_values():
     assert echoed["rule"]["threshold_time"] == pytest.approx(0.051)
     assert "dt" not in echoed["collapse"]
     assert echoed["master_seed"] == 42
-    json.dumps(echoed)  # must be serializable as-is
+    assert json.dumps(echoed) == (
+        '{"schema_version": 1, "master_seed": 42, "n_trials": 1000, "priors": 0.5, "input_p1": 0.5, '
+        '"collapse": {"model": "jump_exponential", "t_c_mean": 180.0, "gamma": null, "epsilon": 0.001, '
+        '"energy": null, "kappa": 1.0}, "observer": {"t_p": 0.001, "jitter_sigma": 0.0002, "resolution": 0.01}, '
+        '"scenario": {"tag": "post_collapse_only", "r": null}, "rule": {"kind": "timing_threshold", '
+        '"threshold_time": 0.051000000000000004, "batch_n": 5, "no_change_guess": "definite"}, '
+        '"device_baseline": false, "sweep": null}'
+    )
+    sweep = {"param": "priors", "values": [0.25, 0.75]}
+    assert config_to_json_dict(parse_config({**MINIMAL, "sweep": sweep}))["sweep"] == sweep
+
+
+@pytest.mark.parametrize(
+    "extra, field",
+    [
+        # Two type faults in collapse are named in declaration order.
+        ({"collapse": {"kappa": "x", "t_c_mean": "y"}}, "collapse.t_c_mean"),
+        ({"collapse": {"energy": "x", "epsilon": "y"}}, "collapse.epsilon"),
+        # Top-level values are named before any section fault.
+        ({"device_baseline": "yes", "observer": {"t_p": "x"}}, "device_baseline"),
+        ({"device_baseline": "yes", "sweep": 3}, "device_baseline"),
+        # Orders that stay: an unknown key first, a section that is not an
+        # object before faults inside sections, then sections in order.
+        ({"priors": "x", "surprise": 1}, "surprise"),
+        ({"rule": 3, "collapse": {"model": "psychic"}}, "rule"),
+        ({"observer": {"t_p": "x"}, "collapse": {"epsilon": "y"}}, "collapse.epsilon"),
+        ({"rule": {"batch_n": 0}, "sweep": {"param": "nope", "values": [1]}}, "rule.batch_n"),
+    ],
+)
+def test_multi_fault_order(extra, field):
+    with pytest.raises(FieldError) as err:
+        parse_config({**MINIMAL, **extra})
+    assert err.value.field == field
 
 
 def test_device_baseline_type_checked():
