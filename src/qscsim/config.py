@@ -41,6 +41,8 @@ from .observer import ObserverParams, PerceptionScenario
 from .protocol import DecisionRule, RuleKind, field_types, leaf_fields
 
 SCHEMA_VERSION = 1
+#: Largest ``n_trials``: a float64 holds every count up to it exactly.
+MAX_TRIALS = 2**53
 
 DEFAULT_THRESHOLD_NOISE_MARGIN = 5.0
 
@@ -86,7 +88,7 @@ class ExperimentConfig:
         if not 0 <= self.master_seed < 2**64:
             raise FieldError("master_seed", f"must be an unsigned 64-bit integer, got {self.master_seed!r}")
         check_integer("n_trials", self.n_trials)
-        check_field("n_trials", self.n_trials, self.n_trials >= 1, ">= 1")
+        check_field("n_trials", self.n_trials, 1 <= self.n_trials <= MAX_TRIALS, "in [1, 2**53]")
         check_field("priors", self.priors, 0.0 <= self.priors <= 1.0, "in [0.0, 1.0]")
         check_field("input_p1", self.input_p1, 0.0 <= self.input_p1 <= 1.0, "in [0.0, 1.0]")
         collapse, p1 = self.collapse, self.input_p1

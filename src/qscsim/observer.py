@@ -74,7 +74,8 @@ def report_times(base: np.ndarray, o: ObserverParams, rng: np.random.Generator) 
     points, truncated at 0, and no draw at all when ``jitter_sigma`` is 0."""
     if o.jitter_sigma == 0.0:
         return base
-    return np.maximum(base + rng.normal(0.0, o.jitter_sigma, base.shape[1:]), 0.0)
+    reports = base + rng.normal(0.0, o.jitter_sigma, base.shape[1:])
+    return np.maximum(reports, 0.0, out=reports)
 
 
 def perceive_collapses(

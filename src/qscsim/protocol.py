@@ -46,7 +46,7 @@ if TYPE_CHECKING:
 BLOCK_SIZE = 4096
 #: Names the random-stream layout of :func:`run_experiment`; it changes
 #: whenever the layout does.
-RNG_STREAM = "block-v1"
+RNG_STREAM = "block-v2"
 #: A slice of a group of points that share draws holds at most this many
 #: blocks' worth of decisions (see :func:`run_experiments`).
 _SLICE_BLOCKS = 16
@@ -150,76 +150,70 @@ def _stream_layout(config: "ExperimentConfig") -> tuple:
     return operator.attrgetter(*_draw_paths(type(config)))(config)
 
 
+def _count_fired(fired: np.ndarray) -> np.ndarray:
+    """Per point, the decisions in which any copy fired, ``fired.any(axis=2).sum(axis=1)``,
+    taken one copy column at a time: numpy reduces a short last axis slowly."""
+    any_fired = fired[:, :, 0].copy()
+    for column in range(1, fired.shape[2]):
+        any_fired |= fired[:, :, column]
+    return any_fired.sum(axis=1)
+
+
 def _run_block(
     configs: Sequence["ExperimentConfig"], rng: np.random.Generator, m: int, p1: float, collapses: bool
-) -> tuple[int, np.ndarray, np.ndarray, int, list[float], list[float]]:
+) -> tuple[int, np.ndarray | int, np.ndarray | int, int, np.ndarray, np.ndarray]:
     """Run ``m`` decisions of every config in ``configs``, which share one
     stream layout, on one set of draws.
 
-    The per-point values (``t_c_mean``, the diffusion ``gamma``, ``t_p``,
-    ``threshold_time``) run along a leading point axis.  Returns
-    ``(n_definite, correct_definite, correct_superposition, device_correct,
-    report-time sums definite, report-time sums superposition)``; the
-    correct counts and the sums have one entry per config.  Each sum is
-    taken over the same contiguous array as for that config alone, so that
-    numpy's pairwise summation rounds it the same way.
+    The definite and the superposed copies are two arrays of shape
+    ``(points, decisions of the class, batch_n)``, with the per-point values
+    (``t_c_mean``, the diffusion ``gamma``, ``t_p``, ``threshold_time``)
+    along the leading axis.  Returns ``(n_definite, correct_definite,
+    correct_superposition, device_correct, report-time sums definite,
+    report-time sums superposition)``, the counts broadcasting to one per
+    config.  Each sum runs over its point's contiguous slice, as for that
+    config alone, so numpy's pairwise summation rounds it the same way.
     """
     lead = configs[0]
     rule = lead.rule
-    observer = lead.observer
     batch_n = rule.batch_n
+    points = len(configs)
     t_p = np.array([config.observer.t_p for config in configs])[:, None, None]
-    definite = rng.random(m) < lead.priors
-    superposed = ~definite
-    n_sup = int(np.count_nonzero(superposed))
+    n_def = int(np.count_nonzero(rng.random(m) < lead.priors))
+    n_sup = m - n_def
 
-    first = np.full((len(configs), m, batch_n), t_p)
-    changed = np.zeros((n_sup, batch_n), dtype=bool)
     if collapses and n_sup:
         times, hit_upper = sample_collapses(p1, [config.collapse for config in configs], rng, n_sup * batch_n)
-        first[:, superposed], changed = perceive_collapses(
-            t_p, lead.scenario, times.reshape(-1, n_sup, batch_n), hit_upper.reshape(n_sup, batch_n), rng
+        sup, changed = perceive_collapses(
+            t_p, lead.scenario, times.reshape(points, n_sup, batch_n), hit_upper.reshape(n_sup, batch_n), rng
         )
-    first = report_times(first, observer, rng)
-    if observer.jitter_sigma > 0.0:
-        # Change-report jitter.  No output reads the change-report time, but
-        # the draw keeps the block's variates those of the per-trial model
-        # in tests/reference.py.
-        rng.normal(0.0, observer.jitter_sigma, np.count_nonzero(changed))
-
-    if rule.kind is RuleKind.CHANGE_DETECTION:
-        fired = np.zeros(first.shape, dtype=bool)
     else:
-        fired = first > np.array([config.rule.threshold_time for config in configs])[:, None, None]
-    if rule.kind is not RuleKind.TIMING_THRESHOLD:
-        fired[:, superposed] |= changed
-    fired = fired.any(axis=2)
+        sup, changed = np.full((points, n_sup, batch_n), t_p), np.zeros((n_sup, batch_n), dtype=bool)
+    definite = report_times(np.full((points, n_def, batch_n), t_p), lead.observer, rng)
+    sup = report_times(sup, lead.observer, rng)
 
-    n_def = m - n_sup
+    # A batch in which no copy fires is guessed no_change_guess.
+    correct_def, correct_sup, device_correct = 0, n_sup, n_sup
     if rule.no_change_guess is InputKind.DEFINITE:
-        correct_def = n_def - fired[:, definite].sum(axis=1)
-        correct_sup = fired[:, superposed].sum(axis=1)
-    else:
-        correct_def = np.zeros(len(configs), dtype=int)
-        correct_sup = np.full(len(configs), n_sup)
-    device_correct = 0
-    if lead.device_baseline:
-        # A definite input always reads B1; a superposition reads B2, which
-        # certifies it, when the uniform lands at or above p1.
-        u = rng.random(m)
-        if rule.no_change_guess is InputKind.DEFINITE:
-            device_correct = n_def + int(np.count_nonzero(u[superposed] >= p1))
-        else:
-            device_correct = n_sup
-    return (
-        n_def, correct_def, correct_sup, device_correct,
-        [float(reports.sum()) for reports in first[:, definite]],
-        [float(reports.sum()) for reports in first[:, superposed]],
-    )
+        correct_def, fired = n_def, changed[None]
+        if rule.kind is not RuleKind.CHANGE_DETECTION:
+            threshold = np.array([config.rule.threshold_time for config in configs])[:, None, None]
+            correct_def = n_def - _count_fired(definite > threshold)
+            fired = sup > threshold
+            if rule.kind is RuleKind.COMBINED:
+                fired |= changed
+        correct_sup = _count_fired(fired)
+        if lead.device_baseline:
+            # A definite input always reads B1; a superposition reads B2,
+            # which certifies it, with probability 1 - p1.
+            device_correct = n_def + int(rng.binomial(n_sup, 1.0 - p1))
+    sums = definite.reshape(points, -1).sum(axis=1), sup.reshape(points, -1).sum(axis=1)
+    return n_def, correct_def, correct_sup, device_correct, *sums
 
 
 def _run_group(configs: Sequence["ExperimentConfig"]) -> list[ExperimentSummary]:
-    """Summaries of configs that share one stream layout, from one pass over the blocks."""
+    """Summaries of configs that share one stream layout, from one pass over
+    the blocks, each folded into running totals as it completes."""
     lead = configs[0]
     n = lead.n_trials
     batch_n = lead.rule.batch_n
@@ -227,30 +221,31 @@ def _run_group(configs: Sequence["ExperimentConfig"]) -> list[ExperimentSummary]
     # A weight within rounding of 1 prepares a definite state: it never collapses.
     collapses = 1.0 - p1 >= DEFINITE_WEIGHT_TOL
 
-    blocks = [
-        _run_block(
-            configs,
-            np.random.default_rng(np.random.SeedSequence(lead.master_seed, spawn_key=(block,))),
-            min(BLOCK_SIZE, n - start),
-            p1,
-            collapses,
+    n_definite = device_correct = 0
+    correct_def, correct_sup = np.zeros((2, len(configs)), dtype=np.int64)
+    time_def: list[np.ndarray] = []
+    time_sup: list[np.ndarray] = []
+    for block, start in enumerate(range(0, n, BLOCK_SIZE)):
+        rng = np.random.default_rng(np.random.SeedSequence(lead.master_seed, spawn_key=(block,)))
+        n_def, block_def, block_sup, block_device, sums_def, sums_sup = _run_block(
+            configs, rng, min(BLOCK_SIZE, n - start), p1, collapses
         )
-        for block, start in enumerate(range(0, n, BLOCK_SIZE))
-    ]
-    n_def, correct_def, correct_sup, device_correct, time_def, time_sup = zip(*blocks)
-    n_definite = sum(n_def)
+        n_definite += n_def
+        correct_def += block_def
+        correct_sup += block_sup
+        device_correct += block_device
+        time_def.append(sums_def)
+        time_sup.append(sums_sup)
     n_superposition = n - n_definite
-    correct_def = sum(correct_def).tolist()
-    correct_sup = sum(correct_sup).tolist()
+    correct_def, correct_sup = correct_def.tolist(), correct_sup.tolist()
 
-    def mean_time(partial_sums: tuple[list[float], ...], point: int, count: int) -> float | None:
-        return math.fsum(sums[point] for sums in partial_sums) / (count * batch_n) if count else None
+    def mean_times(partial_sums: list[np.ndarray], count: int) -> list[float | None]:
+        if not count:
+            return [None] * len(configs)
+        return [math.fsum(sums) / (count * batch_n) for sums in np.array(partial_sums).T.tolist()]
 
-    device_success = None
-    device_bound = None
-    if lead.device_baseline:
-        device_success = RateEstimate.from_counts(sum(device_correct), n)
-        device_bound = optimal_device_bound(p1)
+    device_success = RateEstimate.from_counts(device_correct, n) if lead.device_baseline else None
+    device_bound = optimal_device_bound(p1) if lead.device_baseline else None
 
     return [
         ExperimentSummary(
@@ -258,13 +253,15 @@ def _run_group(configs: Sequence["ExperimentConfig"]) -> list[ExperimentSummary]
             definite=RateEstimate.from_counts(correct_def[point], n_definite),
             superposition=RateEstimate.from_counts(correct_sup[point], n_superposition),
             overall=RateEstimate.from_counts(correct_def[point] + correct_sup[point], n),
-            mean_report_time_definite=mean_time(time_def, point, n_definite),
-            mean_report_time_superposition=mean_time(time_sup, point, n_superposition),
+            mean_report_time_definite=mean_def,
+            mean_report_time_superposition=mean_sup,
             device_success=device_success,
             device_bound=device_bound,
             master_seed=lead.master_seed,
         )
-        for point in range(len(configs))
+        for point, (mean_def, mean_sup) in enumerate(
+            zip(mean_times(time_def, n_definite), mean_times(time_sup, n_superposition))
+        )
     ]
 
 
@@ -303,15 +300,17 @@ def run_experiment(config: "ExperimentConfig") -> ExperimentSummary:
     kind, in this order (layout :data:`RNG_STREAM`):
 
     1. one prior uniform per decision (definite when below ``priors``);
+       only the count of definite decisions is read;
     2. collapse times and outcomes of the superposed copies,
        ``n_superposed * batch_n`` of them, from :func:`sample_collapses`;
     3. one pre-percept uniform per superposed copy (``random_percept`` only);
-    4. one first-report jitter per copy, decision-major;
-    5. one change-report jitter per copy that reports a change;
-    6. one device uniform per decision (device baseline only).
+    4. one report jitter per definite copy, then one per superposed copy,
+       each decision-major (only when ``jitter_sigma > 0``);
+    5. one binomial count of the superposed decisions whose device reading
+       is B2 (device baseline with ``no_change_guess`` definite only).
 
-    Jitter is drawn only when ``jitter_sigma > 0``.  Each block reduces to
-    integer counts and report-time partial sums, which are combined in block
-    order (the sums with ``math.fsum``), so memory stays at one block.
+    Each block reduces to integer counts and report-time partial sums,
+    folded into running totals in block order (the sums with
+    ``math.fsum``), so memory stays at one block.
     """
     return run_experiments([config])[0]

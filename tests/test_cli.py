@@ -83,7 +83,7 @@ class TestRun:
                 assert main([verb, "--config", path, "--json", "--out", str(out), "--threads", threads]) == 0
                 outputs.append((capsys.readouterr().out, out.read_bytes()))
             assert outputs[0] == outputs[1] == outputs[2]
-            assert json.loads(outputs[0][0])["rng_stream"] == "block-v1"
+            assert json.loads(outputs[0][0])["rng_stream"] == "block-v2"
         assert main(["run", "--config", run_path, "--threads", "0"]) == 1
         assert "--threads must be >= 1" in capsys.readouterr().err
 
@@ -120,7 +120,7 @@ class TestRun:
     def test_json_summary_echoes_resolved_config(self, config_path, capsys):
         assert main(["run", "--config", config_path, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["rng_stream"] == "block-v1"
+        assert payload["rng_stream"] == "block-v2"
         assert payload["resolved_config"]["collapse"]["t_c_mean"] == 180.0
         assert payload["summary"]["n_trials"] == 400
         assert payload["summary"]["accuracy_overall"]["estimate"] >= 0.99

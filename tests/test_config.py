@@ -79,6 +79,21 @@ def test_master_seed_range_and_types():
         parse_config({"master_seed": 1, "n_trials": 0})
 
 
+def test_n_trials_is_bounded_by_exact_float_counts():
+    # Every count up to 2**53 is exact in a float64; a larger n_trials is
+    # refused at parse time, before a block runs.  No test runs these sizes.
+    assert parse_config({**MINIMAL, "n_trials": 2**53}).n_trials == 2**53
+    for n_trials in (2**53 + 1, 2**64, 10**30):
+        with pytest.raises(FieldError) as err:
+            parse_config({**MINIMAL, "n_trials": n_trials})
+        assert err.value.field == "n_trials"
+        assert err.value.message == f"must be in [1, 2**53], got {n_trials}"
+    with pytest.raises(FieldError) as err:
+        expand_sweep({**MINIMAL, "sweep": {"param": "n_trials", "values": [10, 2**53 + 1]}})
+    assert err.value.field == "n_trials"
+    assert err.value.message.endswith(f"(sweep point n_trials = {2**53 + 1})")
+
+
 def test_schema_version_checked():
     assert parse_config({**MINIMAL, "schema_version": 1}).schema_version == 1
     with pytest.raises(FieldError) as err:
@@ -219,6 +234,7 @@ def _replace_collapse(config, **fields):
         ("n_trials", lambda c: dataclasses.replace(c, n_trials=10.5)),
         ("n_trials", lambda c: dataclasses.replace(c, n_trials=True)),
         ("n_trials", lambda c: dataclasses.replace(c, n_trials="10")),
+        ("n_trials", lambda c: dataclasses.replace(c, n_trials=2**53 + 1)),
         ("batch_n", lambda c: dataclasses.replace(c.rule, batch_n=2.5)),
         ("batch_n", lambda c: dataclasses.replace(c.rule, batch_n=True)),
         ("schema_version", lambda c: dataclasses.replace(c, schema_version=2)),

@@ -337,6 +337,28 @@ class TestRunExperiment:
         assert abs(inside.mean_report_time_superposition - 0.001) <= 1e-15
         assert near_unit(1.0 - 2e-12).superposition.estimate >= 0.99
 
+    def test_definite_accuracy_under_jitter_is_the_closed_form(self):
+        # A definite copy reports at t_p plus jitter and fires the timing
+        # rule when the jitter passes theta - t_p, one sigma here; a decision
+        # is correct when none of its batch_n copies fires.
+        summary = run_experiment(
+            experiment_config(
+                n_trials=200_000, observer={"t_p": 0.01, "jitter_sigma": 0.005},
+                rule={"kind": "timing_threshold", "threshold_time": 0.015, "batch_n": 3},
+            )
+        )
+        expected = (1.0 - 0.5 * math.erfc(1.0 / math.sqrt(2.0))) ** 3
+        n = summary.definite.trials
+        assert abs(summary.definite.estimate - expected) <= 5.0 * math.sqrt(expected * (1.0 - expected) / n)
+
+    def test_device_success_is_the_closed_form(self):
+        # A definite input always reads B1, and a superposition reads B2, and
+        # is caught, with probability 1 - input_p1.
+        n = 200_000
+        summary = run_experiment(experiment_config(n_trials=n, priors=0.3, input_p1=0.4, device_baseline=True))
+        expected = 0.3 + (1.0 - 0.3) * (1.0 - 0.4)
+        assert abs(summary.device_success.estimate - expected) <= 5.0 * math.sqrt(expected * (1.0 - expected) / n)
+
     def test_batch_consumes_batch_n_states(self):
         config = experiment_config(
             priors=0.0,

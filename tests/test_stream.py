@@ -9,9 +9,12 @@ blocks, a group of sweep points that share draws, and a group run in
 slices.
 
 A change that moves a pin changes the outputs for a given seed.  If it also
-changes the draw layout, it bumps ``RNG_STREAM`` and re-pins.  numpy does not
-promise Generator streams across versions (NEP 19), so on another numpy
-version a mismatch is a failure to look into, not proof of a layout change.
+changes the draw layout, it bumps ``RNG_STREAM`` and re-pins:
+``PYTHONPATH=src python tests/test_stream.py`` prints the ``PINS`` and
+``SLICED_PINS`` literals of the current code, to paste over the old ones.
+numpy does not promise Generator streams across versions (NEP 19), so on
+another numpy version a mismatch is a failure to look into, not proof of a
+layout change.
 """
 
 import numpy as np
@@ -21,7 +24,7 @@ from qscsim import protocol
 from qscsim.config import expand_sweep, parse_config
 from qscsim.protocol import BLOCK_SIZE, RNG_STREAM, run_experiments
 
-PINNED_STREAM = "block-v1"
+PINNED_STREAM = "block-v2"
 PINNED_NUMPY = "2.4.6"
 
 
@@ -112,51 +115,51 @@ def pins(raws):
 #: mean report time definite, mean report time superposition).
 PINS = {
     "jump_post_collapse_timing": [
-        (272, 301, 134, 299, None, "0x1.8a51d89225f6ep-7", "0x1.0300a782b3928p-5"),
+        (276, 301, 135, 299, None, "0x1.89aed292ebeb5p-7", "0x1.03001f4e43c2cp-5"),
     ],
     "jump_distinct_combined": [
-        (272, 301, 299, 299, None, "0x1.8a51d89225f6ep-7", "0x1.a448c0eb94508p-7"),
+        (276, 301, 299, 299, None, "0x1.89aed292ebeb5p-7", "0x1.a4ecde130aae4p-7"),
     ],
     "deterministic_fixed_c1_change_batch": [
         (301, 301, 276, 299, None, "0x1.47ae147ae147ap-7", "0x1.47ae147ae147bp-7"),
     ],
     "deterministic_fixed_c2_combined_device": [
-        (265, 301, 115, 299, 505, "0x1.ac3efad5daeacp-7", "0x1.79e45fa4d6e00p-7"),
+        (264, 301, 108, 299, 509, "0x1.9e3472e8a8d7dp-7", "0x1.8806f2c0ffdd9p-7"),
     ],
     "jump_random_percept_combined_batch_device": [
-        (233, 301, 267, 299, 505, "0x1.90eb71ee98565p-7", "0x1.9eab7daa32c76p-7"),
+        (231, 301, 267, 299, 511, "0x1.927f3f34f40efp-7", "0x1.9d14fcee12609p-7"),
     ],
     "jump_no_change_guess_superposition": [
         (0, 301, 299, 299, 299, "0x1.47ae147ae147ap-7", "0x1.47ae147ae147ap-7"),
     ],
     "diffusion_post_collapse_timing": [
-        (283, 301, 142, 299, None, "0x1.67d6a49b401a2p-7", "0x1.ec9758f5acdfdp-6"),
+        (274, 301, 132, 299, None, "0x1.77dd2ed6bbab4p-7", "0x1.e08e7b80b8327p-6"),
     ],
     "diffusion_fixed_c2_combined_batch_device": [
-        (301, 301, 291, 299, 370, "0x1.47ae147ae147ap-7", "0x1.47ae147ae147bp-7"),
+        (301, 301, 291, 299, 350, "0x1.47ae147ae147ap-7", "0x1.47ae147ae147bp-7"),
     ],
     "diffusion_random_percept_change": [
-        (301, 301, 139, 299, None, "0x1.b7505c8205312p-7", "0x1.6d90200fc74fep-7"),
+        (301, 301, 139, 299, None, "0x1.7dd18b98daa9ep-7", "0x1.a771651953bb0p-7"),
     ],
     "two_blocks": [
-        (2025, 2239, 2157, 2157, 3709, "0x1.94aa11bc36ae3p-7", "0x1.8e2fc7535e827p-7"),
+        (2047, 2239, 2157, 2157, 3730, "0x1.93eee6c9e490bp-7", "0x1.8ef20fcba35e4p-7"),
     ],
     "shared_draws": [
-        (272, 301, 134, 299, None, "0x1.8a51d89225f6ep-7", "0x1.0300a782b3928p-5"),
-        (272, 301, 166, 299, None, "0x1.8a51d89225f6ep-7", "0x1.5531485d980c9p-5"),
-        (222, 301, 190, 299, None, "0x1.4c0321a3840ddp-6", "0x1.50a0b817111a4p-5"),
-        (293, 301, 83, 299, None, "0x1.8a51d89225f6ep-7", "0x1.0300a782b3928p-5"),
+        (276, 301, 135, 299, None, "0x1.89aed292ebeb5p-7", "0x1.03001f4e43c2cp-5"),
+        (276, 301, 170, 299, None, "0x1.89aed292ebeb5p-7", "0x1.54c14b1908c9ep-5"),
+        (224, 301, 188, 299, None, "0x1.4cbf2be97fb84p-6", "0x1.50395507b2781p-5"),
+        (293, 301, 94, 299, None, "0x1.89aed292ebeb5p-7", "0x1.03001f4e43c2cp-5"),
     ],
     "diffusion_sweep": [
-        (283, 301, 72, 299, None, "0x1.67d6a49b401a2p-7", "0x1.50d68a1374c98p-6"),
-        (283, 301, 142, 299, None, "0x1.67d6a49b401a2p-7", "0x1.ec9758f5acdfdp-6"),
-        (283, 301, 253, 299, None, "0x1.67d6a49b401a2p-7", "0x1.e8a93ed381bf9p-5"),
+        (274, 301, 69, 299, None, "0x1.77dd2ed6bbab4p-7", "0x1.45884b02a7333p-6"),
+        (274, 301, 132, 299, None, "0x1.77dd2ed6bbab4p-7", "0x1.e08e7b80b8327p-6"),
+        (274, 301, 256, 299, None, "0x1.77dd2ed6bbab4p-7", "0x1.e20891dfeae24p-5"),
     ],
 }
 SLICED_PINS = [
-    (1883, 2082, 557, 2024, None, "0x1.925552de2464dp-7", "0x1.550ef44a90cbbp-6"),
-    (1883, 2082, 877, 2024, None, "0x1.925552de2464dp-7", "0x1.f013e0529b1cbp-6"),
-    (1883, 2082, 1109, 2024, None, "0x1.925552de2464dp-7", "0x1.4734ffae9a736p-5"),
+    (1901, 2082, 551, 2024, None, "0x1.926e651810dc5p-7", "0x1.557c8e460a398p-6"),
+    (1901, 2082, 874, 2024, None, "0x1.926e651810dc5p-7", "0x1.f127eb134591dp-6"),
+    (1901, 2082, 1112, 2024, None, "0x1.926e651810dc5p-7", "0x1.47f1a30d6b0f0p-5"),
 ]
 WHERE = f"pinned under {PINNED_STREAM} with numpy {PINNED_NUMPY}; numpy here is {np.__version__}"
 
@@ -174,3 +177,33 @@ def test_stream_pin(name):
 def test_sliced_group_pin(monkeypatch):
     monkeypatch.setattr(protocol, "_SLICE_BLOCKS", 2)
     assert pins(SLICED) == SLICED_PINS, WHERE
+
+
+def literal(values):
+    """A pin as the source text of its tuple, strings in double quotes."""
+    return "(" + ", ".join(f'"{value}"' if isinstance(value, str) else repr(value) for value in values) + ")"
+
+
+def main():
+    """Print the pin literals of the current code, running ``SLICED`` as ``test_sliced_group_pin`` does."""
+    default_slice = protocol._SLICE_BLOCKS
+    protocol._SLICE_BLOCKS = 2
+    try:
+        sliced = pins(SLICED)
+    finally:
+        protocol._SLICE_BLOCKS = default_slice
+    print("PINS = {")
+    for name, raws in CASES.items():
+        print(f'    "{name}": [')
+        for values in pins(raws):
+            print(f"        {literal(values)},")
+        print("    ],")
+    print("}")
+    print("SLICED_PINS = [")
+    for values in sliced:
+        print(f"    {literal(values)},")
+    print("]")
+
+
+if __name__ == "__main__":
+    main()
