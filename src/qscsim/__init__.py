@@ -9,24 +9,9 @@ percept change) lets the observer distinguish input states no projective
 device can separate reliably in a single shot.
 """
 
-from .collapse import (
-    Calibration,
-    CollapseModel,
-    CollapseParams,
-    calibrate_gamma,
-    diffusion_gamma,
-    sample_collapses,
-)
+from .collapse import CollapseModel, CollapseParams, diffusion_gamma, sample_collapses
 from .config import ExperimentConfig, SweepSpec, expand_sweep, load_config, parse_config
-from .errors import (
-    CalibrationError,
-    ConfigError,
-    ConfigFileError,
-    ConfigParseError,
-    FieldError,
-    ModelMisuseError,
-    QscError,
-)
+from .errors import ConfigError, FieldError, QscError
 from .observer import ObserverParams, PerceptionScenario, ScenarioTag, awareness_probability
 from .protocol import (
     DecisionRule,
@@ -40,19 +25,14 @@ from .protocol import (
 from .stats import RateEstimate
 
 __all__ = [
-    "Calibration",
-    "CalibrationError",
     "CollapseModel",
     "CollapseParams",
     "ConfigError",
-    "ConfigFileError",
-    "ConfigParseError",
     "DecisionRule",
     "ExperimentConfig",
     "ExperimentSummary",
     "FieldError",
     "InputKind",
-    "ModelMisuseError",
     "ObserverParams",
     "PerceptionScenario",
     "QscError",
@@ -61,7 +41,6 @@ __all__ = [
     "ScenarioTag",
     "SweepSpec",
     "awareness_probability",
-    "calibrate_gamma",
     "diffusion_gamma",
     "expand_sweep",
     "load_config",

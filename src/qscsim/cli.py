@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .collapse import CollapseModel, between_bands, calibrate_gamma
+from .collapse import CollapseModel, between_bands, sample_collapses
 from .config import (
     config_to_json_dict,
     expand_sweep,
@@ -22,9 +23,10 @@ from .config import (
     read_raw_config,
     set_config_field,
 )
-from .errors import FieldError, ModelMisuseError, QscError
+from .errors import FieldError, QscError
 from .protocol import RNG_STREAM, run_experiment, run_experiments
 from .report import render_csv, render_human_summary, summary_csv_row, summary_to_json_dict
+from .stats import Z95
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -137,40 +139,55 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     if isinstance(raw.get("collapse"), dict):
         raw = set_config_field(raw, "collapse.gamma", None)
     config = parse_config(raw)
-    if config.collapse.model is not CollapseModel.DIFFUSION:
-        raise ModelMisuseError(
-            f"calibrate applies to the diffusion model; config selects {config.collapse.model.value}"
+    collapse = config.collapse
+    if collapse.model is not CollapseModel.DIFFUSION:
+        raise FieldError(
+            "collapse.model", f"calibrate applies to the diffusion model; config selects {collapse.model.value}"
         )
-    if not between_bands(config.input_p1, config.collapse.epsilon):
+    if not between_bands(config.input_p1, collapse.epsilon):
         raise FieldError(
             "input_p1", f"calibrate needs input_p1 inside (epsilon, 1 - epsilon), got {config.input_p1!r}"
         )
-    target = config.collapse.t_c_mean
-    cal = calibrate_gamma(
-        target,
-        config.input_p1,
-        config.collapse.epsilon,
-        args.tolerance,
-        np.random.default_rng(config.master_seed),
-        n_runs=args.runs,
-    )
-    lo, hi = cal.ci95()
+    target, gamma, tolerance, n_runs = collapse.t_c_mean, collapse.gamma, args.tolerance, args.runs
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise QscError(f"tolerance must be finite and > 0, got {tolerance!r}")
+    if n_runs < 2:
+        raise QscError(f"n_runs must be >= 2, got {n_runs!r}")
+    # parse_config filled in the closed-form gamma; one exact ensemble checks it.
+    times, _ = sample_collapses(config.input_p1, collapse, np.random.default_rng(config.master_seed), n_runs)
+    mean, sd = float(times.mean()), float(times.std(ddof=1))
+    # Budget rule: the ensemble's Monte Carlo error must resolve the tolerance.
+    cv = sd / mean
+    noise_floor = 3.0 * cv / math.sqrt(n_runs)
+    if noise_floor > tolerance:
+        needed = math.ceil((3.0 * cv / tolerance) ** 2)
+        raise QscError(
+            f"run budget too small for tolerance {tolerance!r}: "
+            f"3*cv/sqrt(n_runs) = {noise_floor:.4f}; need n_runs >= {needed}"
+        )
+    half = Z95 * sd / math.sqrt(n_runs)
+    lo, hi = mean - half, mean + half
+    if hi < target * (1.0 - tolerance) or lo > target * (1.0 + tolerance):
+        raise QscError(
+            f"95% CI {(lo, hi)} of the mean first-passage time misses {target!r} "
+            f"by more than tolerance {tolerance!r} at gamma {gamma!r}"
+        )
     if args.json:
         print(_dumps({
-            "gamma": cal.gamma,
+            "gamma": gamma,
             "t_c_target": target,
-            "achieved_mean": cal.achieved_mean,
+            "achieved_mean": mean,
             "achieved_mean_ci95": [lo, hi],
-            "n_runs": cal.n_runs,
-            "tolerance": args.tolerance,
+            "n_runs": n_runs,
+            "tolerance": tolerance,
             "master_seed": config.master_seed,
         }))
     else:
-        print(f"calibrated gamma            {cal.gamma!r}")
+        print(f"calibrated gamma            {gamma!r}")
         print(f"target mean collapse time   {target!r} s")
-        print(f"achieved mean (n={cal.n_runs})   {cal.achieved_mean:.6g} s  [95% CI {lo:.6g}, {hi:.6g}]")
+        print(f"achieved mean (n={n_runs})   {mean:.6g} s  [95% CI {lo:.6g}, {hi:.6g}]")
     if args.save_config:
-        updated = set_config_field(raw, "collapse.gamma", cal.gamma)
+        updated = set_config_field(raw, "collapse.gamma", gamma)
         _write_text(args.save_config, _dumps(updated, indent=2) + "\n")
         if not args.json:
             print(f"config with calibrated gamma written to {args.save_config}")
@@ -178,6 +195,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise QscError(f"--seed must be >= 0, got {args.seed}")
     from .selftest import run_selftest  # imported here so other verbs skip loading it
 
     kwargs = {} if args.seed is None else {"seed": args.seed}

@@ -28,8 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CalibrationError, FieldError, ModelMisuseError, check_field
-from .stats import Z95
+from .errors import FieldError, check_field
 
 DEFAULT_EPSILON = 1e-3
 DEFAULT_KAPPA = 1.0
@@ -117,11 +116,11 @@ def sample_collapses(
     position and each step's ``r`` and J* constants are scalars.  Each step
     draws one side uniform per live walker, then their J* values, which
     every law of a sequence scales by its own ``(r/gamma)^2``.  A weight
-    that does not start :func:`between_bands` has collapsed at time 0.
+    that does not start :func:`between_bands`, ``p1`` 0 and 1 included, has
+    collapsed at time 0 on the nearer band (``hit_upper`` is ``p1 > 0.5``)
+    and draws nothing.
 
     Raises:
-        ModelMisuseError: diffusion with ``p1`` in {0, 1} (the weight never
-            moves, so there is nothing superposed to collapse).
         ValueError: a law with ``gamma`` None, for diffusion from a ``p1``
             that starts :func:`between_bands` (``n`` > 0).
     """
@@ -144,16 +143,16 @@ def sample_collapses(
             times = t_c * rng.standard_exponential(n)
         hit_upper = rng.random(n) < p1
         return (times[0] if single else times), hit_upper
-    if p1 == 0.0 or p1 == 1.0:
-        raise ModelMisuseError("p1 in {0, 1} leaves no superposition to collapse")
 
-    y, band = _logit_start(p1, epsilon)
-    live = np.arange(n if between_bands(p1, epsilon) else 0)
-    if live.size and any(law.gamma is None for law in laws):
-        raise ValueError(f"gamma is required for diffusion from p1 {p1!r}, which starts between the bands")
-    gammas = np.array([law.gamma for law in laws])
     times = np.zeros((len(laws), n))
-    hit_upper = np.full(n, y > 0.0)
+    hit_upper = np.full(n, p1 > 0.5)
+    if not (n and between_bands(p1, epsilon)):
+        return (times[0] if single else times), hit_upper
+    if any(law.gamma is None for law in laws):
+        raise ValueError(f"gamma is required for diffusion from p1 {p1!r}, which starts between the bands")
+    y, band = _logit_start(p1, epsilon)
+    gammas = np.array([law.gamma for law in laws])
+    live = np.arange(n)
     while live.size:
         r = band - abs(y)
         up = rng.random(live.size) < 0.5 * (1.0 + np.tanh(0.5 * y) * np.tanh(0.5 * r))
@@ -304,20 +303,6 @@ def _sample_j_star(z: float, n: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Calibration:
-    """A diffusion strength and the first-passage times of ``n_runs`` walkers at it."""
-
-    gamma: float
-    achieved_mean: float
-    achieved_sd: float
-    n_runs: int
-
-    def ci95(self) -> tuple[float, float]:
-        half = Z95 * self.achieved_sd / math.sqrt(self.n_runs)
-        return self.achieved_mean - half, self.achieved_mean + half
-
-
 def diffusion_gamma(t_c_mean: float, p1: float, epsilon: float) -> float:
     """Diffusion strength whose exact mean first-passage time from ``p1`` is ``t_c_mean``.
 
@@ -330,48 +315,3 @@ def diffusion_gamma(t_c_mean: float, p1: float, epsilon: float) -> float:
     if not (0.0 < epsilon and between_bands(p1, epsilon)):
         raise ValueError(f"need 0 < epsilon < p1 < 1 - epsilon, got epsilon={epsilon!r}, p1={p1!r}")
     return math.sqrt(2.0 * _passage_bracket(p1, epsilon) / t_c_mean)
-
-
-def calibrate_gamma(
-    t_c_target: float,
-    p1: float,
-    epsilon: float,
-    tolerance: float,
-    rng: np.random.Generator,
-    *,
-    n_runs: int = 8192,
-) -> Calibration:
-    """Closed-form :func:`diffusion_gamma` checked by one exact ensemble of ``n_runs`` walkers.
-
-    The ensemble draws from ``rng``.  Budget rule: its Monte Carlo error must
-    satisfy ``3 * cv / sqrt(n_runs) <= tolerance``.
-
-    Raises:
-        CalibrationError: run budget too small for ``tolerance`` (naming the
-            ``n_runs`` needed), or the ensemble's 95% CI lies entirely
-            outside ``t_c_target * (1 +- tolerance)``.
-    """
-    gamma = diffusion_gamma(t_c_target, p1, epsilon)
-    if not (math.isfinite(tolerance) and tolerance > 0.0):
-        raise ValueError(f"tolerance must be finite and > 0, got {tolerance!r}")
-    if n_runs < 2:
-        raise ValueError(f"n_runs must be >= 2, got {n_runs!r}")
-    params = CollapseParams(model=CollapseModel.DIFFUSION, t_c_mean=t_c_target, gamma=gamma, epsilon=epsilon)
-    times, _ = sample_collapses(p1, params, rng, n_runs)
-    cal = Calibration(gamma, float(times.mean()), float(times.std(ddof=1)), n_runs)
-    cv = cal.achieved_sd / cal.achieved_mean
-    noise_floor = 3.0 * cv / math.sqrt(n_runs)
-    if noise_floor > tolerance:
-        needed = math.ceil((3.0 * cv / tolerance) ** 2)
-        raise CalibrationError(
-            f"run budget too small for tolerance {tolerance!r}: "
-            f"3*cv/sqrt(n_runs) = {noise_floor:.4f}; need n_runs >= {needed}"
-        )
-    lo, hi = cal.ci95()
-    if hi < t_c_target * (1.0 - tolerance) or lo > t_c_target * (1.0 + tolerance):
-        raise CalibrationError(
-            f"95% CI {cal.ci95()} of the mean first-passage time misses {t_c_target!r} "
-            f"by more than tolerance {tolerance!r} at gamma {gamma!r}"
-        )
-    return cal
-

@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Any
 
 from .collapse import CollapseModel, CollapseParams, between_bands, diffusion_gamma
-from .errors import ConfigFileError, ConfigParseError, FieldError, check_field, check_integer
+from .errors import ConfigError, FieldError, check_field, check_integer
 from .observer import ObserverParams, PerceptionScenario
 from .protocol import DecisionRule, RuleKind, field_types, leaf_fields
 
@@ -242,15 +242,15 @@ def read_raw_config(path: str | Path) -> dict[str, Any]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigFileError(f"cannot read config file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ConfigParseError(f"config file {path} is not valid UTF-8: {exc}") from exc
+        raise ConfigError(f"config file {path} is not valid UTF-8: {exc}") from exc
     try:
         raw = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer beyond Python's digit limit
-        raise ConfigParseError(f"config file {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigParseError(f"config file {path} must contain a JSON object")
+        raise ConfigError(f"config file {path} must contain a JSON object")
     return raw
 
 

@@ -1,11 +1,14 @@
 """Exception types shared across the package.
 
-A parameter object or config that gets an out-of-range or non-finite value,
-or a non-integer one for an integer field, raises :class:`FieldError`, both
-a ``ConfigError`` and a ``ValueError``, naming the field (by its dotted path
-when it comes from a config); other out-of-range function arguments raise
-plain ``ValueError``.  The other classes mark failure modes callers are
-expected to branch on.
+Three classes, each a subclass of the one before: ``QscError`` is any
+package-specific failure, such as a CLI output path that cannot be written
+or a calibration that misses its target.  ``ConfigError`` is a config that
+cannot be used; the config reader raises it, naming the file, for a file
+that cannot be read or does not hold a JSON object.  A parameter object or
+config that gets an out-of-range or non-finite value, or a non-integer one
+for an integer field, raises :class:`FieldError`, both a ``ConfigError`` and
+a ``ValueError``, naming the field (by its dotted path when it comes from a
+config); other out-of-range function arguments raise plain ``ValueError``.
 """
 
 from __future__ import annotations
@@ -33,24 +36,8 @@ class QscError(Exception):
     """Base class for package-specific failures."""
 
 
-class ModelMisuseError(QscError):
-    """An operation was called with a collapse model or event it does not support."""
-
-
-class CalibrationError(QscError):
-    """Diffusion-strength calibration could not meet its contract."""
-
-
 class ConfigError(QscError):
-    """Base class for experiment-configuration failures."""
-
-
-class ConfigFileError(ConfigError):
-    """Config file missing or unreadable."""
-
-
-class ConfigParseError(ConfigError):
-    """Config file is not valid JSON."""
+    """An experiment config that cannot be read or used."""
 
 
 class FieldError(ConfigError, ValueError):

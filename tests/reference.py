@@ -28,7 +28,6 @@ from typing import Sequence
 import numpy as np
 
 from qscsim.collapse import CollapseParams, sample_collapses
-from qscsim.errors import ModelMisuseError
 from qscsim.observer import ObserverParams, PerceptionScenario, ScenarioTag
 from qscsim.protocol import DEFINITE_WEIGHT_TOL, DecisionRule, InputKind, RuleKind
 
@@ -142,7 +141,7 @@ def perceive_superposition(
     reported.
     """
     if event is None:
-        raise ModelMisuseError("perceive_superposition needs a collapse event; definite inputs produce none")
+        raise ValueError("perceive_superposition needs a collapse event; definite inputs produce none")
     post = percept_for_branch(event.outcome)
     tag = scenario.tag
 

@@ -14,7 +14,7 @@ import pytest
 
 from oracles import binom_3sigma, exp_mean_3sigma, exp_var_3sigma
 from qscsim.cli import main
-from qscsim.collapse import CollapseModel, CollapseParams, calibrate_gamma, sample_collapses
+from qscsim.collapse import CollapseModel, CollapseParams, diffusion_gamma, sample_collapses
 from qscsim.config import expand_sweep, parse_config
 from qscsim.observer import awareness_probability
 from qscsim.protocol import optimal_device_bound, run_experiment
@@ -66,7 +66,7 @@ def test_criterion_2_collapse_time_law():
     assert elapsed < 5.0, f"exponential-law check took {elapsed:.1f}s, budget 5s"
 
     target = 1.0
-    gamma = calibrate_gamma(target, 0.5, 1e-3, 0.02, np.random.default_rng(SEED), n_runs=8192).gamma
+    gamma = diffusion_gamma(target, 0.5, 1e-3)
     calibrated = CollapseParams(
         model=CollapseModel.DIFFUSION, t_c_mean=target, gamma=gamma, epsilon=1e-3
     )

@@ -1,11 +1,15 @@
 import csv
 import json
 import math
+import re
 import threading
 
+import numpy as np
 import pytest
 
+import qscsim.cli as cli
 from qscsim.cli import main
+from qscsim.collapse import diffusion_gamma
 from qscsim.report import CSV_COLUMNS
 
 BASE_CONFIG = {
@@ -261,13 +265,53 @@ class TestCalibrate:
         assert lo < payload["achieved_mean"] < hi
         assert abs(payload["achieved_mean"] - 1.0) < 0.2
 
-    def test_same_seed_same_gamma(self, tmp_path, capsys):
+    def test_same_seed_same_output(self, tmp_path, capsys):
         path = self.calibration_config(tmp_path)
-        gammas = []
+        outputs = []
         for _ in range(2):
-            main(["calibrate", "--config", path, "--tolerance", "0.1", "--runs", "512", "--json"])
-            gammas.append(json.loads(capsys.readouterr().out)["gamma"])
-        assert gammas[0] == gammas[1]
+            assert main(["calibrate", "--config", path, "--tolerance", "0.1", "--runs", "512", "--json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        payload = json.loads(outputs[0])
+        assert payload["gamma"] == diffusion_gamma(1.0, 0.5, 1e-3)
+        assert payload["n_runs"] == 512
+        lo, hi = payload["achieved_mean_ci95"]
+        assert lo <= payload["achieved_mean"] <= hi
+        assert lo <= 1.1 and hi >= 0.9
+
+    def test_benchmark_sized_run_meets_its_tolerance(self, tmp_path, capsys):
+        path = self.calibration_config(tmp_path)
+        assert main(["calibrate", "--config", path, "--tolerance", "0.02", "--runs", "8192", "--json"]) == 0
+        lo, hi = json.loads(capsys.readouterr().out)["achieved_mean_ci95"]
+        assert 0.98 <= lo < hi <= 1.02
+
+    def test_budget_rule_rejects_unreachable_tolerance(self, tmp_path, capsys):
+        path = self.calibration_config(tmp_path)
+        assert main(["calibrate", "--config", path, "--tolerance", "0.001", "--runs", "256"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(
+            r"error: run budget too small for tolerance 0\.001: 3\*cv/sqrt\(n_runs\) = \d\.\d{4}; "
+            r"need n_runs >= \d+\n",
+            captured.err,
+        )
+
+    def test_ci_missing_target_is_an_error(self, tmp_path, capsys, monkeypatch):
+        def biased_sampler(p1, params, rng, n):
+            times = np.full(n, 0.5)
+            times[::2] = 0.6
+            return times, np.zeros(n, dtype=bool)
+
+        monkeypatch.setattr(cli, "sample_collapses", biased_sampler)
+        path = self.calibration_config(tmp_path)
+        assert main(["calibrate", "--config", path, "--tolerance", "0.05", "--runs", "4096"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 95% CI (") and "misses 1.0 by more than tolerance 0.05" in err
+
+    def test_runs_must_be_at_least_two(self, tmp_path, capsys):
+        path = self.calibration_config(tmp_path)
+        assert main(["calibrate", "--config", path, "--runs", "1"]) == 1
+        assert capsys.readouterr().err == "error: n_runs must be >= 2, got 1\n"
 
     def test_save_config_writes_gamma(self, tmp_path, capsys):
         path = self.calibration_config(tmp_path)
@@ -319,9 +363,18 @@ class TestCalibrate:
         assert main(["calibrate", "--config", path, f"--tolerance={tolerance}", "--runs", "512", *json_flag]) == 1
         assert "tolerance" in capsys.readouterr().err
 
-    def test_wrong_model_is_an_error(self, config_path, capsys):
+    def test_wrong_model_names_the_field(self, config_path, capsys):
         assert main(["calibrate", "--config", config_path]) == 1
-        assert "diffusion" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: collapse.model: calibrate applies to the diffusion model; config selects jump_exponential\n"
+        )
+
+
+def test_selftest_rejects_a_negative_seed(capsys):
+    assert main(["selftest", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize(

@@ -14,14 +14,8 @@ from oracles import (
 )
 from reference import Branch, CollapseEvent, collapse_for_input, per_walker_diffusion_collapses, sample_outcome
 import qscsim.collapse as collapse_module
-from qscsim.collapse import (
-    CollapseModel,
-    CollapseParams,
-    calibrate_gamma,
-    diffusion_gamma,
-    sample_collapses,
-)
-from qscsim.errors import CalibrationError, FieldError, ModelMisuseError
+from qscsim.collapse import CollapseModel, CollapseParams, diffusion_gamma, sample_collapses
+from qscsim.errors import FieldError
 
 
 def jump(t_c=2.0):
@@ -146,20 +140,21 @@ class TestSampleOutcome:
 class TestDiffusion:
     def test_misuse_errors(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(ModelMisuseError):
-            sample_collapses(1.0, diffusion(), rng, 1)
-        with pytest.raises(ModelMisuseError):
-            sample_collapses(0.0, diffusion(), rng, 1)
         with pytest.raises(ValueError):
             sample_collapses(1.5, diffusion(), rng, 1)
         with pytest.raises(ValueError):
             sample_collapses(0.5, diffusion(), rng, -1)
 
-    def test_start_inside_a_band_has_collapsed(self):
-        times, hit_upper = sample_collapses(1e-4, diffusion(), np.random.default_rng(0), 3)
-        assert np.all(times == 0.0) and not hit_upper.any()
-        times, hit_upper = sample_collapses(1.0 - 1e-4, diffusion(), np.random.default_rng(0), 3)
-        assert np.all(times == 0.0) and hit_upper.all()
+    @pytest.mark.parametrize("p1", [0.0, 1e-4, 5e-4, 0.9995, 1.0 - 1e-4, 1.0])
+    def test_start_inside_a_band_has_collapsed(self, p1):
+        # p1 0 and 1 follow the same rule as any other start in a band:
+        # time 0 on the nearer band, and no draw.
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for params in (diffusion(), diffusion(gamma=None)):
+            times, hit_upper = sample_collapses(p1, params, rng, 3)
+            assert np.all(times == 0.0) and np.all(hit_upper == (p1 > 0.5))
+        assert rng.bit_generator.state == state
 
     def test_born_statistics_against_martingale_oracle(self):
         n = 20_000
@@ -252,28 +247,15 @@ class TestDiffusion:
         assert np.array_equal(t1, t2) and np.array_equal(h1, h2)
 
 
-class TestCalibrateGamma:
+class TestDiffusionGamma:
     @pytest.mark.parametrize("t_c", [1.0, 180.0])
     @pytest.mark.parametrize("p1", [0.1, 0.5, 0.9])
     def test_closed_form_matches_boundary_value_oracle(self, p1, t_c):
         gamma = diffusion_gamma(t_c, p1, 1e-3)
         assert mean_first_passage_time(p1, gamma, 1e-3) == pytest.approx(t_c, rel=1e-3)
 
-    def test_deterministic_given_seed(self, monkeypatch):
-        calls = count_ensembles(monkeypatch)
-        kwargs = dict(n_runs=2048)
-        c1 = calibrate_gamma(1.0, 0.5, 1e-3, 0.05, np.random.default_rng(4), **kwargs)
-        c2 = calibrate_gamma(1.0, 0.5, 1e-3, 0.05, np.random.default_rng(4), **kwargs)
-        assert c1 == c2
-        assert len(calls) == 2  # one verification ensemble each
-        assert c1.gamma == diffusion_gamma(1.0, 0.5, 1e-3)
-        assert c1.n_runs == 2048
-        lo, hi = c1.ci95()
-        assert lo <= c1.achieved_mean <= hi
-        assert lo <= 1.05 and hi >= 0.95
-
     def test_hits_target_and_doubling_overshoots(self):
-        gamma = calibrate_gamma(1.0, 0.5, 1e-3, 0.05, np.random.default_rng(8), n_runs=2048).gamma
+        gamma = diffusion_gamma(1.0, 0.5, 1e-3)
         params = CollapseParams(model=CollapseModel.DIFFUSION, t_c_mean=1.0, gamma=gamma)
         times, _ = sample_collapses(0.5, params, np.random.default_rng(9), 4096)
         assert abs(float(times.mean()) - 1.0) <= 0.08
@@ -281,45 +263,13 @@ class TestCalibrateGamma:
         times2, _ = sample_collapses(0.5, doubled, np.random.default_rng(9), 4096)
         assert float(times2.mean()) < 1.0
 
-    def test_ci_missing_target_raises(self, monkeypatch):
-        def biased_sampler(p1, params, rng, n):
-            times = np.full(n, 0.5)
-            times[::2] = 0.6
-            return times, np.zeros(n, dtype=bool)
-
-        monkeypatch.setattr(collapse_module, "sample_collapses", biased_sampler)
-        with pytest.raises(CalibrationError, match="misses 1.0"):
-            calibrate_gamma(1.0, 0.5, 1e-3, 0.05, np.random.default_rng(7), n_runs=4096)
-
-    def test_budget_rule_rejects_unreachable_tolerance(self):
-        with pytest.raises(CalibrationError, match=r"need n_runs >= \d+"):
-            calibrate_gamma(1.0, 0.5, 1e-3, 0.001, np.random.default_rng(4), n_runs=256)
-
     def test_argument_validation(self):
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            calibrate_gamma(-1.0, 0.5, 1e-3, 0.05, rng)
+            diffusion_gamma(-1.0, 0.5, 1e-3)
         with pytest.raises(ValueError):
-            calibrate_gamma(1.0, 0.0, 1e-3, 0.05, rng)
-        with pytest.raises(ValueError):
-            calibrate_gamma(1.0, 0.5, 1e-3, 0.0, rng)
-        with pytest.raises(ValueError):
-            calibrate_gamma(1.0, 0.5, 1e-3, math.nan, rng)
+            diffusion_gamma(1.0, 0.0, 1e-3)
         with pytest.raises(ValueError):
             diffusion_gamma(1.0, 5e-4, 1e-3)  # inside the absorbing band
-
-
-def count_ensembles(monkeypatch):
-    """Record the gamma of every ensemble the calibration runs."""
-    calls = []
-    real = collapse_module.sample_collapses
-
-    def counting(p1, params, rng, n):
-        calls.append(params.gamma)
-        return real(p1, params, rng, n)
-
-    monkeypatch.setattr(collapse_module, "sample_collapses", counting)
-    return calls
 
 
 class TestCollapseForInput:

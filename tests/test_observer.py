@@ -5,7 +5,7 @@ import pytest
 
 from oracles import RiggedRng, binom_3sigma
 from reference import Branch, CollapseEvent, Percept, PerceptionReport, perceive_definite, perceive_superposition
-from qscsim.errors import FieldError, ModelMisuseError
+from qscsim.errors import FieldError
 from qscsim.observer import (
     ObserverParams,
     PerceptionScenario,
@@ -93,7 +93,7 @@ class TestPerceiveDefinite:
 
 class TestPerceiveSuperposition:
     def test_requires_event(self):
-        with pytest.raises(ModelMisuseError):
+        with pytest.raises(ValueError, match="needs a collapse event"):
             perceive_superposition(QUIET, ALL_SCENARIOS[0], None, np.random.default_rng(0))
 
     def test_post_collapse_only(self):
