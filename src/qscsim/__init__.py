@@ -16,7 +16,6 @@ from .observer import ObserverParams, PerceptionScenario, ScenarioTag, awareness
 from .protocol import (
     DecisionRule,
     ExperimentSummary,
-    InputKind,
     RuleKind,
     optimal_device_bound,
     run_experiment,
@@ -32,7 +31,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentSummary",
     "FieldError",
-    "InputKind",
     "ObserverParams",
     "PerceptionScenario",
     "QscError",

@@ -28,6 +28,9 @@ from .protocol import RNG_STREAM, run_experiment, run_experiments
 from .report import render_csv, render_human_summary, summary_csv_row, summary_to_json_dict
 from .stats import Z95
 
+#: Most ``calibrate --runs`` walkers: an ensemble holds about 115 bytes per walker.
+MAX_RUNS = 2**22
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -54,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cal = sub.add_parser("calibrate", help="calibrate the diffusion strength to the target mean collapse time")
     common(p_cal)
     p_cal.add_argument("--tolerance", type=float, default=0.02, help="relative tolerance on the mean first-passage time")
-    p_cal.add_argument("--runs", type=int, default=8192, help="walkers in the verification ensemble")
+    p_cal.add_argument("--runs", type=int, default=8192, help="walkers in the verification ensemble, 2 to 2**22")
     p_cal.add_argument("--save-config", default=None, help="write the config with the calibrated gamma to this path")
 
     p_self = sub.add_parser("selftest", help="run the reduced-size invariant suite")
@@ -150,9 +153,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         )
     target, gamma, tolerance, n_runs = collapse.t_c_mean, collapse.gamma, args.tolerance, args.runs
     if not (math.isfinite(tolerance) and tolerance > 0.0):
-        raise QscError(f"tolerance must be finite and > 0, got {tolerance!r}")
-    if n_runs < 2:
-        raise QscError(f"n_runs must be >= 2, got {n_runs!r}")
+        raise QscError(f"--tolerance must be finite and > 0, got {tolerance!r}")
+    if not 2 <= n_runs <= MAX_RUNS:
+        raise QscError(f"--runs must be in [2, 2**22], got {n_runs!r}")
     # parse_config filled in the closed-form gamma; one exact ensemble checks it.
     times, _ = sample_collapses(config.input_p1, collapse, np.random.default_rng(config.master_seed), n_runs)
     mean, sd = float(times.mean()), float(times.std(ddof=1))
@@ -163,7 +166,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         needed = math.ceil((3.0 * cv / tolerance) ** 2)
         raise QscError(
             f"run budget too small for tolerance {tolerance!r}: "
-            f"3*cv/sqrt(n_runs) = {noise_floor:.4f}; need n_runs >= {needed}"
+            f"3*cv/sqrt(n_runs) = {noise_floor:.4f}; need --runs >= {needed}"
         )
     half = Z95 * sd / math.sqrt(n_runs)
     lo, hi = mean - half, mean + half

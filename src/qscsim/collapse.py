@@ -28,10 +28,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import FieldError, check_field
+from .errors import check_field
 
 DEFAULT_EPSILON = 1e-3
-DEFAULT_KAPPA = 1.0
 
 #: Devroye's split point between the two series expansions of the J* density.
 _J_TRUNC = 0.64
@@ -51,37 +50,23 @@ class CollapseParams:
     strength, 1/sqrt(s)) and ``epsilon`` (absorbing half-band) only drive the
     DIFFUSION model.
 
-    An optional perception ``energy`` ties the mean collapse time to the
-    inverse-energy relation ``t_c_mean = kappa / energy``; construction
-    rejects inconsistent pairs.  Construction also rejects a non-finite or
-    out-of-range field with a :class:`~qscsim.errors.FieldError` naming it.
-    Whether a diffusion ``gamma`` is needed, and its tie to ``t_c_mean``,
-    depend on the input weight, so :class:`~qscsim.config.ExperimentConfig`
-    checks them; here ``gamma`` may be None.
+    Construction rejects a non-finite or out-of-range field with a
+    :class:`~qscsim.errors.FieldError` naming it.  Whether a diffusion
+    ``gamma`` is needed, and its tie to ``t_c_mean``, depend on the input
+    weight, so :class:`~qscsim.config.ExperimentConfig` checks them; here
+    ``gamma`` may be None.
     """
 
     model: CollapseModel = field(metadata={"json": CollapseModel.JUMP_EXPONENTIAL, "draws": True})
     t_c_mean: float = field(metadata={"json": 180.0, "sweep": True})
     gamma: float | None = None
     epsilon: float = field(default=DEFAULT_EPSILON, metadata={"sweep": True, "draws": True})
-    energy: float | None = None
-    kappa: float = DEFAULT_KAPPA
 
     def __post_init__(self) -> None:
-        # energy and kappa first: a t_c_mean left unset is derived from them.
-        if self.energy is not None:
-            check_field("energy", self.energy, self.energy > 0.0, "> 0")
-        check_field("kappa", self.kappa, self.kappa > 0.0, "> 0")
         check_field("t_c_mean", self.t_c_mean, self.t_c_mean > 0.0, "> 0")
         check_field("epsilon", self.epsilon, 0.0 < self.epsilon < 0.5, "in (0.0, 0.5)")
         if self.gamma is not None:
             check_field("gamma", self.gamma, self.gamma > 0.0, "> 0")
-        if self.energy is not None:
-            implied = self.kappa / self.energy
-            if abs(self.t_c_mean - implied) > 1e-9 * self.t_c_mean:
-                raise FieldError(
-                    "energy", f"t_c_mean {self.t_c_mean!r} inconsistent with kappa/energy = {implied!r}"
-                )
 
 
 def sample_collapses(

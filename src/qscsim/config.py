@@ -210,11 +210,7 @@ def parse_config(raw: Mapping[str, Any]) -> ExperimentConfig:
         if raw.get(key) is not None and not isinstance(raw[key], Mapping):
             raise FieldError(key, "must be a JSON object")
 
-    section = raw.get("collapse") or {}
-    collapse = _read(CollapseParams, section, "collapse")
-    if section.get("t_c_mean") is None and collapse["energy"]:
-        collapse["t_c_mean"] = collapse["kappa"] / collapse["energy"]
-    collapse = _build("collapse", CollapseParams, **collapse)
+    collapse = _build("collapse", CollapseParams, **_read(CollapseParams, raw.get("collapse") or {}, "collapse"))
     # An omitted diffusion gamma is the closed form wherever the walk needs one.
     p1 = top["input_p1"]
     if collapse.model is CollapseModel.DIFFUSION and collapse.gamma is None and between_bands(p1, collapse.epsilon):

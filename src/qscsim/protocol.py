@@ -54,11 +54,6 @@ _SLICE_BLOCKS = 16
 DEFINITE_WEIGHT_TOL = 1e-12
 
 
-class InputKind(Enum):
-    DEFINITE = "definite"
-    SUPERPOSITION = "superposition"
-
-
 class RuleKind(Enum):
     TIMING_THRESHOLD = "timing_threshold"
     CHANGE_DETECTION = "change_detection"
@@ -71,13 +66,13 @@ class DecisionRule:
 
     ``threshold_time`` is required for the timing and combined rules;
     ``batch_n`` is the number of identically prepared states consumed per
-    decision; ``no_change_guess`` is returned when no signal fires.
+    decision.  Both signals are one-sided, so a batch is guessed
+    superposition when any copy fires and definite otherwise.
     """
 
     kind: RuleKind = field(metadata={"json": RuleKind.TIMING_THRESHOLD, "draws": True})
     threshold_time: float | None = field(default=None, metadata={"sweep": True})
     batch_n: int = field(default=1, metadata={"json": 5, "sweep": True, "draws": True})
-    no_change_guess: InputKind = field(default=InputKind.DEFINITE, metadata={"draws": True})
 
     def __post_init__(self) -> None:
         if self.threshold_time is not None:
@@ -161,7 +156,7 @@ def _count_fired(fired: np.ndarray) -> np.ndarray:
 
 def _run_block(
     configs: Sequence["ExperimentConfig"], rng: np.random.Generator, m: int, p1: float, collapses: bool
-) -> tuple[int, np.ndarray | int, np.ndarray | int, int, np.ndarray, np.ndarray]:
+) -> tuple[int, np.ndarray | int, np.ndarray, int, np.ndarray, np.ndarray]:
     """Run ``m`` decisions of every config in ``configs``, which share one
     stream layout, on one set of draws.
 
@@ -192,21 +187,18 @@ def _run_block(
     definite = report_times(np.full((points, n_def, batch_n), t_p), lead.observer, rng)
     sup = report_times(sup, lead.observer, rng)
 
-    # A batch in which no copy fires is guessed no_change_guess.
-    correct_def, correct_sup, device_correct = 0, n_sup, n_sup
-    if rule.no_change_guess is InputKind.DEFINITE:
-        correct_def, fired = n_def, changed[None]
-        if rule.kind is not RuleKind.CHANGE_DETECTION:
-            threshold = np.array([config.rule.threshold_time for config in configs])[:, None, None]
-            correct_def = n_def - _count_fired(definite > threshold)
-            fired = sup > threshold
-            if rule.kind is RuleKind.COMBINED:
-                fired |= changed
-        correct_sup = _count_fired(fired)
-        if lead.device_baseline:
-            # A definite input always reads B1; a superposition reads B2,
-            # which certifies it, with probability 1 - p1.
-            device_correct = n_def + int(rng.binomial(n_sup, 1.0 - p1))
+    # A batch in which no copy fires is guessed definite.
+    correct_def, fired = n_def, changed[None]
+    if rule.kind is not RuleKind.CHANGE_DETECTION:
+        threshold = np.array([config.rule.threshold_time for config in configs])[:, None, None]
+        correct_def = n_def - _count_fired(definite > threshold)
+        fired = sup > threshold
+        if rule.kind is RuleKind.COMBINED:
+            fired |= changed
+    correct_sup = _count_fired(fired)
+    # A definite input always reads B1; a superposition reads B2, which
+    # certifies it, with probability 1 - p1.
+    device_correct = n_def + int(rng.binomial(n_sup, 1.0 - p1)) if lead.device_baseline else 0
     sums = definite.reshape(points, -1).sum(axis=1), sup.reshape(points, -1).sum(axis=1)
     return n_def, correct_def, correct_sup, device_correct, *sums
 
@@ -307,7 +299,7 @@ def run_experiment(config: "ExperimentConfig") -> ExperimentSummary:
     4. one report jitter per definite copy, then one per superposed copy,
        each decision-major (only when ``jitter_sigma > 0``);
     5. one binomial count of the superposed decisions whose device reading
-       is B2 (device baseline with ``no_change_guess`` definite only).
+       is B2 (device baseline only).
 
     Each block reduces to integer counts and report-time partial sums,
     folded into running totals in block order (the sums with

@@ -29,7 +29,14 @@ import numpy as np
 
 from qscsim.collapse import CollapseParams, sample_collapses
 from qscsim.observer import ObserverParams, PerceptionScenario, ScenarioTag
-from qscsim.protocol import DEFINITE_WEIGHT_TOL, DecisionRule, InputKind, RuleKind
+from qscsim.protocol import DEFINITE_WEIGHT_TOL, DecisionRule, RuleKind
+
+
+class InputKind(Enum):
+    """An input kind, and the scalar model's guess of it."""
+
+    DEFINITE = "definite"
+    SUPERPOSITION = "superposition"
 
 
 class Branch(Enum):
@@ -178,7 +185,7 @@ def classify_single(report: PerceptionReport, rule: DecisionRule) -> InputKind:
     change = rule.kind is not RuleKind.TIMING_THRESHOLD and report.change_detected
     if timing or change:
         return InputKind.SUPERPOSITION
-    return rule.no_change_guess
+    return InputKind.DEFINITE
 
 
 def classify_batch(reports: Sequence[PerceptionReport], rule: DecisionRule) -> InputKind:
@@ -195,24 +202,19 @@ def classify_batch(reports: Sequence[PerceptionReport], rule: DecisionRule) -> I
     for report in reports:
         if classify_single(report, rule) is InputKind.SUPERPOSITION:
             return InputKind.SUPERPOSITION
-    return rule.no_change_guess
+    return InputKind.DEFINITE
 
 
-def device_trial(
-    true_input: InputKind,
-    p1: float,
-    rng: np.random.Generator,
-    no_change_guess: InputKind = InputKind.DEFINITE,
-) -> tuple[Branch, InputKind]:
+def device_trial(true_input: InputKind, p1: float, rng: np.random.Generator) -> tuple[Branch, InputKind]:
     """Projective measurement in the branch basis; no timing channel.
 
     Outcome B2 certifies a superposition; outcome B1 is uninformative and
-    yields ``no_change_guess``.
+    yields the guess definite.
     """
     if true_input is InputKind.DEFINITE and p1 != 1.0:
         raise ValueError(f"definite input requires p1 = 1, got {p1!r}")
     outcome = Branch.B1 if rng.random() < p1 else Branch.B2
-    guess = InputKind.SUPERPOSITION if outcome is Branch.B2 else no_change_guess
+    guess = InputKind.SUPERPOSITION if outcome is Branch.B2 else InputKind.DEFINITE
     return outcome, guess
 
 
@@ -293,7 +295,7 @@ def reference_run(config, n_trials: int) -> ReferenceTally:
             tally.superposition_correct += correct
             tally.superposition_times.append(mean_time)
         if config.device_baseline:
-            tally.device_correct += device_trial(kind, p1, rng, config.rule.no_change_guess)[1] is kind
+            tally.device_correct += device_trial(kind, p1, rng)[1] is kind
     return tally
 
 

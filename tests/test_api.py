@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 import qscsim
+from qscsim.config import ExperimentConfig
+from qscsim.protocol import leaf_fields
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,3 +31,20 @@ def test_every_public_name_resolves():
 def test_amplitude_layer_is_gone():
     with pytest.raises(ImportError):
         import qscsim.states  # noqa: F401
+
+
+def readme_config_paths():
+    """The ``section.field`` paths of README's configuration table, one per backticked field
+    name; a row with an empty section cell continues the section above."""
+    table = README.read_text().split("\n| section ", 1)[1].split("\n\n", 1)[0]
+    paths, section = [], ""
+    for row in table.splitlines()[2:]:
+        section_cell, field_cell = row.split("|")[1:3]
+        section = section_cell.strip().strip("`") or section
+        paths += [f"{section}.{name}" for name in re.findall(r"`(\w+)`", field_cell)]
+    return paths
+
+
+def test_config_table_lists_every_section_field():
+    sections = [path for path, _, _ in leaf_fields(ExperimentConfig) if "." in path]
+    assert readme_config_paths() == sections

@@ -10,6 +10,8 @@ import pytest
 import qscsim.cli as cli
 from qscsim.cli import main
 from qscsim.collapse import diffusion_gamma
+from qscsim.config import parse_config, set_config_field
+from qscsim.errors import FieldError
 from qscsim.report import CSV_COLUMNS
 
 BASE_CONFIG = {
@@ -145,6 +147,21 @@ class TestRun:
         path = write_config(tmp_path, {"collapse": {"t_c_mean": -1}})
         assert main(["run", "--config", path]) == 1
         assert "collapse.t_c_mean" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value", [("collapse.energy", 2.0), ("collapse.kappa", 1.0), ("rule.no_change_guess", "definite")]
+    )
+    def test_removed_key_is_unknown(self, tmp_path, capsys, key, value):
+        # No config key: t_c_mean is given directly, and a batch in which no
+        # signal fires is always guessed definite.
+        raw = set_config_field(BASE_CONFIG, key, value)
+        with pytest.raises(FieldError) as err:
+            parse_config(raw)
+        assert err.value.field == key
+        path = tmp_path / "removed.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {key}: unknown key\n"
 
 
 SWEEP_JUMP = {"n_trials": 200, "collapse": {"model": "jump_exponential", "t_c_mean": 0.02}}
@@ -292,7 +309,7 @@ class TestCalibrate:
         assert captured.out == ""
         assert re.fullmatch(
             r"error: run budget too small for tolerance 0\.001: 3\*cv/sqrt\(n_runs\) = \d\.\d{4}; "
-            r"need n_runs >= \d+\n",
+            r"need --runs >= \d+\n",
             captured.err,
         )
 
@@ -311,7 +328,16 @@ class TestCalibrate:
     def test_runs_must_be_at_least_two(self, tmp_path, capsys):
         path = self.calibration_config(tmp_path)
         assert main(["calibrate", "--config", path, "--runs", "1"]) == 1
-        assert capsys.readouterr().err == "error: n_runs must be >= 2, got 1\n"
+        assert capsys.readouterr().err == "error: --runs must be in [2, 2**22], got 1\n"
+
+    @pytest.mark.parametrize("runs", [2**22 + 1, 10**12])
+    def test_runs_above_the_cap_are_refused_before_any_draw(self, tmp_path, capsys, monkeypatch, runs):
+        def no_draws(*args):
+            raise AssertionError("calibrate drew an ensemble")
+
+        monkeypatch.setattr(cli, "sample_collapses", no_draws)
+        assert main(["calibrate", "--config", self.calibration_config(tmp_path), "--runs", str(runs)]) == 1
+        assert capsys.readouterr().err == f"error: --runs must be in [2, 2**22], got {runs}\n"
 
     def test_save_config_writes_gamma(self, tmp_path, capsys):
         path = self.calibration_config(tmp_path)
@@ -361,7 +387,7 @@ class TestCalibrate:
         path = self.calibration_config(tmp_path)
         # "--tolerance=-inf": argparse reads a separate "-inf" as an option.
         assert main(["calibrate", "--config", path, f"--tolerance={tolerance}", "--runs", "512", *json_flag]) == 1
-        assert "tolerance" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: --tolerance must be finite and > 0, got {float(tolerance)!r}\n"
 
     def test_wrong_model_names_the_field(self, config_path, capsys):
         assert main(["calibrate", "--config", config_path]) == 1

@@ -38,8 +38,6 @@ class TestCollapseParams:
             diffusion(epsilon=0.0)
         with pytest.raises(ValueError):
             diffusion(epsilon=0.5)
-        with pytest.raises(ValueError):
-            CollapseParams(model=CollapseModel.JUMP_EXPONENTIAL, t_c_mean=1.0, kappa=0.0)
 
     def test_diffusion_requires_gamma(self):
         # Only walkers that start between the bands read gamma; the config
@@ -51,21 +49,13 @@ class TestCollapseParams:
         assert np.all(times == 0.0) and not hit_upper.any()
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("name", ["t_c_mean", "gamma", "epsilon", "energy", "kappa"])
+    @pytest.mark.parametrize("name", ["t_c_mean", "gamma", "epsilon"])
     def test_non_finite_field_is_named(self, name, value):
-        fields = dict(model=CollapseModel.DIFFUSION, t_c_mean=0.5, gamma=2.0, epsilon=1e-3, energy=2.0, kappa=1.0)
+        fields = dict(model=CollapseModel.DIFFUSION, t_c_mean=0.5, gamma=2.0, epsilon=1e-3)
         with pytest.raises(FieldError, match="must be finite") as err:
             CollapseParams(**{**fields, name: value})
         assert err.value.field == name
         assert isinstance(err.value, ValueError)
-
-    def test_energy_consistency(self):
-        p = CollapseParams(
-            model=CollapseModel.JUMP_EXPONENTIAL, t_c_mean=0.5, energy=2.0, kappa=1.0
-        )
-        assert p.energy == 2.0
-        with pytest.raises(ValueError):
-            CollapseParams(model=CollapseModel.JUMP_EXPONENTIAL, t_c_mean=1.0, energy=2.0)
 
 
 class TestSampleCollapseTime:

@@ -18,7 +18,7 @@ from qscsim.config import (
 )
 from qscsim.errors import ConfigError, FieldError
 from qscsim.observer import ScenarioTag
-from qscsim.protocol import ExperimentSummary, InputKind, RuleKind, _draw_paths, run_experiment
+from qscsim.protocol import ExperimentSummary, RuleKind, _draw_paths, run_experiment
 
 MINIMAL = {"master_seed": 42, "n_trials": 1000}
 
@@ -39,7 +39,6 @@ def test_minimal_config_gets_documented_defaults():
     # resolved threshold: t_p + 5 * max(jitter, resolution)
     assert config.rule.threshold_time == pytest.approx(0.051)
     assert config.rule.batch_n == 5
-    assert config.rule.no_change_guess is InputKind.DEFINITE
     assert config.device_baseline is False
     assert config.sweep is None
 
@@ -280,12 +279,6 @@ def test_gamma_check_leaves_band_and_other_models_alone():
         # an integer beyond the float range is not finite
         ("collapse", "t_c_mean", 10**401, {}),
         ("collapse", "epsilon", 0.5, {}),
-        ("collapse", "kappa", -1.0, {}),
-        ("collapse", "energy", -2.0, {"t_c_mean": 1.0}),
-        ("collapse", "energy", 3.0, {"t_c_mean": 1.0}),
-        # a t_c_mean derived from a bad energy or kappa is not blamed for it
-        ("collapse", "energy", -2.0, {}),
-        ("collapse", "kappa", -1.0, {"energy": 2.0}),
         ("observer", "t_p", 0.0, {}),
         ("observer", "jitter_sigma", -1.0, {}),
         ("observer", "resolution", 0.0, {}),
@@ -299,15 +292,6 @@ def test_dataclass_range_error_keeps_its_dotted_path(section, field, value, othe
     with pytest.raises(FieldError) as err:
         parse_config({**MINIMAL, section: {field: value, **other}})
     assert err.value.field == f"{section}.{field}"
-
-
-def test_energy_resolves_or_checks_t_c():
-    config = parse_config({**MINIMAL, "collapse": {"energy": 2.0}})
-    assert config.collapse.t_c_mean == 0.5
-    ok = parse_config({**MINIMAL, "collapse": {"t_c_mean": 0.5, "energy": 2.0}})
-    assert ok.collapse.energy == 2.0
-    with pytest.raises(FieldError):
-        parse_config({**MINIMAL, "collapse": {"t_c_mean": 1.0, "energy": 2.0}})
 
 
 def test_dt_cross_check_named():
@@ -352,8 +336,7 @@ def test_sweep_validation():
 def test_stream_layout_paths():
     assert _draw_paths(type(parse_config(MINIMAL))) == (
         "master_seed", "n_trials", "priors", "input_p1", "collapse.model", "collapse.epsilon",
-        "observer.jitter_sigma", "scenario.tag", "scenario.r", "rule.kind", "rule.batch_n",
-        "rule.no_change_guess", "device_baseline",
+        "observer.jitter_sigma", "scenario.tag", "scenario.r", "rule.kind", "rule.batch_n", "device_baseline",
     )
 
 
@@ -466,10 +449,10 @@ def test_config_echo_contains_resolved_values():
     assert echoed["master_seed"] == 42
     assert json.dumps(echoed) == (
         '{"schema_version": 1, "master_seed": 42, "n_trials": 1000, "priors": 0.5, "input_p1": 0.5, '
-        '"collapse": {"model": "jump_exponential", "t_c_mean": 180.0, "gamma": null, "epsilon": 0.001, '
-        '"energy": null, "kappa": 1.0}, "observer": {"t_p": 0.001, "jitter_sigma": 0.0002, "resolution": 0.01}, '
+        '"collapse": {"model": "jump_exponential", "t_c_mean": 180.0, "gamma": null, "epsilon": 0.001}, '
+        '"observer": {"t_p": 0.001, "jitter_sigma": 0.0002, "resolution": 0.01}, '
         '"scenario": {"tag": "post_collapse_only", "r": null}, "rule": {"kind": "timing_threshold", '
-        '"threshold_time": 0.051000000000000004, "batch_n": 5, "no_change_guess": "definite"}, '
+        '"threshold_time": 0.051000000000000004, "batch_n": 5}, '
         '"device_baseline": false, "sweep": null}'
     )
     sweep = {"param": "priors", "values": [0.25, 0.75]}
@@ -480,8 +463,8 @@ def test_config_echo_contains_resolved_values():
     "extra, field",
     [
         # Two type faults in collapse are named in declaration order.
-        ({"collapse": {"kappa": "x", "t_c_mean": "y"}}, "collapse.t_c_mean"),
-        ({"collapse": {"energy": "x", "epsilon": "y"}}, "collapse.epsilon"),
+        ({"collapse": {"epsilon": "x", "t_c_mean": "y"}}, "collapse.t_c_mean"),
+        ({"collapse": {"epsilon": "x", "gamma": "y"}}, "collapse.gamma"),
         # Top-level values are named before any section fault.
         ({"device_baseline": "yes", "observer": {"t_p": "x"}}, "device_baseline"),
         ({"device_baseline": "yes", "sweep": 3}, "device_baseline"),

@@ -10,6 +10,7 @@ import pytest
 from oracles import binom_3sigma, device_bound_grid, device_success_enumeration
 from reference import (
     Branch,
+    InputKind,
     Percept,
     PerceptionReport,
     classify_batch,
@@ -28,7 +29,6 @@ from qscsim.protocol import (
     BLOCK_SIZE,
     DecisionRule,
     ExperimentSummary,
-    InputKind,
     RuleKind,
     optimal_device_bound,
     run_experiment,
@@ -85,12 +85,6 @@ class TestClassifySingle:
         assert classify_single(quiet_report(0.001, changed=True), rule) is InputKind.SUPERPOSITION
         assert classify_single(quiet_report(0.1), rule) is InputKind.SUPERPOSITION
         assert classify_single(quiet_report(0.001), rule) is InputKind.DEFINITE
-
-    def test_no_change_guess_honored(self):
-        rule = DecisionRule(
-            kind=RuleKind.CHANGE_DETECTION, no_change_guess=InputKind.SUPERPOSITION
-        )
-        assert classify_single(quiet_report(0.001), rule) is InputKind.SUPERPOSITION
 
 
 class TestClassifyBatch:
@@ -250,8 +244,6 @@ LEAF_CHANGES = {
     "collapse.t_c_mean": ("diffusion", 0.03),
     "collapse.gamma": ("jump", 2.0),
     "collapse.epsilon": ("diffusion", 0.01),
-    "collapse.energy": ("jump", 50.0),
-    "collapse.kappa": ("jump", 2.0),
     "observer.t_p": ("jump", 0.002),
     "observer.jitter_sigma": ("jump", 0.001),
     "observer.resolution": ("jump", 0.02),
@@ -260,7 +252,6 @@ LEAF_CHANGES = {
     "rule.kind": ("jump", "timing_threshold"),
     "rule.threshold_time": ("jump", 0.04),
     "rule.batch_n": ("jump", 3),
-    "rule.no_change_guess": ("jump", "superposition"),
     "device_baseline": ("jump", False),
     "sweep": ("jump", {"param": "priors", "values": [0.6]}),
     "schema_version": None,

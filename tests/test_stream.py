@@ -59,9 +59,7 @@ CASES = {
     "jump_random_percept_combined_batch_device": [
         raw(tag="random_percept", kind="combined", rule={"batch_n": 3}, device_baseline=True, observer=JITTER)
     ],
-    "jump_no_change_guess_superposition": [
-        raw(tag="fixed_c1", kind="combined", rule={"no_change_guess": "superposition"}, device_baseline=True)
-    ],
+    "jump_fixed_c1_combined_device": [raw(tag="fixed_c1", kind="combined", device_baseline=True)],
     "diffusion_post_collapse_timing": [raw("diffusion", observer=JITTER)],
     "diffusion_fixed_c2_combined_batch_device": [
         raw("diffusion", "fixed_c2", "combined", rule={"batch_n": 2}, device_baseline=True, input_p1=0.8)
@@ -129,8 +127,8 @@ PINS = {
     "jump_random_percept_combined_batch_device": [
         (231, 301, 267, 299, 511, "0x1.927f3f34f40efp-7", "0x1.9d14fcee12609p-7"),
     ],
-    "jump_no_change_guess_superposition": [
-        (0, 301, 299, 299, 299, "0x1.47ae147ae147ap-7", "0x1.47ae147ae147ap-7"),
+    "jump_fixed_c1_combined_device": [
+        (301, 301, 219, 299, 513, "0x1.47ae147ae147ap-7", "0x1.47ae147ae147ap-7"),
     ],
     "diffusion_post_collapse_timing": [
         (274, 301, 132, 299, None, "0x1.77dd2ed6bbab4p-7", "0x1.e08e7b80b8327p-6"),
