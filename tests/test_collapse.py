@@ -57,6 +57,17 @@ class TestCollapseParams:
         assert err.value.field == name
         assert isinstance(err.value, ValueError)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("t_c_mean", 0.0), ("t_c_mean", -1.0), ("gamma", 0.0), ("gamma", -2.0), ("epsilon", 0.0), ("epsilon", 0.5)],
+    )
+    def test_out_of_range_field_is_named(self, name, value):
+        fields = dict(model=CollapseModel.DIFFUSION, t_c_mean=0.5, gamma=2.0, epsilon=1e-3)
+        with pytest.raises(FieldError, match="must be ") as err:
+            CollapseParams(**{**fields, name: value})
+        assert err.value.field == name
+        assert "finite" not in str(err.value)
+
 
 class TestSampleCollapseTime:
     def test_deterministic_is_exact(self):

@@ -279,6 +279,11 @@ def test_gamma_check_leaves_band_and_other_models_alone():
         # an integer beyond the float range is not finite
         ("collapse", "t_c_mean", 10**401, {}),
         ("collapse", "epsilon", 0.5, {}),
+        ("collapse", "t_c_mean", -1.0, {}),
+        ("collapse", "epsilon", 0.0, {"model": "diffusion"}),
+        ("collapse", "gamma", 0.0, {}),
+        ("collapse", "gamma", -2.0, {"model": "diffusion", "t_c_mean": 1.0}),
+        ("collapse", "gamma", math.nan, {"model": "diffusion"}),
         ("observer", "t_p", 0.0, {}),
         ("observer", "jitter_sigma", -1.0, {}),
         ("observer", "resolution", 0.0, {}),
@@ -464,7 +469,8 @@ def test_config_echo_contains_resolved_values():
     [
         # Two type faults in collapse are named in declaration order.
         ({"collapse": {"epsilon": "x", "t_c_mean": "y"}}, "collapse.t_c_mean"),
-        ({"collapse": {"epsilon": "x", "gamma": "y"}}, "collapse.gamma"),
+        # A type fault is named before a range fault earlier in the section.
+        ({"collapse": {"t_c_mean": -1.0, "epsilon": "x"}}, "collapse.epsilon"),
         # Top-level values are named before any section fault.
         ({"device_baseline": "yes", "observer": {"t_p": "x"}}, "device_baseline"),
         ({"device_baseline": "yes", "sweep": 3}, "device_baseline"),
@@ -474,6 +480,8 @@ def test_config_echo_contains_resolved_values():
         ({"rule": 3, "collapse": {"model": "psychic"}}, "rule"),
         ({"observer": {"t_p": "x"}, "collapse": {"epsilon": "y"}}, "collapse.epsilon"),
         ({"rule": {"batch_n": 0}, "sweep": {"param": "nope", "values": [1]}}, "rule.batch_n"),
+        # Declaration order again: gamma is read before epsilon.
+        ({"collapse": {"epsilon": "x", "gamma": "y"}}, "collapse.gamma"),
     ],
 )
 def test_multi_fault_order(extra, field):

@@ -287,6 +287,24 @@ class TestRunExperiment:
         assert summary.superposition.estimate is None
         assert summary.mean_report_time_superposition is None
 
+    @pytest.mark.parametrize("tag", [tag.value for tag in ScenarioTag])
+    def test_change_detection_never_misreads_a_definite_input(self, tag):
+        # Only a collapse can flip a percept, so a definite input never fires
+        # the change rule and every batch without a signal is guessed definite,
+        # whatever the scenario and however noisy the report times.
+        scenario = {"tag": tag, "r": 0.2} if tag == "random_percept" else {"tag": tag}
+        summary = run_experiment(
+            experiment_config(
+                input_p1=0.3,
+                observer={"t_p": 0.01, "jitter_sigma": 0.02},
+                scenario=scenario,
+                rule={"kind": "change_detection", "batch_n": 3},
+                collapse={"model": "jump_exponential", "t_c_mean": 0.02},
+            )
+        )
+        assert summary.definite.trials > 0
+        assert summary.definite.successes == summary.definite.trials
+
     def test_scenario_equivalence_with_clean_signals(self):
         timing = run_experiment(experiment_config(n_trials=3000))
         change = run_experiment(
