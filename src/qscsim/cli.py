@@ -163,10 +163,11 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     cv = sd / mean
     noise_floor = 3.0 * cv / math.sqrt(n_runs)
     if noise_floor > tolerance:
-        needed = math.ceil((3.0 * cv / tolerance) ** 2)
+        ratio = 3.0 * cv / tolerance
+        # Near tolerance 0 the count overflows a float; no --runs reaches it anyway.
+        need = f"need --runs >= {math.ceil(ratio**2)}" if ratio < 1e150 else "no --runs resolves it; raise --tolerance"
         raise QscError(
-            f"run budget too small for tolerance {tolerance!r}: "
-            f"3*cv/sqrt(n_runs) = {noise_floor:.4f}; need --runs >= {needed}"
+            f"run budget too small for tolerance {tolerance!r}: 3*cv/sqrt(n_runs) = {noise_floor:.4f}; {need}"
         )
     half = Z95 * sd / math.sqrt(n_runs)
     lo, hi = mean - half, mean + half

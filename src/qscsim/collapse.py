@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import check_field
+from .errors import check_field, check_time
 
 DEFAULT_EPSILON = 1e-3
 
@@ -63,7 +63,7 @@ class CollapseParams:
     epsilon: float = field(default=DEFAULT_EPSILON, metadata={"sweep": True, "draws": True})
 
     def __post_init__(self) -> None:
-        check_field("t_c_mean", self.t_c_mean, self.t_c_mean > 0.0, "> 0")
+        check_time("t_c_mean", self.t_c_mean, self.t_c_mean > 0.0, "> 0")
         check_field("epsilon", self.epsilon, 0.0 < self.epsilon < 0.5, "in (0.0, 0.5)")
         if self.gamma is not None:
             check_field("gamma", self.gamma, self.gamma > 0.0, "> 0")

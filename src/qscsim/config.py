@@ -243,7 +243,8 @@ def read_raw_config(path: str | Path) -> dict[str, Any]:
         raise ConfigError(f"config file {path} is not valid UTF-8: {exc}") from exc
     try:
         raw = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer beyond Python's digit limit
+    # A JSONDecodeError, an integer beyond Python's digit limit, or nesting beyond the recursion limit.
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")

@@ -5,16 +5,23 @@ package-specific failure, such as a CLI output path that cannot be written
 or a calibration that misses its target.  ``ConfigError`` is a config that
 cannot be used; the config reader raises it, naming the file, for a file
 that cannot be read or does not hold a JSON object.  A parameter object or
-config that gets an out-of-range or non-finite value, or a non-integer one
-for an integer field, raises :class:`FieldError`, both a ``ConfigError`` and
-a ``ValueError``, naming the field (by its dotted path when it comes from a
-config); other out-of-range function arguments raise plain ``ValueError``.
+config that gets an out-of-range or non-finite value (a time above
+:data:`MAX_TIME` included), or a non-integer one for an integer field,
+raises :class:`FieldError`, both a ``ConfigError`` and a ``ValueError``,
+naming the field (by its dotted path when it comes from a config); other
+out-of-range function arguments raise plain ``ValueError``.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Any
+
+
+#: Largest value, in seconds, of a time that report times are built from
+#: (``t_c_mean``, ``t_p``, ``jitter_sigma``, ``resolution``): report-time sums
+#: over a run stay finite far beyond it.  ``threshold_time`` is only compared.
+MAX_TIME = 1e100
 
 
 def check_field(field: str, value: Any, ok: bool, rule: str) -> None:
@@ -30,6 +37,13 @@ def check_integer(field: str, value: Any) -> None:
     """Raise :class:`FieldError` unless ``value`` is an ``int``; a ``bool`` is not."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise FieldError(field, f"must be an integer, got {value!r}")
+
+
+def check_time(field: str, value: Any, ok: bool, rule: str) -> None:
+    """:func:`check_field` for a time in seconds, which must also be at most :data:`MAX_TIME`."""
+    check_field(field, value, ok, rule)
+    if value > MAX_TIME:
+        raise FieldError(field, f"must be <= {MAX_TIME!r} s, got {value!r}")
 
 
 class QscError(Exception):

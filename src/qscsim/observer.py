@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import FieldError, check_field
+from .errors import FieldError, check_field, check_time
 
 
 class ScenarioTag(Enum):
@@ -47,9 +47,9 @@ class ObserverParams:
     resolution: float = field(default=0.01, metadata={"sweep": True})
 
     def __post_init__(self) -> None:
-        check_field("t_p", self.t_p, self.t_p > 0.0, "> 0")
-        check_field("jitter_sigma", self.jitter_sigma, self.jitter_sigma >= 0.0, ">= 0")
-        check_field("resolution", self.resolution, self.resolution > 0.0, "> 0")
+        check_time("t_p", self.t_p, self.t_p > 0.0, "> 0")
+        check_time("jitter_sigma", self.jitter_sigma, self.jitter_sigma >= 0.0, ">= 0")
+        check_time("resolution", self.resolution, self.resolution > 0.0, "> 0")
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Everything here is deliberately implemented by a different route than the
 package: finite-difference boundary-value solves instead of Monte Carlo,
-grid search instead of closed forms, enumeration instead of sampling.
+grid search instead of closed forms, enumeration instead of sampling,
+quadrature over the collapse-time law instead of running trials.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import itertools
 import math
 
 import numpy as np
+from scipy.integrate import quad
+from scipy.stats import norm
 
 
 def binom_3sigma(p: float, n: int) -> float:
@@ -127,15 +130,101 @@ def batch_detection_enumeration(p_single: float, batch_n: int) -> float:
     return total
 
 
+def _clipped_report(mu: float, sigma: float, threshold: float | None) -> tuple[float, float, float]:
+    """``P(Y > threshold)`` (0 without one), ``E[Y]`` and ``E[Y^2]`` of a
+    report ``Y = max(mu + J, 0)``, ``J`` normal of SD ``sigma`` (0: none).
+    The threshold is positive, so the clip at 0 never changes the tail."""
+    if sigma == 0.0:
+        y = max(mu, 0.0)
+        return float(threshold is not None and y > threshold), y, y * y
+    tail = 0.0 if threshold is None else float(norm.sf(threshold, mu, sigma))
+    cdf, pdf = norm.cdf(mu / sigma), norm.pdf(mu / sigma)
+    return tail, mu * cdf + sigma * pdf, (mu * mu + sigma * sigma) * cdf + mu * sigma * pdf
+
+
+def _after_collapse(config, threshold: float | None) -> tuple[float, ...]:
+    """:func:`_clipped_report` of the post-collapse report ``T_c + t_p``,
+    averaged over the collapse-time law by quadrature.  The jump law is
+    integrated on either side of ``threshold - t_p``, where a jitter-free
+    report crosses the threshold."""
+    t_c, t_p, sigma = config.collapse.t_c_mean, config.observer.t_p, config.observer.jitter_sigma
+    model = config.collapse.model.value
+    if model == "deterministic_time":
+        return _clipped_report(t_c + t_p, sigma, threshold)
+    if model != "jump_exponential":
+        raise ValueError(f"no collapse-time law for {model}")
+    cut = 0.0 if threshold is None else max(threshold - t_p, 0.0)
+    pieces = ((0.0, cut), (cut, math.inf)) if cut > 0.0 else ((0.0, math.inf),)
+    return tuple(
+        sum(
+            quad(lambda t: _clipped_report(t + t_p, sigma, threshold)[k] * math.exp(-t / t_c) / t_c, a, b)[0]
+            for a, b in pieces
+        )
+        for k in range(3)
+    )
+
+
+def _change_probability(config, p_b1: float) -> float:
+    """P(the pre-collapse percept differs from the branch percept the
+    collapse leaves), over the (pre-percept, branch) cells."""
+    tag, r = config.scenario.tag.value, config.scenario.r
+    if tag == "random_percept":
+        pre = {"c1": r, "c2": 1.0 - r}
+    else:
+        pre = {"distinct_percept": {"distinct": 1.0}, "fixed_c1": {"c1": 1.0}, "fixed_c2": {"c2": 1.0}}[tag]
+    return sum(
+        w_pre * w_post
+        for percept, w_pre in pre.items()
+        for branch_percept, w_post in (("c1", p_b1), ("c2", 1.0 - p_b1))
+        if percept != branch_percept
+    )
+
+
+def expected_outcomes(config) -> dict:
+    """Exact expected values of a run of ``config``, by quadrature and
+    enumeration, never by sampling: per decision, the probability of a right
+    guess on a ``definite`` input, on a ``superposition`` and by the
+    ``device`` (None without it); and ``(E[Y], E[Y^2])`` of one copy's report
+    time ``Y`` in each class (``time_definite``, ``time_superposition``).
+
+    ``Y`` is ``max(t_p + J, 0)``, with ``J`` normal of SD ``jitter_sigma``,
+    or ``max(T_c + t_p + J, 0)`` for a superposition under
+    ``post_collapse_only``, whose percept never changes.  A copy fires the
+    timing rule when ``Y`` passes the threshold, and the change rule when its
+    pre-collapse percept differs from that of the branch it lands on: B1 with
+    probability ``input_p1``, for diffusion ``(input_p1 - epsilon) / (1 - 2
+    epsilon)``.  A batch fires when any copy does.  The superposition must
+    collapse; diffusion under ``post_collapse_only`` is not covered.
+    """
+    rule = config.rule.kind.value
+    timing = rule != "change_detection"
+    change = rule != "timing_threshold"
+    threshold = config.rule.threshold_time if timing else None
+    n = config.rule.batch_n
+    p1, epsilon = config.input_p1, config.collapse.epsilon
+    p_b1 = band_absorption_probability(p1, epsilon) if config.collapse.model.value == "diffusion" else p1
+
+    false_alarm, *time_definite = _clipped_report(config.observer.t_p, config.observer.jitter_sigma, threshold)
+    if config.scenario.tag.value == "post_collapse_only":
+        fire, *time_superposition = _after_collapse(config, threshold)
+    else:
+        aware = _change_probability(config, p_b1) if change else 0.0
+        fire, time_superposition = 1.0 - (1.0 - false_alarm) * (1.0 - aware), time_definite
+    return {
+        "definite": 1.0 - batch_detection_enumeration(false_alarm, n),
+        "superposition": batch_detection_enumeration(fire, n),
+        "device": device_success_enumeration(config.priors, p1) if config.device_baseline else None,
+        "time_definite": tuple(time_definite),
+        "time_superposition": tuple(time_superposition),
+    }
+
+
 class RiggedRng:
-    """Generator stand-in that replays fixed uniforms and zero jitter;
-    used to enumerate scenario branches through the real implementation."""
+    """Generator stand-in whose ``random(shape)`` replays fixed uniforms, in
+    order; used to enumerate scenario branches through the real implementation."""
 
     def __init__(self, uniforms: tuple[float, ...] = ()):
         self._uniforms = list(uniforms)
 
-    def random(self) -> float:
-        return self._uniforms.pop(0)
-
-    def normal(self, loc: float, scale: float) -> float:
-        return 0.0
+    def random(self, shape) -> np.ndarray:
+        return np.array([self._uniforms.pop(0) for _ in range(math.prod(shape))]).reshape(shape)

@@ -313,6 +313,19 @@ class TestCalibrate:
             captured.err,
         )
 
+    @pytest.mark.parametrize("tolerance", ["1e-200", "1e-300", "5e-324"])
+    def test_tolerance_near_zero_is_one_error_line(self, tmp_path, capsys, tolerance):
+        # The run count the budget rule would ask for overflows a float.
+        path = self.calibration_config(tmp_path)
+        assert main(["calibrate", "--config", path, "--tolerance", tolerance, "--runs", "256"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(
+            rf"error: run budget too small for tolerance {tolerance}: 3\*cv/sqrt\(n_runs\) = \d\.\d{{4}}; "
+            r"no --runs resolves it; raise --tolerance\n",
+            captured.err,
+        )
+
     def test_ci_missing_target_is_an_error(self, tmp_path, capsys, monkeypatch):
         def biased_sampler(p1, params, rng, n):
             times = np.full(n, 0.5)
@@ -458,3 +471,29 @@ def test_unwritable_output_path_is_one_error_line(tmp_path, capsys, verb, extra,
 def test_unknown_command_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["explode"])
+
+
+@pytest.mark.parametrize(
+    "extra, error",
+    [
+        (
+            {"collapse": {"model": "jump_exponential", "t_c_mean": 1e306}},
+            "collapse.t_c_mean: must be <= 1e+100 s, got 1e+306",
+        ),
+        (
+            {"observer": {"t_p": 0.001, "jitter_sigma": 1e308}, "rule": {"kind": "timing_threshold"}},
+            "observer.jitter_sigma: must be <= 1e+100 s, got 1e+308",
+        ),
+    ],
+    ids=["t_c_mean", "jitter_sigma"],
+)
+def test_huge_time_is_one_error_line_naming_its_field(tmp_path, capsys, extra, error):
+    # Such a time would overflow the report-time sums (or the default
+    # threshold) to inf, so it is refused before anything is written.
+    path = write_config(tmp_path, extra)
+    out = tmp_path / "out.csv"
+    assert main(["run", "--config", path, "--json", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+    assert not out.exists()

@@ -12,7 +12,7 @@ from oracles import (
     mean_first_passage_time,
     second_moment_first_passage_time,
 )
-from reference import Branch, CollapseEvent, collapse_for_input, per_walker_diffusion_collapses, sample_outcome
+from reference import per_walker_diffusion_collapses
 import qscsim.collapse as collapse_module
 from qscsim.collapse import CollapseModel, CollapseParams, diffusion_gamma, sample_collapses
 from qscsim.errors import FieldError
@@ -115,27 +115,25 @@ class TestSampleCollapseTime:
             assert np.array_equal(hit_upper, single_upper)
 
     def test_scalar_and_batch_share_the_law(self):
+        # Calls that draw one collapse each follow the law too.
         rng = np.random.default_rng(3)
-        draws = [collapse_for_input(0.5, jump(2.0), rng).time for _ in range(5000)]
+        draws = [sample_collapses(0.5, jump(2.0), rng, 1)[0][0] for _ in range(5000)]
         assert abs(np.mean(draws) - 2.0) <= exp_mean_3sigma(2.0, 5000)
 
 
 class TestSampleOutcome:
-    def test_degenerate_weights(self):
+    # The jump and deterministic laws draw the outcome from the Born weight.
+    @pytest.mark.parametrize("law", [jump(), deterministic()], ids=["jump", "deterministic"])
+    def test_degenerate_weights(self, law):
         rng = np.random.default_rng(0)
-        assert all(sample_outcome(1.0, rng) is Branch.B1 for _ in range(100))
-        assert all(sample_outcome(0.0, rng) is Branch.B2 for _ in range(100))
+        assert sample_collapses(1.0, law, rng, 100)[1].all()
+        assert not sample_collapses(0.0, law, rng, 100)[1].any()
 
-    def test_balanced_frequency(self):
-        rng = np.random.default_rng(5)
+    @pytest.mark.parametrize("law", [jump(), deterministic()], ids=["jump", "deterministic"])
+    def test_balanced_frequency(self, law):
         n = 100_000
-        k = sum(sample_outcome(0.5, rng) is Branch.B1 for _ in range(n))
+        k = int(sample_collapses(0.5, law, np.random.default_rng(5), n)[1].sum())
         assert abs(k / n - 0.5) <= 0.0047  # 3-sigma binomial band at n=1e5
-
-    def test_out_of_range(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            sample_outcome(1.5, rng)
 
 
 class TestDiffusion:
@@ -236,7 +234,7 @@ class TestDiffusion:
         n = 2000
         params = diffusion()
         rng = np.random.default_rng(77)
-        mean_single = float(np.mean([collapse_for_input(0.3, params, rng).time for _ in range(n)]))
+        mean_single = float(np.mean([sample_collapses(0.3, params, rng, 1)[0][0] for _ in range(n)]))
         times, _ = sample_collapses(0.3, params, np.random.default_rng(78), 20_000)
         se = float(times.std()) / math.sqrt(n)
         assert abs(mean_single - float(times.mean())) <= 4.0 * se
@@ -271,30 +269,3 @@ class TestDiffusionGamma:
             diffusion_gamma(1.0, 0.0, 1e-3)
         with pytest.raises(ValueError):
             diffusion_gamma(1.0, 5e-4, 1e-3)  # inside the absorbing band
-
-
-class TestCollapseForInput:
-    def test_definite_input_has_no_event(self):
-        assert collapse_for_input(1.0, jump(), np.random.default_rng(0)) is None
-
-    def test_near_definite_weight_has_no_event(self):
-        assert collapse_for_input(0.999999999999, jump(), np.random.default_rng(0)) is None
-        assert collapse_for_input(1.0 - 2e-12, jump(), np.random.default_rng(0)) is not None
-
-    def test_deterministic_superposition_event(self):
-        rng = np.random.default_rng(13)
-        events = [collapse_for_input(0.5, deterministic(2.0), rng) for _ in range(400)]
-        assert all(ev.time == 2.0 for ev in events)
-        b1 = sum(ev.outcome is Branch.B1 for ev in events)
-        assert abs(b1 / 400 - 0.5) <= binom_3sigma(0.5, 400)
-
-    def test_diffusion_dispatch(self):
-        ev = collapse_for_input(0.5, diffusion(), np.random.default_rng(3))
-        assert isinstance(ev, CollapseEvent)
-        assert ev.time > 0.0
-
-
-def test_event_invariants():
-    with pytest.raises(ValueError):
-        CollapseEvent(time=-0.1, outcome=Branch.B1)
-    assert CollapseEvent(time=0.0, outcome=Branch.B2).time == 0.0

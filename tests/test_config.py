@@ -3,6 +3,8 @@ import dataclasses
 import json
 import math
 import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -299,6 +301,31 @@ def test_dataclass_range_error_keeps_its_dotted_path(section, field, value, othe
     assert err.value.field == f"{section}.{field}"
 
 
+TIME_FIELDS = ["collapse.t_c_mean", "observer.t_p", "observer.jitter_sigma", "observer.resolution"]
+
+
+@pytest.mark.parametrize("path", TIME_FIELDS)
+@pytest.mark.parametrize("value", [1.0000000000000002e100, 1e306, sys.float_info.max])
+def test_time_above_the_bound_is_refused_at_its_own_path(path, value):
+    # Not at a default threshold or a report-time sum that the value would overflow.
+    with pytest.raises(FieldError, match=re.escape(f"must be <= 1e+100 s, got {value!r}")) as err:
+        parse_config(set_config_field(MINIMAL, path, value))
+    assert err.value.field == path
+
+
+def test_times_at_the_bound_run_to_finite_output():
+    raw = MINIMAL | {"n_trials": 5000, "collapse": {"t_c_mean": 1e100}}
+    for path in TIME_FIELDS[1:]:
+        raw = set_config_field(raw, path, 1e100)
+    config = parse_config(raw)
+    assert config.rule.threshold_time == 6e100
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summary = run_experiment(config)
+    assert math.isfinite(summary.mean_report_time_definite)
+    assert math.isfinite(summary.mean_report_time_superposition)
+
+
 def test_dt_cross_check_named():
     # Diffusion is sampled exactly, with no time step: a config that still
     # sets one is rejected at that field, whatever its value.
@@ -434,12 +461,15 @@ def test_missing_file_and_bad_json(tmp_path):
     digits.write_text(json.dumps(MINIMAL)[:-1] + ', "priors": ' + "1" * 5000 + "}")
     binary = tmp_path / "binary.json"
     binary.write_bytes(b'{"master_seed": 1, "n_trials": 1}\xff')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)  # nested beyond the recursion limit
     for path, problem in (
         (tmp_path / "nope.json", "cannot read config file"),
         (bad, "is not valid JSON"),
         (array, "must contain a JSON object"),
         (digits, "is not valid JSON"),
         (binary, "is not valid UTF-8"),
+        (deep, "is not valid JSON"),
     ):
         with pytest.raises(ConfigError, match=re.escape(str(path))) as err:
             load_config(path)

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 import threading
 import tracemalloc
@@ -7,23 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import binom_3sigma, device_bound_grid, device_success_enumeration
-from reference import (
-    Branch,
-    InputKind,
-    Percept,
-    PerceptionReport,
-    classify_batch,
-    classify_single,
-    device_trial,
-    reference_run,
-    run_trial,
-    trial_rng,
-)
-from qscsim.collapse import CollapseModel, CollapseParams
+from oracles import binom_3sigma, device_bound_grid, expected_outcomes
 from qscsim.config import parse_config, set_config_field
 from qscsim.errors import FieldError
-from qscsim.observer import ObserverParams, PerceptionScenario, ScenarioTag
+from qscsim.observer import ScenarioTag
 import qscsim.protocol as protocol
 from qscsim.protocol import (
     BLOCK_SIZE,
@@ -35,23 +23,6 @@ from qscsim.protocol import (
     run_experiments,
 )
 from qscsim.stats import RateEstimate
-
-QUIET = ObserverParams(t_p=0.001, jitter_sigma=0.0, resolution=0.01)
-POST = PerceptionScenario(tag=ScenarioTag.POST_COLLAPSE_ONLY)
-FIXED_C1 = PerceptionScenario(tag=ScenarioTag.FIXED_C1)
-TIMING = DecisionRule(kind=RuleKind.TIMING_THRESHOLD, threshold_time=0.05)
-CHANGE = DecisionRule(kind=RuleKind.CHANGE_DETECTION)
-
-
-def quiet_report(time, changed=False):
-    return PerceptionReport(
-        first_percept_time=time,
-        first_percept=Percept.C1,
-        change_detected=changed,
-        change_time=time + 1.0 if changed else None,
-        final_percept=Percept.C2 if changed else Percept.C1,
-    )
-
 
 class TestDecisionRule:
     def test_validation(self):
@@ -69,120 +40,6 @@ class TestDecisionRule:
         with pytest.raises(FieldError, match="must be finite") as err:
             DecisionRule(kind=kind, threshold_time=value)
         assert err.value.field == "threshold_time"
-
-
-class TestClassifySingle:
-    def test_timing_threshold(self):
-        assert classify_single(quiet_report(0.001), TIMING) is InputKind.DEFINITE
-        assert classify_single(quiet_report(180.001), TIMING) is InputKind.SUPERPOSITION
-
-    def test_change_detection(self):
-        assert classify_single(quiet_report(0.001, changed=True), CHANGE) is InputKind.SUPERPOSITION
-        assert classify_single(quiet_report(0.001), CHANGE) is InputKind.DEFINITE
-
-    def test_combined_fires_on_either(self):
-        rule = DecisionRule(kind=RuleKind.COMBINED, threshold_time=0.05)
-        assert classify_single(quiet_report(0.001, changed=True), rule) is InputKind.SUPERPOSITION
-        assert classify_single(quiet_report(0.1), rule) is InputKind.SUPERPOSITION
-        assert classify_single(quiet_report(0.001), rule) is InputKind.DEFINITE
-
-
-class TestClassifyBatch:
-    def test_batch_of_one_matches_single(self):
-        rule = DecisionRule(kind=RuleKind.TIMING_THRESHOLD, threshold_time=0.05, batch_n=1)
-        for time in (0.001, 0.2):
-            report = quiet_report(time)
-            assert classify_batch([report], rule) is classify_single(report, rule)
-
-    def test_any_positive_fires(self):
-        rule = DecisionRule(kind=RuleKind.CHANGE_DETECTION, batch_n=3)
-        quiet = [quiet_report(0.001)] * 2
-        assert classify_batch(quiet + [quiet_report(0.001, changed=True)], rule) is InputKind.SUPERPOSITION
-        assert classify_batch(quiet + [quiet_report(0.001)], rule) is InputKind.DEFINITE
-
-    def test_size_validation(self):
-        rule = DecisionRule(kind=RuleKind.CHANGE_DETECTION, batch_n=2)
-        with pytest.raises(ValueError):
-            classify_batch([], rule)
-        with pytest.raises(ValueError):
-            classify_batch([quiet_report(0.001)], rule)
-
-
-class TestRunTrial:
-    # run_trial is the scalar per-trial reference in tests/reference.py.
-    def test_definite_trial_correct(self):
-        params = CollapseParams(model=CollapseModel.JUMP_EXPONENTIAL, t_c_mean=180.0)
-        record = run_trial(
-            InputKind.DEFINITE, 1.0, params, QUIET, POST, TIMING, np.random.default_rng(0)
-        )
-        assert record.collapse is None
-        assert record.guess is InputKind.DEFINITE
-        assert record.correct
-
-    def test_superposition_timing_correct(self):
-        params = CollapseParams(model=CollapseModel.DETERMINISTIC_TIME, t_c_mean=2.0)
-        record = run_trial(
-            InputKind.SUPERPOSITION, 0.5, params, QUIET, POST, TIMING, np.random.default_rng(0)
-        )
-        assert record.collapse.time == 2.0
-        assert record.report.first_percept_time == 2.001
-        assert record.guess is InputKind.SUPERPOSITION
-        assert record.correct
-
-    def test_half_blind_case(self):
-        # Fixed pre-percept C1 plus outcome B1: no change, so the change
-        # detector guesses definite and is wrong.
-        params = CollapseParams(model=CollapseModel.DETERMINISTIC_TIME, t_c_mean=2.0)
-        rng = np.random.default_rng(1)
-        saw_blind = False
-        for _ in range(50):
-            record = run_trial(
-                InputKind.SUPERPOSITION, 0.5, params, QUIET, FIXED_C1, CHANGE, rng
-            )
-            if record.collapse.outcome is Branch.B1:
-                assert record.guess is InputKind.DEFINITE
-                assert not record.correct
-                saw_blind = True
-            else:
-                assert record.guess is InputKind.SUPERPOSITION
-                assert record.correct
-        assert saw_blind
-
-    def test_definite_requires_unit_p1(self):
-        params = CollapseParams(model=CollapseModel.JUMP_EXPONENTIAL, t_c_mean=1.0)
-        with pytest.raises(ValueError):
-            run_trial(InputKind.DEFINITE, 0.5, params, QUIET, POST, TIMING, np.random.default_rng(0))
-
-
-class TestDeviceTrial:
-    def test_definite_always_b1(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            outcome, guess = device_trial(InputKind.DEFINITE, 1.0, rng)
-            assert outcome is Branch.B1
-            assert guess is InputKind.DEFINITE
-
-    def test_balanced_success_matches_enumeration(self):
-        rng = np.random.default_rng(2)
-        n = 20_000
-        correct = 0
-        for i in range(n):
-            definite = i % 2 == 0  # exact equal priors
-            kind = InputKind.DEFINITE if definite else InputKind.SUPERPOSITION
-            _, guess = device_trial(kind, 1.0 if definite else 0.5, rng)
-            correct += guess is kind
-        expected = device_success_enumeration(0.5, 0.5)
-        assert expected == 0.75
-        assert abs(correct / n - expected) <= binom_3sigma(expected, n)
-
-    def test_lopsided_superposition_rarely_detected(self):
-        rng = np.random.default_rng(3)
-        n = 20_000
-        hits = sum(
-            device_trial(InputKind.SUPERPOSITION, 0.9, rng)[1] is InputKind.SUPERPOSITION
-            for _ in range(n)
-        )
-        assert abs(hits / n - 0.1) <= binom_3sigma(0.1, n)
 
 
 class TestOptimalDeviceBound:
@@ -382,14 +239,6 @@ class TestRunExperiment:
         expected = 1.0 - 0.5**5
         assert abs(summary.superposition.estimate - expected) <= binom_3sigma(expected, 500)
 
-    def test_trial_rng_matches_seedsequence_spawn(self):
-        # The scalar reference gives every trial its own spawned stream.
-        children = np.random.SeedSequence(42).spawn(3)
-        for i, child in enumerate(children):
-            a = trial_rng(42, i).random(4)
-            b = np.random.default_rng(child).random(4)
-            assert np.array_equal(a, b)
-
     def test_block_rng_matches_seedsequence_spawn_key(self):
         # The first draw of block b is one prior uniform per decision from
         # SeedSequence(master_seed, spawn_key=(b,)); the last block is short.
@@ -491,71 +340,73 @@ class TestRunExperiment:
 SCENARIOS = ["post_collapse_only", "distinct_percept", "fixed_c1", "fixed_c2", "random_percept"]
 RULES = ["timing_threshold", "change_detection", "combined"]
 KERNEL_TRIALS = 20_000
-REFERENCE_TRIALS = 1000
+#: Every law, scenario, rule, batch size and jitter setting; diffusion, whose
+#: first-passage law the oracle does not integrate, only where the report
+#: time does not depend on it, at a wide band so that the Born weight's band
+#: correction shows.
+EXACT_GRID = [
+    *itertools.product(["jump_exponential", "deterministic_time"], SCENARIOS, RULES, [1, 5], ["quiet", "jitter"]),
+    *itertools.product(["diffusion"], SCENARIOS[1:], RULES, [1, 5], ["jitter"]),
+]
 
 
-def grid_config(model, scenario, rule_kind, batch_n, jitter, seed):
+def grid_config(model, scenario, rule_kind, batch_n, jitter):
     """Parameters that put every signal between never and always firing:
     t_c + t_p straddles the threshold, jitter truncates a definite report
     at 0 about one time in three, and p1 = 0.3 makes the two fixed
-    scenarios differ."""
+    scenarios differ.  Diffusion's band at epsilon 0.2 lands a collapse on
+    B1 with probability 1/6, not 0.3."""
     scenario_raw = {"tag": scenario}
     if scenario == "random_percept":
         scenario_raw["r"] = 0.2
     rule = {"kind": rule_kind, "batch_n": batch_n}
     if rule_kind != "change_detection":
         rule["threshold_time"] = 0.03
+    collapse = {"model": model, "t_c_mean": 0.02 if model == "jump_exponential" else 0.025}
+    if model == "diffusion":
+        collapse["epsilon"] = 0.2
     return parse_config({
-        "master_seed": seed,
+        "master_seed": 11,
         "n_trials": KERNEL_TRIALS,
         "priors": 0.5,
         "input_p1": 0.3,
-        "collapse": {"model": model, "t_c_mean": 0.02 if model == "jump_exponential" else 0.025},
-        "observer": {"t_p": 0.01, "jitter_sigma": 0.02 if jitter else 0.0},
+        "collapse": collapse,
+        "observer": {"t_p": 0.01, "jitter_sigma": 0.02 if jitter == "jitter" else 0.0},
         "scenario": scenario_raw,
         "rule": rule,
         "device_baseline": True,
     })
 
 
-def assert_rates_agree(k1, n1, k2, n2, what):
-    pooled = (k1 + k2) / (n1 + n2)
-    se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2))
-    assert abs(k1 / n1 - k2 / n2) <= 5.0 * se, f"{what}: kernel {k1}/{n1} vs reference {k2}/{n2}"
+def assert_within_5se(observed, expected, se, what):
+    """``observed`` within 5 standard errors of ``expected``; with no
+    sampling error, equal to 1e-12 relative."""
+    if se == 0.0:
+        assert math.isclose(observed, expected, rel_tol=1e-12), f"{what}: {observed!r} vs exactly {expected!r}"
+    else:
+        z = (observed - expected) / se
+        assert abs(z) <= 5.0, f"{what}: {observed!r} vs {expected!r}, z = {z:.2f}"
 
 
-def assert_mean_times_agree(kernel_mean, kernel_n, reference_times, what):
-    ref = np.asarray(reference_times)
-    se = float(ref.std(ddof=1)) * math.sqrt(1.0 / ref.size + 1.0 / kernel_n)
-    assert abs(kernel_mean - float(ref.mean())) <= 5.0 * se + 1e-12, f"{what}: {kernel_mean} vs {ref.mean()}"
-
-
-@pytest.mark.parametrize("jitter", [False, True], ids=["quiet", "jitter"])
-@pytest.mark.parametrize("batch_n", [1, 5])
-@pytest.mark.parametrize("rule_kind", RULES)
-@pytest.mark.parametrize("scenario", SCENARIOS)
-@pytest.mark.parametrize("model", ["jump_exponential", "deterministic_time"])
-def test_block_kernel_matches_scalar_reference(model, scenario, rule_kind, batch_n, jitter):
-    config = grid_config(model, scenario, rule_kind, batch_n, jitter, seed=11)
+@pytest.mark.parametrize("model, scenario, rule_kind, batch_n, jitter", EXACT_GRID)
+def test_block_kernel_matches_exact_expectations(model, scenario, rule_kind, batch_n, jitter):
+    # Each decision is correct independently, so a class's count is binomial
+    # in its trials; a mean report time averages trials * batch_n
+    # independent copies.
+    config = grid_config(model, scenario, rule_kind, batch_n, jitter)
     kernel = run_experiment(config)
-    ref = reference_run(grid_config(model, scenario, rule_kind, batch_n, jitter, seed=12), REFERENCE_TRIALS)
-    assert_rates_agree(
-        kernel.definite.successes, kernel.definite.trials, ref.definite_correct, ref.definite_trials, "definite"
-    )
-    assert_rates_agree(
-        kernel.superposition.successes, kernel.superposition.trials,
-        ref.superposition_correct, ref.superposition_trials, "superposition",
-    )
-    assert_rates_agree(
-        kernel.device_success.successes, KERNEL_TRIALS, ref.device_correct, REFERENCE_TRIALS, "device"
-    )
-    assert_mean_times_agree(
-        kernel.mean_report_time_definite, kernel.definite.trials, ref.definite_times, "definite time"
-    )
-    assert_mean_times_agree(
-        kernel.mean_report_time_superposition, kernel.superposition.trials,
-        ref.superposition_times, "superposition time",
-    )
+    expected = expected_outcomes(config)
+    for what, rate in (
+        ("definite", kernel.definite), ("superposition", kernel.superposition), ("device", kernel.device_success)
+    ):
+        p = expected[what]
+        assert_within_5se(rate.estimate, p, math.sqrt(p * (1.0 - p) / rate.trials), what)
+    for what, mean, trials in (
+        ("time_definite", kernel.mean_report_time_definite, kernel.definite.trials),
+        ("time_superposition", kernel.mean_report_time_superposition, kernel.superposition.trials),
+    ):
+        m1, m2 = expected[what]
+        assert_within_5se(mean, m1, math.sqrt(max(m2 - m1 * m1, 0.0) / (trials * batch_n)), what)
 
 
 def test_summary_count_invariant_enforced():
