@@ -16,16 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from .collapse import CollapseModel, between_bands, sample_collapses
-from .config import (
-    config_to_json_dict,
-    expand_sweep,
-    parse_config,
-    read_raw_config,
-    set_config_field,
-)
+from .config import expand_sweep, parse_config, read_raw_config, set_config_field
 from .errors import FieldError, QscError
 from .protocol import RNG_STREAM, run_experiment, run_experiments
-from .report import render_csv, render_human_summary, summary_csv_row, summary_to_json_dict
+from .report import render_csv, render_human_summary, summary_csv_row, to_json_dict
 from .stats import Z95
 
 #: Most ``calibrate --runs`` walkers: an ensemble holds about 115 bytes per walker.
@@ -99,8 +93,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.json:
         print(_dumps({
             "rng_stream": RNG_STREAM,
-            "resolved_config": config_to_json_dict(config),
-            "summary": summary_to_json_dict(summary),
+            "resolved_config": to_json_dict(config),
+            "summary": to_json_dict(summary),
         }))
     else:
         print(render_human_summary(summary))
@@ -121,8 +115,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.json:
             json_points.append({
                 "sweep_value": value,
-                "resolved_config": config_to_json_dict(config),
-                "summary": summary_to_json_dict(summary),
+                "resolved_config": to_json_dict(config),
+                "summary": to_json_dict(summary),
             })
     text = render_csv(rows)
     if args.out:
@@ -164,8 +158,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     noise_floor = 3.0 * cv / math.sqrt(n_runs)
     if noise_floor > tolerance:
         ratio = 3.0 * cv / tolerance
-        # Near tolerance 0 the count overflows a float; no --runs reaches it anyway.
-        need = f"need --runs >= {math.ceil(ratio**2)}" if ratio < 1e150 else "no --runs resolves it; raise --tolerance"
+        # Past MAX_RUNS no --runs reaches it; near tolerance 0 the count would overflow a float.
+        fits = ratio <= math.sqrt(MAX_RUNS)
+        need = f"need --runs >= {math.ceil(ratio**2)}" if fits else "no --runs resolves it; raise --tolerance"
         raise QscError(
             f"run budget too small for tolerance {tolerance!r}: 3*cv/sqrt(n_runs) = {noise_floor:.4f}; {need}"
         )

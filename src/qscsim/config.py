@@ -10,10 +10,11 @@ reference magnitudes of the protocol: millisecond perception latency against
 a minutes-scale mean collapse time.
 
 Each config key is a parameter-dataclass field, declared once: the reader,
-the echo, :data:`SWEEPABLE_FIELDS` and the stream-layout key come from its
-type, default and ``metadata``: ``json`` (the config default, where the
-dataclass has none or another), ``required``, ``sweep`` (a sweep may target
-it) and ``draws`` (it can change a draw or a draw count).
+the echo (:func:`~qscsim.report.to_json_dict`), :data:`SWEEPABLE_FIELDS` and
+the stream-layout key come from its type, default and ``metadata``: ``json``
+(the config default, where the dataclass has none or another), ``required``,
+``sweep`` (a sweep may target it) and ``draws`` (it can change a draw or a
+draw count).
 
 The decision threshold, when left null, resolves to
 ``t_p + 5 * max(jitter_sigma, resolution)``: five noise scales leave
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import json
-import operator
+import math
 import sys
 from collections.abc import Callable, Mapping
 from dataclasses import MISSING, dataclass, field, is_dataclass, replace
@@ -62,8 +63,9 @@ class ExperimentConfig:
     Construction checks the top-level fields, and for diffusion from an input
     weight :func:`~qscsim.collapse.between_bands` that ``collapse.gamma`` is
     given and yields a mean first passage of ``collapse.t_c_mean`` (to 1e-9
-    relative); elsewhere it is never read and may be None.  A field out of
-    range raises a :class:`~qscsim.errors.FieldError` naming its dotted path.
+    relative), a closed form that must be finite; elsewhere it is never read
+    and may be None.  A field out of range raises a
+    :class:`~qscsim.errors.FieldError` naming its dotted path.
     """
 
     # Keyword-only so that it can come first: the echo keeps declaration order.
@@ -92,8 +94,8 @@ class ExperimentConfig:
         check_field("priors", self.priors, 0.0 <= self.priors <= 1.0, "in [0.0, 1.0]")
         check_field("input_p1", self.input_p1, 0.0 <= self.input_p1 <= 1.0, "in [0.0, 1.0]")
         collapse, p1 = self.collapse, self.input_p1
-        if collapse.model is CollapseModel.DIFFUSION and between_bands(p1, collapse.epsilon):
-            closed = diffusion_gamma(collapse.t_c_mean, p1, collapse.epsilon)
+        closed = _closed_gamma(collapse, p1)
+        if closed is not None:
             if collapse.gamma is None:
                 raise FieldError(
                     "collapse.gamma",
@@ -106,6 +108,20 @@ class ExperimentConfig:
                     f"{collapse.gamma!r} is inconsistent with t_c_mean {collapse.t_c_mean!r}: a mean first "
                     f"passage of t_c_mean from input_p1 {p1!r} needs gamma {closed!r}; omit gamma to use it",
                 )
+
+
+def _closed_gamma(collapse: CollapseParams, p1: float) -> float | None:
+    """The closed-form diffusion ``gamma`` of ``collapse`` from ``p1``, or None where the walk
+    needs none; a :class:`FieldError` at ``collapse.t_c_mean`` where the closed form overflows."""
+    if collapse.model is not CollapseModel.DIFFUSION or not between_bands(p1, collapse.epsilon):
+        return None
+    closed = diffusion_gamma(collapse.t_c_mean, p1, collapse.epsilon)
+    if math.isinf(closed):
+        raise FieldError(
+            "collapse.t_c_mean",
+            f"{collapse.t_c_mean!r} is too small for diffusion from input_p1 {p1!r}: the closed-form gamma overflows",
+        )
+    return closed
 
 
 #: Fields a sweep may target, with the scalar type the values must carry.
@@ -212,9 +228,8 @@ def parse_config(raw: Mapping[str, Any]) -> ExperimentConfig:
 
     collapse = _build("collapse", CollapseParams, **_read(CollapseParams, raw.get("collapse") or {}, "collapse"))
     # An omitted diffusion gamma is the closed form wherever the walk needs one.
-    p1 = top["input_p1"]
-    if collapse.model is CollapseModel.DIFFUSION and collapse.gamma is None and between_bands(p1, collapse.epsilon):
-        collapse = replace(collapse, gamma=diffusion_gamma(collapse.t_c_mean, p1, collapse.epsilon))
+    if collapse.gamma is None:
+        collapse = replace(collapse, gamma=_closed_gamma(collapse, top["input_p1"]))
     observer = _build("observer", ObserverParams, **_read(ObserverParams, raw.get("observer") or {}, "observer"))
     scenario = _build("scenario", PerceptionScenario, **_read(PerceptionScenario, raw.get("scenario") or {}, "scenario"))
     rule = _read(DecisionRule, raw.get("rule") or {}, "rule")
@@ -290,26 +305,3 @@ def expand_sweep(raw: Mapping[str, Any]) -> list[tuple[Any, ExperimentConfig]]:
             raise FieldError(exc.field, f"{exc.message} (sweep point {param} = {value!r})") from None
         points.append((value, config))
     return points
-
-
-def config_to_json_dict(config: Any) -> dict[str, Any]:
-    """Resolved parameter set as a JSON-serializable dict (for echoing), fields in
-    declaration order: an enum as its value, a tuple as a list, a section as a dict."""
-    out = {}
-    for name, echo in _echo_plan(type(config)):
-        value = getattr(config, name)
-        out[name] = value if echo is None or value is None else echo(value)
-    return out
-
-
-@functools.cache
-def _echo_plan(cls: type) -> tuple[tuple[str, Callable[[Any], Any] | None], ...]:
-    """Each field of ``cls`` with how :func:`config_to_json_dict` turns it into JSON."""
-    def echo(kind: type | None) -> Callable[[Any], Any] | None:
-        if kind is None:  # a generic: tuple[Any, ...]
-            return list
-        if issubclass(kind, Enum):
-            return operator.attrgetter("value")
-        return config_to_json_dict if is_dataclass(kind) else None
-
-    return tuple((f.name, echo(kind)) for f, kind in field_types(cls))

@@ -89,9 +89,9 @@ class ExperimentSummary:
     Wilson intervals).  Device fields are None unless the baseline ran."""
 
     n_trials: int
-    definite: RateEstimate
-    superposition: RateEstimate
-    overall: RateEstimate
+    accuracy_definite: RateEstimate
+    accuracy_superposition: RateEstimate
+    accuracy_overall: RateEstimate
     mean_report_time_definite: float | None
     mean_report_time_superposition: float | None
     device_success: RateEstimate | None
@@ -99,9 +99,9 @@ class ExperimentSummary:
     master_seed: int
 
     def __post_init__(self) -> None:
-        if self.definite.trials + self.superposition.trials != self.n_trials:
+        if self.accuracy_definite.trials + self.accuracy_superposition.trials != self.n_trials:
             raise ValueError("per-class trial counts must add up to n_trials")
-        if self.overall.trials != self.n_trials:
+        if self.accuracy_overall.trials != self.n_trials:
             raise ValueError("overall count must equal n_trials")
 
 
@@ -242,9 +242,9 @@ def _run_group(configs: Sequence["ExperimentConfig"]) -> list[ExperimentSummary]
     return [
         ExperimentSummary(
             n_trials=n,
-            definite=RateEstimate.from_counts(correct_def[point], n_definite),
-            superposition=RateEstimate.from_counts(correct_sup[point], n_superposition),
-            overall=RateEstimate.from_counts(correct_def[point] + correct_sup[point], n),
+            accuracy_definite=RateEstimate.from_counts(correct_def[point], n_definite),
+            accuracy_superposition=RateEstimate.from_counts(correct_sup[point], n_superposition),
+            accuracy_overall=RateEstimate.from_counts(correct_def[point] + correct_sup[point], n),
             mean_report_time_definite=mean_def,
             mean_report_time_superposition=mean_sup,
             device_success=device_success,

@@ -1,17 +1,24 @@
-"""Result rendering: the canonical CSV row layout and JSON summaries.
+"""Result rendering: the canonical CSV row layout and the JSON echo.
 
 The CSV column set and order are fixed; every row echoes the master seed so
 result files stay auditable on their own.  Floats are written with ``repr``
-(shortest round-trip form), which keeps reruns byte-identical.
+(shortest round-trip form), which keeps reruns byte-identical.  JSON output
+is :func:`to_json_dict` of a dataclass, the resolved config or a summary:
+each field name is its JSON key.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import operator
+from collections.abc import Callable
+from dataclasses import is_dataclass
+from enum import Enum
 from typing import Any
 
-from .protocol import ExperimentSummary
+from .protocol import ExperimentSummary, field_types
 from .stats import RateEstimate
 
 CSV_COLUMNS = [
@@ -49,15 +56,15 @@ def summary_csv_row(summary: ExperimentSummary, sweep_param: str = "", sweep_val
         sweep_param,
         _cell(sweep_value),
         _cell(summary.n_trials),
-        _cell(summary.definite.estimate),
-        _cell(summary.definite.lo),
-        _cell(summary.definite.hi),
-        _cell(summary.superposition.estimate),
-        _cell(summary.superposition.lo),
-        _cell(summary.superposition.hi),
-        _cell(summary.overall.estimate),
-        _cell(summary.overall.lo),
-        _cell(summary.overall.hi),
+        _cell(summary.accuracy_definite.estimate),
+        _cell(summary.accuracy_definite.lo),
+        _cell(summary.accuracy_definite.hi),
+        _cell(summary.accuracy_superposition.estimate),
+        _cell(summary.accuracy_superposition.lo),
+        _cell(summary.accuracy_superposition.hi),
+        _cell(summary.accuracy_overall.estimate),
+        _cell(summary.accuracy_overall.lo),
+        _cell(summary.accuracy_overall.hi),
         _cell(device.estimate if device is not None else None),
         _cell(summary.device_bound),
         _cell(summary.mean_report_time_definite),
@@ -74,30 +81,27 @@ def render_csv(rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _rate_dict(rate: RateEstimate | None) -> dict[str, Any] | None:
-    if rate is None:
-        return None
-    return {
-        "successes": rate.successes,
-        "trials": rate.trials,
-        "estimate": rate.estimate,
-        "lo": rate.lo,
-        "hi": rate.hi,
-    }
+def to_json_dict(obj: Any) -> dict[str, Any]:
+    """The dataclass ``obj`` as a JSON-serializable dict, fields in declaration
+    order: an enum as its value, a tuple as a list, a dataclass as a dict."""
+    out = {}
+    for name, echo in _echo_plan(type(obj)):
+        value = getattr(obj, name)
+        out[name] = value if echo is None or value is None else echo(value)
+    return out
 
 
-def summary_to_json_dict(summary: ExperimentSummary) -> dict[str, Any]:
-    return {
-        "n_trials": summary.n_trials,
-        "accuracy_definite": _rate_dict(summary.definite),
-        "accuracy_superposition": _rate_dict(summary.superposition),
-        "accuracy_overall": _rate_dict(summary.overall),
-        "mean_report_time_definite": summary.mean_report_time_definite,
-        "mean_report_time_superposition": summary.mean_report_time_superposition,
-        "device_success": _rate_dict(summary.device_success),
-        "device_bound": summary.device_bound,
-        "master_seed": summary.master_seed,
-    }
+@functools.cache
+def _echo_plan(cls: type) -> tuple[tuple[str, Callable[[Any], Any] | None], ...]:
+    """Each field of ``cls`` with how :func:`to_json_dict` turns it into JSON."""
+    def echo(kind: type | None) -> Callable[[Any], Any] | None:
+        if kind is None:  # a generic: tuple[Any, ...]
+            return list
+        if issubclass(kind, Enum):
+            return operator.attrgetter("value")
+        return to_json_dict if is_dataclass(kind) else None
+
+    return tuple((f.name, echo(kind)) for f, kind in field_types(cls))
 
 
 def _fmt_rate(label: str, rate: RateEstimate) -> str:
@@ -112,9 +116,9 @@ def _fmt_rate(label: str, rate: RateEstimate) -> str:
 def render_human_summary(summary: ExperimentSummary) -> str:
     lines = [
         f"{'n_trials':<28}{summary.n_trials}",
-        _fmt_rate("accuracy (definite)", summary.definite),
-        _fmt_rate("accuracy (superposition)", summary.superposition),
-        _fmt_rate("accuracy (overall)", summary.overall),
+        _fmt_rate("accuracy (definite)", summary.accuracy_definite),
+        _fmt_rate("accuracy (superposition)", summary.accuracy_superposition),
+        _fmt_rate("accuracy (overall)", summary.accuracy_overall),
     ]
     if summary.mean_report_time_definite is not None:
         lines.append(f"{'mean report time (def)':<28}{summary.mean_report_time_definite:.6g} s")

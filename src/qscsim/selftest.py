@@ -118,7 +118,7 @@ def gap_sweep(seed: int, n_trials: int) -> list[RateEstimate]:
             "values": [t_p + k * resolution for k in (0, 0.5, 1, 2, 5, 10)],
         },
     }
-    return [summary.overall for summary in run_experiments([config for _, config in expand_sweep(raw)])]
+    return [summary.accuracy_overall for summary in run_experiments([config for _, config in expand_sweep(raw)])]
 
 
 def monotone_within_2sigma(rates: Sequence[RateEstimate]) -> bool:
@@ -200,21 +200,19 @@ def _check_qsc_separation(seed: int) -> CheckResult:
     n = 2000
     timing = run_experiment(parse_config(qsc_config(_subseed(seed, 50), n, "post_collapse_only", "timing_threshold", True)))
     change = run_experiment(parse_config(qsc_config(_subseed(seed, 51), n, "distinct_percept", "change_detection", False)))
+    acc_timing, acc_change = timing.accuracy_overall.estimate, change.accuracy_overall.estimate
     bound = timing.device_bound
     dev = timing.device_success.estimate
     dev_slack = 3.46 * math.sqrt(0.1875 / n)
     ok = (
-        timing.overall.estimate >= 0.995
-        and change.overall.estimate >= 0.995
+        acc_timing >= 0.995
+        and acc_change >= 0.995
         and abs(dev - 0.75) <= dev_slack
         and dev <= bound
-        and timing.overall.estimate > bound + 0.05
-        and change.overall.estimate > bound + 0.05
+        and acc_timing > bound + 0.05
+        and acc_change > bound + 0.05
     )
-    detail = (
-        f"observer acc: timing={timing.overall.estimate:.4f}, change={change.overall.estimate:.4f}; "
-        f"device={dev:.4f} (bound {bound:.4f})"
-    )
+    detail = f"observer acc: timing={acc_timing:.4f}, change={acc_change:.4f}; device={dev:.4f} (bound {bound:.4f})"
     return CheckResult("qsc_separation", ok, detail)
 
 
@@ -228,7 +226,7 @@ def _check_qsc_failure_mode(seed: int) -> CheckResult:
 def _check_batching(seed: int) -> CheckResult:
     n = 20_000
     summary = run_experiment(parse_config(batch_config(_subseed(seed, 70), n, 5)))
-    rate = summary.superposition.estimate
+    rate = summary.accuracy_superposition.estimate
     ok = abs(rate - 0.96875) <= 0.005
 
     # Reduced-N variant of the sweep check: 3-sigma binomial bounds instead of
@@ -239,8 +237,9 @@ def _check_batching(seed: int) -> CheckResult:
     for j, batch_n in enumerate((1, 2, 3, 5, 8)):
         s = run_experiment(parse_config(batch_config(_subseed(seed, 71 + j), n_sweep, batch_n)))
         expected = 1.0 - 0.5**batch_n
-        rates.append(round(s.superposition.estimate, 4))
-        if abs(s.superposition.estimate - expected) > 3.0 * math.sqrt(expected * (1.0 - expected) / n_sweep):
+        estimate = s.accuracy_superposition.estimate
+        rates.append(round(estimate, 4))
+        if abs(estimate - expected) > 3.0 * math.sqrt(expected * (1.0 - expected) / n_sweep):
             sweep_ok = False
     detail = f"batch-5 detection {rate:.5f} (0.96875 ±0.005); sweep rates {rates}"
     return CheckResult("batch_detection", ok and sweep_ok, detail)

@@ -100,8 +100,8 @@ def test_criterion_4_qsc_separation():
     timing = run_experiment(parse_config(qsc_config(SEED, 10_000, "post_collapse_only", "timing_threshold", True)))
     change = run_experiment(parse_config(qsc_config(SEED + 1, 10_000, "distinct_percept", "change_detection", False)))
     elapsed = time.perf_counter() - started
-    assert timing.overall.estimate >= 0.999
-    assert change.overall.estimate >= 0.999
+    assert timing.accuracy_overall.estimate >= 0.999
+    assert change.accuracy_overall.estimate >= 0.999
 
     device = timing.device_success.estimate
     bound = optimal_device_bound(0.5)
@@ -109,12 +109,12 @@ def test_criterion_4_qsc_separation():
     assert abs(device - 0.75) <= 0.015
     assert device <= 0.8536
     # central separation: observer beats any single-copy device strategy
-    assert timing.overall.estimate > bound + 0.05
-    assert change.overall.estimate > bound + 0.05
+    assert timing.accuracy_overall.estimate > bound + 0.05
+    assert change.accuracy_overall.estimate > bound + 0.05
     assert elapsed < 30.0, f"criterion 4 runtime {elapsed:.1f}s exceeds 30s"
     _pass(
         "C4 QSC separation",
-        f"timing acc={timing.overall.estimate:.4f}, change acc={change.overall.estimate:.4f}, "
+        f"timing acc={timing.accuracy_overall.estimate:.4f}, change acc={change.accuracy_overall.estimate:.4f}, "
         f"device={device:.4f} <= bound {bound:.4f}; {elapsed:.1f}s",
     )
 
@@ -133,7 +133,7 @@ def test_criterion_5_qsc_failure_mode():
 
 def test_criterion_6_batch_detection():
     headline = run_experiment(parse_config(batch_config(SEED, 100_000, 5)))
-    rate = headline.superposition.estimate
+    rate = headline.accuracy_superposition.estimate
     assert abs(rate - 0.96875) <= 0.005
 
     raw = batch_config(SEED, 20_000, 5) | {"sweep": {"param": "rule.batch_n", "values": [1, 2, 3, 5, 8]}}
@@ -141,7 +141,7 @@ def test_criterion_6_batch_detection():
     for value, config in expand_sweep(raw):
         summary = run_experiment(config)
         expected = 1.0 - 0.5**value
-        est = summary.superposition
+        est = summary.accuracy_superposition
         assert est.lo <= expected <= est.hi, f"batch_n={value}: CI missed {expected}"
         sweep_rates.append(round(est.estimate, 4))
     # footnote-style monotonicity: batching adds at least 0.4 detection

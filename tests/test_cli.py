@@ -23,6 +23,9 @@ BASE_CONFIG = {
     "rule": {"kind": "timing_threshold", "threshold_time": 0.05, "batch_n": 1},
 }
 
+#: Keys of each rate object in a --json summary, in order.
+RATE_KEYS = ["successes", "trials", "estimate", "lo", "hi"]
+
 
 @pytest.fixture
 def config_path(tmp_path):
@@ -128,12 +131,22 @@ class TestRun:
         payload = json.loads(capsys.readouterr().out)
         assert payload["rng_stream"] == "block-v2"
         assert payload["resolved_config"]["collapse"]["t_c_mean"] == 180.0
-        assert payload["summary"]["n_trials"] == 400
-        assert payload["summary"]["accuracy_overall"]["estimate"] >= 0.99
+        summary = payload["summary"]
+        assert list(summary) == [
+            "n_trials", "accuracy_definite", "accuracy_superposition", "accuracy_overall",
+            "mean_report_time_definite", "mean_report_time_superposition",
+            "device_success", "device_bound", "master_seed",
+        ]
+        for key in ("accuracy_definite", "accuracy_superposition", "accuracy_overall"):
+            assert list(summary[key]) == RATE_KEYS
+        assert summary["device_success"] is None and summary["device_bound"] is None
+        assert summary["n_trials"] == 400
+        assert summary["accuracy_overall"]["estimate"] >= 0.99
 
     def test_device_baseline_flag(self, config_path, capsys):
         assert main(["run", "--config", config_path, "--json", "--device-baseline"]) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert list(payload["summary"]["device_success"]) == RATE_KEYS
         success = payload["summary"]["device_success"]["estimate"]
         bound = payload["summary"]["device_bound"]
         assert 0.6 < success < 0.9
@@ -313,16 +326,17 @@ class TestCalibrate:
             captured.err,
         )
 
-    @pytest.mark.parametrize("tolerance", ["1e-200", "1e-300", "5e-324"])
+    @pytest.mark.parametrize("tolerance", ["1e-4", "1e-200", "1e-300", "5e-324"])
     def test_tolerance_near_zero_is_one_error_line(self, tmp_path, capsys, tolerance):
-        # The run count the budget rule would ask for overflows a float.
+        # The run count the budget rule would ask for exceeds the --runs cap
+        # of 2**22 (at 1e-4, about 2.9e8) or overflows a float.
         path = self.calibration_config(tmp_path)
         assert main(["calibrate", "--config", path, "--tolerance", tolerance, "--runs", "256"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(
-            rf"error: run budget too small for tolerance {tolerance}: 3\*cv/sqrt\(n_runs\) = \d\.\d{{4}}; "
-            r"no --runs resolves it; raise --tolerance\n",
+            rf"error: run budget too small for tolerance {re.escape(repr(float(tolerance)))}: "
+            r"3\*cv/sqrt\(n_runs\) = \d\.\d{4}; no --runs resolves it; raise --tolerance\n",
             captured.err,
         )
 
@@ -484,12 +498,21 @@ def test_unknown_command_rejected(capsys):
             {"observer": {"t_p": 0.001, "jitter_sigma": 1e308}, "rule": {"kind": "timing_threshold"}},
             "observer.jitter_sigma: must be <= 1e+100 s, got 1e+308",
         ),
+        (
+            {"input_p1": 0.3, "collapse": {"model": "diffusion", "t_c_mean": 1e-320}},
+            "collapse.t_c_mean: 1e-320 is too small for diffusion from input_p1 0.3: the closed-form gamma overflows",
+        ),
+        (
+            {"input_p1": 0.3, "collapse": {"model": "diffusion", "t_c_mean": 1e-320, "gamma": 1.0}},
+            "collapse.t_c_mean: 1e-320 is too small for diffusion from input_p1 0.3: the closed-form gamma overflows",
+        ),
     ],
-    ids=["t_c_mean", "jitter_sigma"],
+    ids=["t_c_mean", "jitter_sigma", "tiny_t_c_mean_gamma_omitted", "tiny_t_c_mean_gamma_given"],
 )
 def test_huge_time_is_one_error_line_naming_its_field(tmp_path, capsys, extra, error):
     # Such a time would overflow the report-time sums (or the default
-    # threshold) to inf, so it is refused before anything is written.
+    # threshold) to inf, so it is refused before anything is written; so is
+    # a diffusion t_c_mean small enough to overflow the closed-form gamma.
     path = write_config(tmp_path, extra)
     out = tmp_path / "out.csv"
     assert main(["run", "--config", path, "--json", "--out", str(out)]) == 1

@@ -12,7 +12,6 @@ import pytest
 from qscsim.collapse import CollapseModel, CollapseParams, between_bands, diffusion_gamma, sample_collapses
 from qscsim.config import (
     SWEEPABLE_FIELDS,
-    config_to_json_dict,
     expand_sweep,
     load_config,
     parse_config,
@@ -21,6 +20,7 @@ from qscsim.config import (
 from qscsim.errors import ConfigError, FieldError
 from qscsim.observer import ScenarioTag
 from qscsim.protocol import ExperimentSummary, RuleKind, _draw_paths, run_experiment
+from qscsim.report import to_json_dict
 
 MINIMAL = {"master_seed": 42, "n_trials": 1000}
 
@@ -135,7 +135,7 @@ def test_diffusion_gamma_consistent_is_kept_as_given():
     for given in (closed, closed * (1.0 + 5e-10), closed * (1.0 - 5e-10)):
         config = parse_config({**MINIMAL, "collapse": {**DIFFUSION, "gamma": given}})
         assert config.collapse.gamma == given
-        assert config_to_json_dict(config)["collapse"]["gamma"] == given
+        assert to_json_dict(config)["collapse"]["gamma"] == given
 
 
 @pytest.mark.parametrize("gamma", [2.0, diffusion_gamma(1.0, 0.5, 1e-3) * (1.0 + 2e-9), -1.0, 0.0])
@@ -162,7 +162,7 @@ def test_diffusion_gamma_with_input_p1_in_a_band(p1):
     assert given.collapse.gamma == 2.0
     omitted = parse_config({**MINIMAL, "n_trials": 200, "input_p1": p1, "collapse": DIFFUSION})
     assert omitted.collapse.gamma is None
-    assert config_to_json_dict(omitted)["collapse"]["gamma"] is None
+    assert to_json_dict(omitted)["collapse"]["gamma"] is None
     # Outside the band neither run reads gamma: every superposition has
     # collapsed at time 0, so both give the same summary.
     assert _run_outcome(omitted) == _run_outcome(given)
@@ -175,7 +175,7 @@ def test_diffusion_run_from_p1_zero_equals_a_start_inside_the_lower_band():
     raw = {**MINIMAL, "n_trials": 5000, "collapse": DIFFUSION, "scenario": {"tag": "fixed_c1"}, "rule": {"kind": "combined"}}
     zero, inside = (run_experiment(parse_config({**raw, "input_p1": p1})) for p1 in (0.0, 5e-4))
     assert zero == inside
-    assert zero.superposition.successes == zero.superposition.trials > 0
+    assert zero.accuracy_superposition.successes == zero.accuracy_superposition.trials > 0
 
 
 @pytest.mark.parametrize(
@@ -293,6 +293,10 @@ def test_gamma_check_leaves_band_and_other_models_alone():
         ("scenario", "r", 1.5, {"tag": "random_percept"}),
         ("rule", "threshold_time", 0.0, {}),
         ("rule", "batch_n", 0, {}),
+        # a diffusion t_c_mean so small that the closed-form gamma overflows,
+        # whether gamma is omitted or given
+        ("collapse", "t_c_mean", 1e-320, {"model": "diffusion"}),
+        ("collapse", "t_c_mean", 1e-320, {"model": "diffusion", "gamma": 1.0}),
     ],
 )
 def test_dataclass_range_error_keeps_its_dotted_path(section, field, value, other):
@@ -478,7 +482,7 @@ def test_missing_file_and_bad_json(tmp_path):
 
 def test_config_echo_contains_resolved_values():
     config = parse_config(MINIMAL)
-    echoed = config_to_json_dict(config)
+    echoed = to_json_dict(config)
     assert echoed["rule"]["threshold_time"] == pytest.approx(0.051)
     assert "dt" not in echoed["collapse"]
     assert echoed["master_seed"] == 42
@@ -491,7 +495,7 @@ def test_config_echo_contains_resolved_values():
         '"device_baseline": false, "sweep": null}'
     )
     sweep = {"param": "priors", "values": [0.25, 0.75]}
-    assert config_to_json_dict(parse_config({**MINIMAL, "sweep": sweep}))["sweep"] == sweep
+    assert to_json_dict(parse_config({**MINIMAL, "sweep": sweep}))["sweep"] == sweep
 
 
 @pytest.mark.parametrize(

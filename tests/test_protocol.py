@@ -140,8 +140,8 @@ class TestRunExperiment:
     def test_no_signal_floor_without_jitter(self):
         config = experiment_config(priors=1.0, n_trials=5000)
         summary = run_experiment(config)
-        assert summary.definite.estimate == 1.0  # exact: no false positives
-        assert summary.superposition.estimate is None
+        assert summary.accuracy_definite.estimate == 1.0  # exact: no false positives
+        assert summary.accuracy_superposition.estimate is None
         assert summary.mean_report_time_superposition is None
 
     @pytest.mark.parametrize("tag", [tag.value for tag in ScenarioTag])
@@ -159,8 +159,8 @@ class TestRunExperiment:
                 collapse={"model": "jump_exponential", "t_c_mean": 0.02},
             )
         )
-        assert summary.definite.trials > 0
-        assert summary.definite.successes == summary.definite.trials
+        assert summary.accuracy_definite.trials > 0
+        assert summary.accuracy_definite.successes == summary.accuracy_definite.trials
 
     def test_scenario_equivalence_with_clean_signals(self):
         timing = run_experiment(experiment_config(n_trials=3000))
@@ -171,12 +171,13 @@ class TestRunExperiment:
                 rule={"kind": "change_detection"},
             )
         )
-        assert timing.overall.estimate == change.overall.estimate == 1.0
+        assert timing.accuracy_overall.estimate == change.accuracy_overall.estimate == 1.0
 
     def test_counts_and_intervals_consistent(self):
         summary = run_experiment(experiment_config(device_baseline=True))
-        assert summary.definite.trials + summary.superposition.trials == summary.n_trials
-        for rate in (summary.definite, summary.superposition, summary.overall, summary.device_success):
+        assert summary.accuracy_definite.trials + summary.accuracy_superposition.trials == summary.n_trials
+        rates = (summary.accuracy_definite, summary.accuracy_superposition, summary.accuracy_overall)
+        for rate in (*rates, summary.device_success):
             assert 0.0 <= rate.lo <= rate.estimate <= rate.hi <= 1.0
         assert summary.device_bound == pytest.approx(0.8535533905932737, abs=1e-12)
         assert summary.master_seed == 42
@@ -199,9 +200,9 @@ class TestRunExperiment:
             )
 
         inside = near_unit(1.0 - 5e-13)
-        assert inside.superposition.estimate == 0.0
+        assert inside.accuracy_superposition.estimate == 0.0
         assert abs(inside.mean_report_time_superposition - 0.001) <= 1e-15
-        assert near_unit(1.0 - 2e-12).superposition.estimate >= 0.99
+        assert near_unit(1.0 - 2e-12).accuracy_superposition.estimate >= 0.99
 
     def test_definite_accuracy_under_jitter_is_the_closed_form(self):
         # A definite copy reports at t_p plus jitter and fires the timing
@@ -214,8 +215,8 @@ class TestRunExperiment:
             )
         )
         expected = (1.0 - 0.5 * math.erfc(1.0 / math.sqrt(2.0))) ** 3
-        n = summary.definite.trials
-        assert abs(summary.definite.estimate - expected) <= 5.0 * math.sqrt(expected * (1.0 - expected) / n)
+        rate = summary.accuracy_definite
+        assert abs(rate.estimate - expected) <= 5.0 * math.sqrt(expected * (1.0 - expected) / rate.trials)
 
     def test_device_success_is_the_closed_form(self):
         # A definite input always reads B1, and a superposition reads B2, and
@@ -237,7 +238,7 @@ class TestRunExperiment:
         # jitter and a fixed pre-collapse percept every report lands at t_p.
         assert summary.mean_report_time_superposition == pytest.approx(0.001, abs=1e-12)
         expected = 1.0 - 0.5**5
-        assert abs(summary.superposition.estimate - expected) <= binom_3sigma(expected, 500)
+        assert abs(summary.accuracy_superposition.estimate - expected) <= binom_3sigma(expected, 500)
 
     def test_block_rng_matches_seedsequence_spawn_key(self):
         # The first draw of block b is one prior uniform per decision from
@@ -248,7 +249,7 @@ class TestRunExperiment:
         for block, size in enumerate((BLOCK_SIZE, 100)):
             rng = np.random.default_rng(np.random.SeedSequence(42, spawn_key=(block,)))
             expected += int(np.count_nonzero(rng.random(size) < 0.3))
-        assert summary.definite.trials == expected
+        assert summary.accuracy_definite.trials == expected
         assert summary.n_trials == n
 
     def test_memory_stays_at_one_block(self):
@@ -397,13 +398,15 @@ def test_block_kernel_matches_exact_expectations(model, scenario, rule_kind, bat
     kernel = run_experiment(config)
     expected = expected_outcomes(config)
     for what, rate in (
-        ("definite", kernel.definite), ("superposition", kernel.superposition), ("device", kernel.device_success)
+        ("definite", kernel.accuracy_definite),
+        ("superposition", kernel.accuracy_superposition),
+        ("device", kernel.device_success),
     ):
         p = expected[what]
         assert_within_5se(rate.estimate, p, math.sqrt(p * (1.0 - p) / rate.trials), what)
     for what, mean, trials in (
-        ("time_definite", kernel.mean_report_time_definite, kernel.definite.trials),
-        ("time_superposition", kernel.mean_report_time_superposition, kernel.superposition.trials),
+        ("time_definite", kernel.mean_report_time_definite, kernel.accuracy_definite.trials),
+        ("time_superposition", kernel.mean_report_time_superposition, kernel.accuracy_superposition.trials),
     ):
         m1, m2 = expected[what]
         assert_within_5se(mean, m1, math.sqrt(max(m2 - m1 * m1, 0.0) / (trials * batch_n)), what)
@@ -414,9 +417,9 @@ def test_summary_count_invariant_enforced():
     with pytest.raises(ValueError):
         ExperimentSummary(
             n_trials=11,
-            definite=ten,
-            superposition=RateEstimate.from_counts(0, 0),
-            overall=ten,
+            accuracy_definite=ten,
+            accuracy_superposition=RateEstimate.from_counts(0, 0),
+            accuracy_overall=ten,
             mean_report_time_definite=None,
             mean_report_time_superposition=None,
             device_success=None,

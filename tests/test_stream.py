@@ -97,8 +97,8 @@ def configs(raws):
 def pin(summary):
     device = summary.device_success
     return (
-        summary.definite.successes, summary.definite.trials,
-        summary.superposition.successes, summary.superposition.trials,
+        summary.accuracy_definite.successes, summary.accuracy_definite.trials,
+        summary.accuracy_superposition.successes, summary.accuracy_superposition.trials,
         None if device is None else device.successes,
         summary.mean_report_time_definite.hex(), summary.mean_report_time_superposition.hex(),
     )
