@@ -36,17 +36,14 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the config master_seed")
-        p.add_argument("--out", default=None, help="write results as CSV to this path")
         p.add_argument("--threads", type=int, default=1, help="accepted for compatibility and ignored; must be >= 1")
         p.add_argument("--json", action="store_true", help="emit a JSON summary on stdout")
 
-    p_run = sub.add_parser("run", help="run one experiment")
-    common(p_run)
-    p_run.add_argument("--device-baseline", action="store_true", help="also run the projective-device baseline")
-
-    p_sweep = sub.add_parser("sweep", help="run the sweep defined in the config")
-    common(p_sweep)
-    p_sweep.add_argument("--device-baseline", action="store_true", help="also run the projective-device baseline")
+    for verb, help_text in (("run", "run one experiment"), ("sweep", "run the sweep defined in the config")):
+        p = sub.add_parser(verb, help=help_text)
+        common(p)
+        p.add_argument("--out", default=None, help="write results as CSV to this path")
+        p.add_argument("--device-baseline", action="store_true", help="also run the projective-device baseline")
 
     p_cal = sub.add_parser("calibrate", help="calibrate the diffusion strength to the target mean collapse time")
     common(p_cal)
@@ -54,8 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--runs", type=int, default=8192, help="walkers in the verification ensemble, 2 to 2**22")
     p_cal.add_argument("--save-config", default=None, help="write the config with the calibrated gamma to this path")
 
-    p_self = sub.add_parser("selftest", help="run the reduced-size invariant suite")
-    p_self.add_argument("--seed", type=int, default=None, help="override the selftest master seed")
+    sub.add_parser("selftest", help="run the acceptance criteria")
     return parser
 
 
@@ -194,12 +190,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    if args.seed is not None and args.seed < 0:
-        raise QscError(f"--seed must be >= 0, got {args.seed}")
     from .selftest import run_selftest  # imported here so other verbs skip loading it
 
-    kwargs = {} if args.seed is None else {"seed": args.seed}
-    return 0 if run_selftest(**kwargs) else 1
+    return 0 if run_selftest() else 1
 
 
 def main(argv: list[str] | None = None) -> int:

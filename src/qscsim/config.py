@@ -1,13 +1,13 @@
 """Experiment configuration: JSON schema, validation, defaults, sweeps.
 
-Configs are JSON objects with a versioned schema.  Unknown keys are errors
-(not warnings) so that result files can always be traced back to an exact
-parameter set.  This module checks JSON types and resolves defaults, among
-them the closed-form diffusion ``gamma``; the range checks are the parameter
-dataclasses' own, and their :class:`~qscsim.errors.FieldError` is re-raised
-with the dotted path of the offending field.  Defaults follow the
-reference magnitudes of the protocol: millisecond perception latency against
-a minutes-scale mean collapse time.
+Configs are JSON objects with a versioned schema.  Unknown and repeated keys
+are errors (not warnings) so that result files can always be traced back to
+an exact parameter set.  This module checks JSON types and resolves
+defaults, among them the closed-form diffusion ``gamma``; the range checks
+are the parameter dataclasses' own, and their
+:class:`~qscsim.errors.FieldError` is re-raised with the dotted path of the
+offending field.  Defaults follow the reference magnitudes of the protocol:
+millisecond perception latency against a minutes-scale mean collapse time.
 
 Each config key is a parameter-dataclass field, declared once: the reader,
 the echo (:func:`~qscsim.report.to_json_dict`), :data:`SWEEPABLE_FIELDS` and
@@ -256,8 +256,17 @@ def read_raw_config(path: str | Path) -> dict[str, Any]:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid UTF-8: {exc}") from exc
+
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        obj: dict[str, Any] = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"config file {path} repeats the key {key!r} in one object")
+            obj[key] = value
+        return obj
+
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=unique_keys)
     # A JSONDecodeError, an integer beyond Python's digit limit, or nesting beyond the recursion limit.
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc

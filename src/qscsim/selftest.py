@@ -1,17 +1,15 @@
-"""The acceptance properties, and the reduced-size suite behind the ``selftest`` CLI verb.
+"""The acceptance criteria C1-C7, run by the ``selftest`` CLI verb and by
+``tests/test_acceptance.py``.
 
-Each property that ``tests/test_acceptance.py`` and ``selftest`` both check
-is one function here.  It builds its configs or laws, draws from the seeds
-or generator factory its caller passes in, and returns what it measured;
-each caller applies its own gates.  ``selftest`` runs the properties at
-reduced size, with bounds rescaled to the smaller trial counts, from seeds
-split off its master seed, so results are stable run to run.
+Each criterion is one function that runs at its stated size from fixed
+seeds (the streams ``default_rng(42 + k)`` and the master seeds 42 and 43),
+applies its gates and returns a :class:`CheckResult` whose detail holds
+measured values only.  These are the acceptance gates; they are never loosened.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,54 +18,24 @@ import numpy as np
 from .collapse import CollapseModel, CollapseParams, diffusion_gamma, sample_collapses
 from .config import expand_sweep, parse_config
 from .observer import PerceptionScenario, ScenarioTag, awareness_probability, perceive_collapses
-from .protocol import run_experiment, run_experiments
+from .protocol import optimal_device_bound, run_experiment, run_experiments
 from .report import render_csv, summary_csv_row
-from .stats import RateEstimate, binomial_chi_square_pvalue
+from .stats import binomial_chi_square_pvalue
 
-DEFAULT_SEED = 20250809
-
-#: Stream ``k`` of a property's draws; each caller keeps its own seeding.
-RngFactory = Callable[[int], np.random.Generator]
-
+SEED = 42
 #: Case (2): the pre-collapse percept is pinned to C1.
 CASE2_SCENARIO = PerceptionScenario(tag=ScenarioTag.FIXED_C1)
-#: The branch-1 weights at which the case-(2) change rate meets its closed form.
-CASE2_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
 
-def born_counts(n: int, rng: RngFactory) -> list[tuple[str, float, int]]:
-    """B1 counts of ``n`` jump and ``n`` diffusion collapses at p1 0.1, 0.5
-    and 0.9, as ``(law, p1, count)``, jump first at each p1.  The draws of
-    p1 number ``j`` under law ``m`` (jump 0, diffusion 1) come from
-    ``rng(10*m + j)``."""
-    jump = CollapseParams(model=CollapseModel.JUMP_EXPONENTIAL, t_c_mean=1.0)
-    counts = []
-    for j, p1 in enumerate((0.1, 0.5, 0.9)):
-        diffusion = CollapseParams(
-            model=CollapseModel.DIFFUSION, t_c_mean=1.0, gamma=diffusion_gamma(1.0, p1, 1e-3), epsilon=1e-3
-        )
-        for m, (label, law) in enumerate((("jump", jump), ("diffusion", diffusion))):
-            _, hit_upper = sample_collapses(p1, law, rng(10 * m + j), n)
-            counts.append((label, p1, int(hit_upper.sum())))
-    return counts
+@dataclass
+class CheckResult:
+    name: str
+    passed: bool
+    detail: str
 
 
-def exponential_moments(t_c: float, n: int, rng: np.random.Generator) -> tuple[float, float]:
-    """Sample mean and variance of ``n`` jump-law collapse times of mean ``t_c``."""
-    times, _ = sample_collapses(0.5, CollapseParams(model=CollapseModel.JUMP_EXPONENTIAL, t_c_mean=t_c), rng, n)
-    return float(times.mean()), float(times.var(ddof=1))
-
-
-def change_counts(p1s: Sequence[float], n: int, rng: RngFactory) -> list[int]:
-    """Percept changes among ``n`` case-(2) copies at each weight of ``p1s``;
-    weight number ``j`` draws from ``rng(j)``."""
-    collapse = CollapseParams(model=CollapseModel.DETERMINISTIC_TIME, t_c_mean=1.0)
-    counts = []
-    for j, p1 in enumerate(p1s):
-        stream = rng(j)
-        times, hit_upper = sample_collapses(p1, collapse, stream, n)
-        counts.append(int(perceive_collapses(0.001, CASE2_SCENARIO, times, hit_upper, stream)[1].sum()))
-    return counts
+def _binom_3sigma(p: float, n: int) -> float:
+    return 3.0 * math.sqrt(p * (1.0 - p) / n)
 
 
 def qsc_config(seed: int, n_trials: int, scenario: str, rule_kind: str, device: bool) -> dict:
@@ -101,176 +69,155 @@ def batch_config(seed: int, n_trials: int, batch_n: int) -> dict:
     }
 
 
-def gap_sweep(seed: int, n_trials: int) -> list[RateEstimate]:
-    """Overall accuracy of the single-copy timing rule with no pre-collapse
-    percept, as the collapse-perception gap grows from 0 to 10 resolutions."""
-    t_p = 0.001
-    resolution = 0.01
+def born_rule_conformance() -> CheckResult:
+    """C1: the B1 frequency of 1e5 jump and 1e5 diffusion collapses at p1 0.1,
+    0.5 and 0.9 lies within 3 SE of its expectation and passes a chi-square
+    test at p > 0.001.  The expectation is p1 for the jump law and the band
+    absorption probability ``(p1 - epsilon) / (1 - 2 epsilon)`` for diffusion."""
+    n, eps = 100_000, 1e-3
+    jump = CollapseParams(model=CollapseModel.JUMP_EXPONENTIAL, t_c_mean=1.0)
+    gates, freqs = [], []
+    for j, p1 in enumerate((0.1, 0.5, 0.9)):
+        diffusion = CollapseParams(
+            model=CollapseModel.DIFFUSION, t_c_mean=1.0, gamma=diffusion_gamma(1.0, p1, eps), epsilon=eps
+        )
+        laws = (("jump", jump, p1), ("diffusion", diffusion, (p1 - eps) / (1.0 - 2.0 * eps)))
+        for m, (label, law, expected) in enumerate(laws):
+            k = int(sample_collapses(p1, law, np.random.default_rng(SEED + 10 * m + j), n)[1].sum())
+            gates += [abs(k / n - expected) <= _binom_3sigma(expected, n)]
+            gates += [binomial_chi_square_pvalue(k, n, expected) > 0.001]
+            freqs.append(f"{label}@{p1}:{k / n:.4f}")
+    return CheckResult("C1 born_rule_conformance", all(gates), "; ".join(freqs))
+
+
+def collapse_time_law() -> CheckResult:
+    """C2: 1e6 jump-law collapse times of mean 2 have their mean within 3 SE
+    and their variance within 3 SE and 5% of 4; 1e4 diffusion collapses at
+    the closed-form gamma for mean 1 have a mean first passage within 5% of 1."""
+    n, t_c = 1_000_000, 2.0
+    times, _ = sample_collapses(
+        0.5, CollapseParams(model=CollapseModel.JUMP_EXPONENTIAL, t_c_mean=t_c), np.random.default_rng(SEED), n
+    )
+    mean, var = float(times.mean()), float(times.var(ddof=1))
+    gamma = diffusion_gamma(1.0, 0.5, 1e-3)
+    law = CollapseParams(model=CollapseModel.DIFFUSION, t_c_mean=1.0, gamma=gamma, epsilon=1e-3)
+    fpt_mean = float(sample_collapses(0.5, law, np.random.default_rng(SEED + 1), 10_000)[0].mean())
+    # The sd of an exponential sample variance S^2 is sigma^2 sqrt(8 / n).
+    var_error = abs(var - t_c * t_c)
+    passed = abs(mean - t_c) <= 3.0 * t_c / math.sqrt(n) and abs(fpt_mean - 1.0) <= 0.05
+    passed &= var_error <= 3.0 * t_c * t_c * math.sqrt(8.0 / n) and var_error <= 0.05 * t_c * t_c
+    detail = f"exp mean={mean:.4f} var={var:.4f}; calibrated gamma={gamma:.4f}, mean FPT={fpt_mean:.4f}"
+    return CheckResult("C2 collapse_time_law", passed, detail)
+
+
+def _change_frequency(p1: float, n: int, rng: np.random.Generator) -> float:
+    """Fraction of ``n`` case-(2) copies at weight ``p1`` whose percept changes."""
+    law = CollapseParams(model=CollapseModel.DETERMINISTIC_TIME, t_c_mean=1.0)
+    times, hit_upper = sample_collapses(p1, law, rng, n)
+    return float(perceive_collapses(0.001, CASE2_SCENARIO, times, hit_upper, rng)[1].mean())
+
+
+def case2_change_probability() -> CheckResult:
+    """C3: 1e5 case-(2) copies of an equal-weight superposition change percept
+    at a frequency within 0.0047 of 0.5, and 2e4 copies at each p1 of 0.1 to
+    0.9 within 3 SE of the closed form ``1 - p1``."""
+    freq = _change_frequency(0.5, 100_000, np.random.default_rng(SEED))
+    passed = abs(freq - 0.5) <= 0.0047
+    grid = []
+    for j in range(9):
+        p1 = round(0.1 * (j + 1), 1)
+        expected = awareness_probability(CASE2_SCENARIO, p1)
+        grid.append(_change_frequency(p1, 20_000, np.random.default_rng(SEED + 100 + j)))
+        passed &= abs(expected - (1.0 - p1)) <= 1e-15 and abs(grid[-1] - expected) <= _binom_3sigma(expected, 20_000)
+    detail = f"freq={freq:.4f}; grid p1 0.1..0.9: {[round(f, 4) for f in grid]}"
+    return CheckResult("C3 case2_change_probability", passed, detail)
+
+
+def qsc_separation() -> CheckResult:
+    """C4: on 1e4 decisions each, the single-copy timing rule and change
+    detection reach 0.999 accuracy and beat the optimal device bound by 0.05,
+    while the device baseline succeeds within 0.015 of 0.75 and under the bound."""
+    timing = run_experiment(parse_config(qsc_config(SEED, 10_000, "post_collapse_only", "timing_threshold", True)))
+    change = run_experiment(parse_config(qsc_config(SEED + 1, 10_000, "distinct_percept", "change_detection", False)))
+    acc_timing, acc_change = timing.accuracy_overall.estimate, change.accuracy_overall.estimate
+    device, bound = timing.device_success.estimate, optimal_device_bound(0.5)
+    worst = min(acc_timing, acc_change)
+    passed = worst >= 0.999 and worst > bound + 0.05 and abs(timing.device_bound - bound) <= 1e-12
+    passed &= abs(device - 0.75) <= 0.015 and device <= 0.8536
+    detail = f"timing acc={acc_timing:.4f}, change acc={acc_change:.4f}, device={device:.4f}, bound {bound:.4f}"
+    return CheckResult("C4 qsc_separation", passed, detail)
+
+
+def qsc_failure_mode() -> CheckResult:
+    """C5: with no pre-collapse percept, single-copy timing accuracy on 1e4
+    decisions sits within 0.02 of chance at zero collapse-perception gap, never
+    drops by more than 2 SE of the difference as the gap grows to 10
+    resolutions, and reaches 0.999."""
+    t_p, resolution = 0.001, 0.01
     raw = {
-        "master_seed": seed,
-        "n_trials": n_trials,
+        "master_seed": SEED,
+        "n_trials": 10_000,
         "collapse": {"model": "deterministic_time", "t_c_mean": t_p},
         "observer": {"t_p": t_p, "jitter_sigma": 0.0002, "resolution": resolution},
         "scenario": {"tag": "post_collapse_only"},
         "rule": {"kind": "timing_threshold", "batch_n": 1},
-        "sweep": {
-            "param": "collapse.t_c_mean",
-            "values": [t_p + k * resolution for k in (0, 0.5, 1, 2, 5, 10)],
-        },
+        "sweep": {"param": "collapse.t_c_mean", "values": [t_p + k * resolution for k in (0, 0.5, 1, 2, 5, 10)]},
     }
-    return [summary.accuracy_overall for summary in run_experiments([config for _, config in expand_sweep(raw)])]
-
-
-def monotone_within_2sigma(rates: Sequence[RateEstimate]) -> bool:
-    """Whether no rate falls below the one before it by more than twice the
-    standard error of their difference."""
-    return all(
+    rates = [s.accuracy_overall for s in run_experiments([config for _, config in expand_sweep(raw)])]
+    monotone = all(
         b.estimate >= a.estimate - 2.0 * math.sqrt(
             a.estimate * (1.0 - a.estimate) / a.trials + b.estimate * (1.0 - b.estimate) / b.trials
         ) - 1e-12
         for a, b in zip(rates, rates[1:])
     )
+    passed = abs(rates[0].estimate - 0.5) <= 0.02 and monotone and rates[-1].estimate >= 0.999
+    detail = f"accuracy over gap sweep: {[round(r.estimate, 4) for r in rates]}"
+    return CheckResult("C5 qsc_failure_mode", passed, detail)
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+def batch_detection() -> CheckResult:
+    """C6: change detection over 5 copies of an equal-weight superposition
+    detects 1e5 superpositions at a rate within 0.005 of 31/32; over 1, 2, 3, 5
+    and 8 copies each 2e4-decision 95% interval holds ``1 - 2^-n``, and 5
+    copies detect at least 0.4 more often than one."""
+    rate = run_experiment(parse_config(batch_config(SEED, 100_000, 5))).accuracy_superposition.estimate
+    passed = abs(rate - 0.96875) <= 0.005
+    raw = batch_config(SEED, 20_000, 5) | {"sweep": {"param": "rule.batch_n", "values": [1, 2, 3, 5, 8]}}
+    sweep_rates = []
+    for batch_n, config in expand_sweep(raw):
+        est = run_experiment(config).accuracy_superposition
+        passed &= est.lo <= 1.0 - 0.5**batch_n <= est.hi
+        sweep_rates.append(round(est.estimate, 4))
+    passed &= sweep_rates[3] - sweep_rates[0] >= 0.4
+    return CheckResult("C6 batch_detection", passed, f"batch-5 rate={rate:.5f}; sweep rates {sweep_rates}")
 
 
-def _subseed(seed: int, k: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(1, dtype=np.uint64)[0])
+def reproducibility() -> CheckResult:
+    """C7: reruns of a 2000-decision run and of a three-point sweep render byte-identical CSV."""
+    config = parse_config(qsc_config(SEED, 2000, "post_collapse_only", "timing_threshold", True))
+    points = expand_sweep(batch_config(SEED, 1000, 1) | {"sweep": {"param": "rule.batch_n", "values": [1, 2, 4]}})
+
+    def csvs() -> tuple[str, str]:
+        sweep = zip(points, run_experiments([c for _, c in points]))
+        sweep_rows = [summary_csv_row(s, sweep_param="rule.batch_n", sweep_value=v) for (v, _), s in sweep]
+        return render_csv([summary_csv_row(run_experiment(config))]), render_csv(sweep_rows)
+
+    same = [a == b for a, b in zip(csvs(), csvs())]
+    return CheckResult("C7 reproducibility", all(same), f"run CSV identical: {same[0]}; sweep CSV identical: {same[1]}")
 
 
-def _rng(seed: int, k: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+CRITERIA: tuple[Callable[[], CheckResult], ...] = (
+    born_rule_conformance, collapse_time_law, case2_change_probability, qsc_separation,
+    qsc_failure_mode, batch_detection, reproducibility,
+)
 
 
-def _check_born_rule(seed: int) -> CheckResult:
-    n = 20_000
-    worst = ""
-    for label, p1, k in born_counts(n, lambda stream: _rng(seed, 10 + stream)):
-        freq = k / n
-        pval = binomial_chi_square_pvalue(k, n, p1)
-        if abs(freq - p1) > 3.0 * math.sqrt(p1 * (1.0 - p1) / n) or pval <= 0.001:
-            worst += f" {label}@p1={p1}: freq={freq:.4f} p={pval:.2g};"
-    detail = worst or f"B1 frequencies within 3-sigma and chi-square p > 0.001 at n={n}"
-    return CheckResult("born_rule_conformance", not worst, detail)
-
-
-def _check_collapse_time_law(seed: int) -> CheckResult:
-    n = 200_000
-    t_c = 2.0
-    mean, var = exponential_moments(t_c, n, _rng(seed, 30))
-    mean_bound = 3.0 * t_c / math.sqrt(n)
-    var_bound = 3.0 * t_c * t_c * math.sqrt(8.0 / n)
-    ok = abs(mean - t_c) <= mean_bound and abs(var - t_c * t_c) <= var_bound
-
-    target = 1.0
-    gamma = diffusion_gamma(target, 0.5, 1e-3)
-    law = CollapseParams(model=CollapseModel.DIFFUSION, t_c_mean=target, gamma=gamma, epsilon=1e-3)
-    fpt_mean = float(sample_collapses(0.5, law, _rng(seed, 31), 4096)[0].mean())
-    cal_ok = abs(fpt_mean - target) <= 0.07 * target  # the closed form is exact: 0.07 is Monte Carlo slack
-    detail = (
-        f"exp mean={mean:.4f} (±{mean_bound:.4f}), var={var:.4f} (±{var_bound:.4f}); "
-        f"calibrated gamma={gamma:.4f}, mean FPT={fpt_mean:.4f} (target {target})"
-    )
-    return CheckResult("collapse_time_law", ok and cal_ok, detail)
-
-
-def _check_case2_awareness(seed: int) -> CheckResult:
-    n = 20_000
-    [k] = change_counts((0.5,), n, lambda _: _rng(seed, 40))
-    freq = k / n
-    bound = 3.0 * math.sqrt(0.25 / n)
-    ok = abs(freq - 0.5) <= bound
-
-    n_grid = 4000
-    grid_ok = True
-    for p1, k in zip(CASE2_GRID, change_counts(CASE2_GRID, n_grid, lambda j: _rng(seed, 41 + j))):
-        expected = awareness_probability(CASE2_SCENARIO, p1)
-        sigma = math.sqrt(max(expected * (1.0 - expected), 1e-12) / n_grid)
-        grid_ok &= abs(k / n_grid - expected) <= 3.0 * sigma
-    detail = f"change frequency {freq:.4f} (0.5 ±{bound:.4f}); closed form matched on the p1 grid"
-    return CheckResult("case2_change_probability", ok and grid_ok, detail)
-
-
-def _check_qsc_separation(seed: int) -> CheckResult:
-    n = 2000
-    timing = run_experiment(parse_config(qsc_config(_subseed(seed, 50), n, "post_collapse_only", "timing_threshold", True)))
-    change = run_experiment(parse_config(qsc_config(_subseed(seed, 51), n, "distinct_percept", "change_detection", False)))
-    acc_timing, acc_change = timing.accuracy_overall.estimate, change.accuracy_overall.estimate
-    bound = timing.device_bound
-    dev = timing.device_success.estimate
-    dev_slack = 3.46 * math.sqrt(0.1875 / n)
-    ok = (
-        acc_timing >= 0.995
-        and acc_change >= 0.995
-        and abs(dev - 0.75) <= dev_slack
-        and dev <= bound
-        and acc_timing > bound + 0.05
-        and acc_change > bound + 0.05
-    )
-    detail = f"observer acc: timing={acc_timing:.4f}, change={acc_change:.4f}; device={dev:.4f} (bound {bound:.4f})"
-    return CheckResult("qsc_separation", ok, detail)
-
-
-def _check_qsc_failure_mode(seed: int) -> CheckResult:
-    accs = gap_sweep(_subseed(seed, 60), 2000)
-    ok = abs(accs[0].estimate - 0.5) <= 0.045 and monotone_within_2sigma(accs) and accs[-1].estimate >= 0.995
-    detail = f"accuracy along the gap sweep: {[round(a.estimate, 4) for a in accs]}"
-    return CheckResult("qsc_failure_mode", ok, detail)
-
-
-def _check_batching(seed: int) -> CheckResult:
-    n = 20_000
-    summary = run_experiment(parse_config(batch_config(_subseed(seed, 70), n, 5)))
-    rate = summary.accuracy_superposition.estimate
-    ok = abs(rate - 0.96875) <= 0.005
-
-    # Reduced-N variant of the sweep check: 3-sigma binomial bounds instead of
-    # the 95% Wilson containment the full acceptance suite applies.
-    sweep_ok = True
-    n_sweep = 5000
-    rates = []
-    for j, batch_n in enumerate((1, 2, 3, 5, 8)):
-        s = run_experiment(parse_config(batch_config(_subseed(seed, 71 + j), n_sweep, batch_n)))
-        expected = 1.0 - 0.5**batch_n
-        estimate = s.accuracy_superposition.estimate
-        rates.append(round(estimate, 4))
-        if abs(estimate - expected) > 3.0 * math.sqrt(expected * (1.0 - expected) / n_sweep):
-            sweep_ok = False
-    detail = f"batch-5 detection {rate:.5f} (0.96875 ±0.005); sweep rates {rates}"
-    return CheckResult("batch_detection", ok and sweep_ok, detail)
-
-
-def _check_reproducibility(seed: int) -> CheckResult:
-    config = parse_config(qsc_config(_subseed(seed, 80), 500, "post_collapse_only", "timing_threshold", True))
-    first = render_csv([summary_csv_row(run_experiment(config))])
-    second = render_csv([summary_csv_row(run_experiment(config))])
-    ok = first == second
-    detail = "rerun CSV byte-identical" if ok else "CSV outputs diverged"
-    return CheckResult("reproducibility", ok, detail)
-
-
-_CHECKS: list[Callable[[int], CheckResult]] = [
-    _check_born_rule,
-    _check_collapse_time_law,
-    _check_case2_awareness,
-    _check_qsc_separation,
-    _check_qsc_failure_mode,
-    _check_batching,
-    _check_reproducibility,
-]
-
-
-def run_selftest(seed: int = DEFAULT_SEED, echo: Callable[[str], None] = print) -> bool:
-    """Run every check, print one PASS/FAIL line each, return overall result."""
+def run_selftest(echo: Callable[[str], None] = print) -> bool:
+    """Run every criterion, echo one PASS/FAIL line each, return whether all passed."""
     all_ok = True
-    for check in _CHECKS:
-        result = check(seed)
+    for criterion in CRITERIA:
+        result = criterion()
         all_ok &= result.passed
         echo(f"[{'PASS' if result.passed else 'FAIL'}] {result.name}: {result.detail}")
-    echo(f"selftest {'passed' if all_ok else 'FAILED'} (seed {seed})")
+    echo(f"selftest {'passed' if all_ok else 'FAILED'}")
     return all_ok

@@ -156,6 +156,14 @@ class TestRun:
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_repeated_key_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "repeated.json"
+        path.write_text('{"master_seed": 1, "n_trials": 10, "n_trials": 1000}')
+        assert main(["run", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config file {path} repeats the key 'n_trials' in one object\n"
+
     def test_invalid_config_names_field(self, tmp_path, capsys):
         path = write_config(tmp_path, {"collapse": {"t_c_mean": -1}})
         assert main(["run", "--config", path]) == 1
@@ -416,18 +424,20 @@ class TestCalibrate:
         assert main(["calibrate", "--config", path, f"--tolerance={tolerance}", "--runs", "512", *json_flag]) == 1
         assert capsys.readouterr().err == f"error: --tolerance must be finite and > 0, got {float(tolerance)!r}\n"
 
+    def test_out_is_not_an_option(self, tmp_path, capsys):
+        # calibrate writes no CSV, so argparse refuses --out instead of ignoring it.
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--config", self.calibration_config(tmp_path), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_wrong_model_names_the_field(self, config_path, capsys):
         assert main(["calibrate", "--config", config_path]) == 1
         assert capsys.readouterr().err == (
             "error: collapse.model: calibrate applies to the diffusion model; config selects jump_exponential\n"
         )
-
-
-def test_selftest_rejects_a_negative_seed(capsys):
-    assert main(["selftest", "--seed", "-1"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: --seed must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize(

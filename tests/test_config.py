@@ -467,6 +467,10 @@ def test_missing_file_and_bad_json(tmp_path):
     binary.write_bytes(b'{"master_seed": 1, "n_trials": 1}\xff')
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200_000)  # nested beyond the recursion limit
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text('{"master_seed": 1, "n_trials": 10, "n_trials": 1000}')
+    nested = tmp_path / "nested.json"
+    nested.write_text(json.dumps(MINIMAL)[:-1] + ', "collapse": {"model": "jump_exponential", "model": "diffusion"}}')
     for path, problem in (
         (tmp_path / "nope.json", "cannot read config file"),
         (bad, "is not valid JSON"),
@@ -474,6 +478,8 @@ def test_missing_file_and_bad_json(tmp_path):
         (digits, "is not valid JSON"),
         (binary, "is not valid UTF-8"),
         (deep, "is not valid JSON"),
+        (repeated, "repeats the key 'n_trials'"),
+        (nested, "repeats the key 'model'"),
     ):
         with pytest.raises(ConfigError, match=re.escape(str(path))) as err:
             load_config(path)
