@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .collapse import CollapseModel, between_bands, sample_collapses
-from .config import expand_sweep, parse_config, read_raw_config, set_config_field
+from .config import expand_sweep, parse_config, read_raw_config
 from .errors import FieldError, QscError
 from .protocol import RNG_STREAM, run_experiment, run_experiments
 from .report import render_csv, render_human_summary, summary_csv_row, to_json_dict
@@ -49,7 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_cal)
     p_cal.add_argument("--tolerance", type=float, default=0.02, help="relative tolerance on the mean first-passage time")
     p_cal.add_argument("--runs", type=int, default=8192, help="walkers in the verification ensemble, 2 to 2**22")
-    p_cal.add_argument("--save-config", default=None, help="write the config with the calibrated gamma to this path")
 
     sub.add_parser("selftest", help="run the acceptance criteria")
     return parser
@@ -64,13 +63,9 @@ def _load_raw(args: argparse.Namespace) -> dict:
     return raw
 
 
-def _dumps(obj: object, indent: int | None = None) -> str:
-    """Strict JSON: a NaN or infinity raises instead of printing invalid JSON.
-
-    Without ``indent`` the output is one compact line from the C encoder;
-    any ``indent`` falls back to the much slower pure-Python encoder.
-    """
-    return json.dumps(obj, indent=indent, allow_nan=False)
+def _dumps(obj: object) -> str:
+    """One compact line of strict JSON: a NaN or infinity raises instead of printing invalid JSON."""
+    return json.dumps(obj, allow_nan=False)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -127,11 +122,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    raw = _load_raw(args)
-    # calibrate fits gamma itself, so a configured one is ignored, not checked.
-    if isinstance(raw.get("collapse"), dict):
-        raw = set_config_field(raw, "collapse.gamma", None)
-    config = parse_config(raw)
+    config = parse_config(_load_raw(args))
     collapse = config.collapse
     if collapse.model is not CollapseModel.DIFFUSION:
         raise FieldError(
@@ -146,9 +137,11 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         raise QscError(f"--tolerance must be finite and > 0, got {tolerance!r}")
     if not 2 <= n_runs <= MAX_RUNS:
         raise QscError(f"--runs must be in [2, 2**22], got {n_runs!r}")
-    # parse_config filled in the closed-form gamma; one exact ensemble checks it.
+    # parse_config resolved gamma to the closed form; one exact ensemble checks it.
     times, _ = sample_collapses(config.input_p1, collapse, np.random.default_rng(config.master_seed), n_runs)
-    mean, sd = float(times.mean()), float(times.std(ddof=1))
+    # Moments in units of the target: squared deviations of tiny times would underflow to 0.
+    scaled = times / target
+    mean, sd = float(scaled.mean()), float(scaled.std(ddof=1))
     # Budget rule: the ensemble's Monte Carlo error must resolve the tolerance.
     cv = sd / mean
     noise_floor = 3.0 * cv / math.sqrt(n_runs)
@@ -160,7 +153,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         raise QscError(
             f"run budget too small for tolerance {tolerance!r}: 3*cv/sqrt(n_runs) = {noise_floor:.4f}; {need}"
         )
-    half = Z95 * sd / math.sqrt(n_runs)
+    mean, half = target * mean, target * Z95 * sd / math.sqrt(n_runs)
     lo, hi = mean - half, mean + half
     if hi < target * (1.0 - tolerance) or lo > target * (1.0 + tolerance):
         raise QscError(
@@ -181,11 +174,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         print(f"calibrated gamma            {gamma!r}")
         print(f"target mean collapse time   {target!r} s")
         print(f"achieved mean (n={n_runs})   {mean:.6g} s  [95% CI {lo:.6g}, {hi:.6g}]")
-    if args.save_config:
-        updated = set_config_field(raw, "collapse.gamma", gamma)
-        _write_text(args.save_config, _dumps(updated, indent=2) + "\n")
-        if not args.json:
-            print(f"config with calibrated gamma written to {args.save_config}")
     return 0
 
 

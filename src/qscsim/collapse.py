@@ -293,10 +293,14 @@ def diffusion_gamma(t_c_mean: float, p1: float, epsilon: float) -> float:
 
     Solving (1/2) gamma^2 w^2 (1-w)^2 u'' = -1 with u = 0 at the bands gives
     T(p1) = (2/gamma^2) [(1-2e) ln((1-e)/e) - (2 p1 - 1) ln(p1/(1-p1))].
-    ``p1`` must start :func:`between_bands`, which keeps the bracket positive.
+    ``p1`` must start :func:`between_bands`, which keeps the bracket positive,
+    and ``t_c_mean`` must be finite and large enough that ``gamma`` is finite.
     """
-    if not t_c_mean > 0.0:
-        raise ValueError(f"t_c_mean must be > 0, got {t_c_mean!r}")
+    if not 0.0 < t_c_mean < math.inf:
+        raise ValueError(f"t_c_mean must be finite and > 0, got {t_c_mean!r}")
     if not (0.0 < epsilon and between_bands(p1, epsilon)):
         raise ValueError(f"need 0 < epsilon < p1 < 1 - epsilon, got epsilon={epsilon!r}, p1={p1!r}")
-    return math.sqrt(2.0 * _passage_bracket(p1, epsilon) / t_c_mean)
+    gamma = math.sqrt(2.0 * _passage_bracket(p1, epsilon) / t_c_mean)
+    if math.isinf(gamma):
+        raise ValueError(f"t_c_mean {t_c_mean!r} is too small: the closed-form gamma overflows")
+    return gamma

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import sys
 from collections.abc import Callable, Mapping
 from dataclasses import MISSING, dataclass, field, is_dataclass, replace
@@ -115,13 +114,13 @@ def _closed_gamma(collapse: CollapseParams, p1: float) -> float | None:
     needs none; a :class:`FieldError` at ``collapse.t_c_mean`` where the closed form overflows."""
     if collapse.model is not CollapseModel.DIFFUSION or not between_bands(p1, collapse.epsilon):
         return None
-    closed = diffusion_gamma(collapse.t_c_mean, p1, collapse.epsilon)
-    if math.isinf(closed):
+    try:
+        return diffusion_gamma(collapse.t_c_mean, p1, collapse.epsilon)
+    except ValueError:  # CollapseParams bounds t_c_mean and epsilon, so only the overflow is left
         raise FieldError(
             "collapse.t_c_mean",
             f"{collapse.t_c_mean!r} is too small for diffusion from input_p1 {p1!r}: the closed-form gamma overflows",
-        )
-    return closed
+        ) from None
 
 
 #: Fields a sweep may target, with the scalar type the values must carry.

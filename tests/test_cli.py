@@ -3,6 +3,7 @@ import json
 import math
 import re
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,40 +375,22 @@ class TestCalibrate:
         assert main(["calibrate", "--config", self.calibration_config(tmp_path), "--runs", str(runs)]) == 1
         assert capsys.readouterr().err == f"error: --runs must be in [2, 2**22], got {runs}\n"
 
-    def test_save_config_writes_gamma(self, tmp_path, capsys):
-        path = self.calibration_config(tmp_path)
-        saved = tmp_path / "calibrated.json"
-        main(
-            [
-                "calibrate", "--config", path, "--tolerance", "0.1", "--runs", "512",
-                "--save-config", str(saved), "--json",
-            ]
-        )
-        gamma = json.loads(capsys.readouterr().out)["gamma"]
-        text = saved.read_text()
-        assert text.startswith('{\n  "') and text.endswith("}\n")
-        updated = strict_loads(text)
-        assert updated["collapse"]["gamma"] == gamma > 0.0
-        assert main(["run", "--config", str(saved), "--json"]) == 0
-        capsys.readouterr()
-
-    def test_configured_gamma_is_ignored(self, tmp_path, capsys):
-        # calibrate fits gamma itself: a gamma that run would reject as
-        # inconsistent with t_c_mean changes nothing.
-        args = ["--tolerance", "0.1", "--runs", "512", "--json"]
-        main(["calibrate", "--config", self.calibration_config(tmp_path), *args])
-        plain = json.loads(capsys.readouterr().out)
+    def test_inconsistent_gamma_is_the_run_error(self, tmp_path, capsys):
+        # calibrate reads the config as run does, so both refuse the same gamma.
         path = write_config(
             tmp_path, {"input_p1": 0.5, "collapse": {"model": "diffusion", "t_c_mean": 1.0, "gamma": 2.0}}
         )
         assert main(["run", "--config", path]) == 1
-        assert "collapse.gamma" in capsys.readouterr().err
-        assert main(["calibrate", "--config", path, *args]) == 0
-        assert json.loads(capsys.readouterr().out) == plain
+        run_err = capsys.readouterr().err
+        assert run_err.startswith("error: collapse.gamma: 2.0 is inconsistent with t_c_mean 1.0: ")
+        assert run_err.endswith("; omit gamma to use it\n") and run_err.count("\n") == 1
+        assert main(["calibrate", "--config", path, "--tolerance", "0.1", "--runs", "512"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == run_err
 
     @pytest.mark.parametrize("p1", [0.0, 0.0005, 1.0])
     def test_weight_outside_the_band_is_named(self, tmp_path, capsys, p1):
-        # The configured gamma is ignored, so the error names input_p1, not gamma.
+        # Outside the band gamma is not read, so the error names input_p1, not gamma.
         path = write_config(
             tmp_path, {"input_p1": p1, "collapse": {"model": "diffusion", "t_c_mean": 1.0, "gamma": 2.0}}
         )
@@ -432,6 +415,45 @@ class TestCalibrate:
         assert exc.value.code == 2
         assert "unrecognized arguments: --out" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_save_config_is_not_an_option(self, tmp_path, capsys):
+        # parse_config already resolves an omitted gamma, so there is nothing to write back.
+        saved = tmp_path / "calibrated.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--config", self.calibration_config(tmp_path), "--save-config", str(saved)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --save-config" in capsys.readouterr().err
+        assert not saved.exists()
+
+    def test_text_lines_carry_the_json_values_and_gamma_ignores_the_seed(self, tmp_path, capsys):
+        path = self.calibration_config(tmp_path)
+        payloads = []
+        for seed in ("3", "4"):
+            assert main(["calibrate", "--config", path, "--seed", seed, "--json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert main(["calibrate", "--config", path, "--seed", seed]) == 0
+            lo, hi = payload["achieved_mean_ci95"]
+            assert capsys.readouterr().out == (
+                f"calibrated gamma            {payload['gamma']!r}\n"
+                f"target mean collapse time   {payload['t_c_target']!r} s\n"
+                f"achieved mean (n={payload['n_runs']})   {payload['achieved_mean']:.6g} s  "
+                f"[95% CI {lo:.6g}, {hi:.6g}]\n"
+            )
+            assert payload["master_seed"] == int(seed)
+            payloads.append(payload)
+        assert payloads[0]["gamma"] == payloads[1]["gamma"] == diffusion_gamma(1.0, 0.5, 1e-3)
+        assert payloads[0]["achieved_mean"] != payloads[1]["achieved_mean"]
+
+    def test_ci_scales_with_a_tiny_t_c_mean(self, tmp_path, capsys):
+        # At 1e-200 squared deviations of the times underflow; the CI must not collapse to a point.
+        half_widths = []
+        for t_c in (1.0, 1e-200):
+            path = write_config(tmp_path, {"input_p1": 0.5, "collapse": {"model": "diffusion", "t_c_mean": t_c}})
+            assert main(["calibrate", "--config", path, "--seed", "3", "--json"]) == 0
+            lo, hi = json.loads(capsys.readouterr().out)["achieved_mean_ci95"]
+            half_widths.append((hi - lo) / 2.0 / t_c)
+        assert half_widths[1] == pytest.approx(half_widths[0], rel=1e-9)
+        assert half_widths[0] > 0.0
 
     def test_wrong_model_names_the_field(self, config_path, capsys):
         assert main(["calibrate", "--config", config_path]) == 1
@@ -477,11 +499,6 @@ def test_json_stdout_is_one_strict_line(tmp_path, capsys, verb, extra, flags, ke
     [
         ("run", {}, ["--out"]),
         ("sweep", {"sweep": {"param": "collapse.t_c_mean", "values": [1.0, 2.0]}}, ["--out"]),
-        (
-            "calibrate",
-            {"collapse": {"model": "diffusion", "t_c_mean": 1.0}},
-            ["--tolerance", "0.1", "--runs", "512", "--save-config"],
-        ),
     ],
 )
 def test_unwritable_output_path_is_one_error_line(tmp_path, capsys, verb, extra, flags):
@@ -495,6 +512,22 @@ def test_unwritable_output_path_is_one_error_line(tmp_path, capsys, verb, extra,
 def test_unknown_command_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["explode"])
+
+
+def test_readme_flags_match_the_parser():
+    # Every --flag README names must exist, and every option must be documented.
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = [line for line in readme.read_text().splitlines() if "pip install" not in line]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", "\n".join(lines)))
+    subparsers = cli._build_parser()._subparsers._group_actions[0].choices.values()
+    options = {
+        option
+        for sub in subparsers
+        for action in sub._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert documented == options
 
 
 @pytest.mark.parametrize(

@@ -269,3 +269,7 @@ class TestDiffusionGamma:
             diffusion_gamma(1.0, 0.0, 1e-3)
         with pytest.raises(ValueError):
             diffusion_gamma(1.0, 5e-4, 1e-3)  # inside the absorbing band
+        with pytest.raises(ValueError, match="t_c_mean"):
+            diffusion_gamma(math.inf, 0.5, 1e-3)  # the closed form would be 0
+        with pytest.raises(ValueError, match="t_c_mean"):
+            diffusion_gamma(1e-320, 0.3, 1e-3)  # the closed form overflows
