@@ -8,10 +8,12 @@ runs in one thread.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
-from pathlib import Path
+from collections.abc import Iterator
+from typing import TextIO
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from .collapse import CollapseModel, between_bands, sample_collapses
 from .config import expand_sweep, parse_config, read_raw_config
 from .errors import FieldError, QscError
 from .protocol import RNG_STREAM, run_experiment, run_experiments
-from .report import render_csv, render_human_summary, summary_csv_row, to_json_dict
+from .report import render_human_summary, summary_csv_row, to_json_dict, write_csv
 from .stats import Z95
 
 #: Most ``calibrate --runs`` walkers: an ensemble holds about 115 bytes per walker.
@@ -68,9 +70,12 @@ def _dumps(obj: object) -> str:
     return json.dumps(obj, allow_nan=False)
 
 
-def _write_text(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _out_file(path: str) -> Iterator[TextIO]:
+    """``path`` open for writing; an OSError on it is one error naming the path."""
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as out:
+            yield out
     except OSError as exc:
         raise QscError(f"cannot write {path}: {exc}") from None
 
@@ -80,7 +85,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = parse_config(raw)
     summary = run_experiment(config)
     if args.out:
-        _write_text(args.out, render_csv([summary_csv_row(summary)]))
+        with _out_file(args.out) as out:
+            write_csv(out, [summary_csv_row(summary)])
     if args.json:
         print(_dumps({
             "rng_stream": RNG_STREAM,
@@ -95,29 +101,31 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    """Run every point, then write the output one point at a time, in value order."""
     raw = _load_raw(args)
     points = expand_sweep(raw)
     param = raw["sweep"]["param"]  # validated by expand_sweep
-    rows = []
-    json_points = []
     summaries = run_experiments([config for _, config in points])
-    for (value, config), summary in zip(points, summaries):
-        rows.append(summary_csv_row(summary, sweep_param=param, sweep_value=value))
-        if args.json:
-            json_points.append({
+    rows = (summary_csv_row(summary, sweep_param=param, sweep_value=value)
+            for (value, _), summary in zip(points, summaries))
+    if args.out:
+        with _out_file(args.out) as out:
+            write_csv(out, rows)
+    elif not args.json:
+        write_csv(sys.stdout, rows)
+    if args.json:
+        # The document with no points, split where the points go, so every byte comes from _dumps.
+        head, tail = _dumps({"rng_stream": RNG_STREAM, "sweep_param": param, "points": []}).rsplit("[]", 1)
+        sys.stdout.write(head + "[")
+        for index, ((value, config), summary) in enumerate(zip(points, summaries)):
+            sys.stdout.write((", " if index else "") + _dumps({
                 "sweep_value": value,
                 "resolved_config": to_json_dict(config),
                 "summary": to_json_dict(summary),
-            })
-    text = render_csv(rows)
-    if args.out:
-        _write_text(args.out, text)
-    if args.json:
-        print(_dumps({"rng_stream": RNG_STREAM, "sweep_param": param, "points": json_points}))
+            }))
+        sys.stdout.write("]" + tail + "\n")
     elif args.out:
-        print(f"csv written to {args.out} ({len(rows)} rows)")
-    else:
-        sys.stdout.write(text)
+        print(f"csv written to {args.out} ({len(points)} rows)")
     return 0
 
 

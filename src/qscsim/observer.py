@@ -69,13 +69,16 @@ class PerceptionScenario:
 
 
 def report_times(base: np.ndarray, o: ObserverParams, rng: np.random.Generator) -> np.ndarray:
-    """Array form of the report-time jitter for ``base`` of shape ``(points,
-    decisions, copies)``: one Gaussian draw per decision copy, shared by all
-    points, truncated at 0, and no draw at all when ``jitter_sigma`` is 0."""
+    """Add the report-time jitter to ``base`` of shape ``(points, decisions,
+    copies)`` in place and return it: one Gaussian draw per decision copy,
+    shared by all points, truncated at 0, and no draw at all when
+    ``jitter_sigma`` is 0.  The jitter is ``jitter_sigma * z`` with ``z``
+    from ``standard_normal``, which is bit for bit what
+    ``normal(0.0, jitter_sigma)`` returns on the same stream."""
     if o.jitter_sigma == 0.0:
         return base
-    reports = base + rng.normal(0.0, o.jitter_sigma, base.shape[1:])
-    return np.maximum(reports, 0.0, out=reports)
+    base += o.jitter_sigma * rng.standard_normal(base.shape[1:])
+    return np.maximum(base, 0.0, out=base)
 
 
 def perceive_collapses(

@@ -44,6 +44,9 @@ if TYPE_CHECKING:
 #: Decisions per block.  It is fixed, so every draw, and with it every
 #: output, depends only on the master seed and the block index.
 BLOCK_SIZE = 4096
+#: Largest ``rule.batch_n``: one block's array of copies then holds at most
+#: 2**22 floats (32 MiB), the per-array ceiling of ``calibrate --runs``.
+MAX_BATCH_N = 2**22 // BLOCK_SIZE
 #: Names the random-stream layout of :func:`run_experiment`; it changes
 #: whenever the layout does.
 RNG_STREAM = "block-v2"
@@ -66,8 +69,9 @@ class DecisionRule:
 
     ``threshold_time`` is required for the timing and combined rules;
     ``batch_n`` is the number of identically prepared states consumed per
-    decision.  Both signals are one-sided, so a batch is guessed
-    superposition when any copy fires and definite otherwise.
+    decision, at most :data:`MAX_BATCH_N`.  Both signals are one-sided, so
+    a batch is guessed superposition when any copy fires and definite
+    otherwise.
     """
 
     kind: RuleKind = field(metadata={"json": RuleKind.TIMING_THRESHOLD, "draws": True})
@@ -80,7 +84,7 @@ class DecisionRule:
         elif self.kind is not RuleKind.CHANGE_DETECTION:
             raise FieldError("threshold_time", f"required for {self.kind.value}")
         check_integer("batch_n", self.batch_n)
-        check_field("batch_n", self.batch_n, self.batch_n >= 1, ">= 1")
+        check_field("batch_n", self.batch_n, 1 <= self.batch_n <= MAX_BATCH_N, f"in [1, {MAX_BATCH_N}]")
 
 
 @dataclass(frozen=True)
@@ -184,6 +188,7 @@ def _run_block(
         )
     else:
         sup, changed = np.full((points, n_sup, batch_n), t_p), np.zeros((n_sup, batch_n), dtype=bool)
+    # report_times jitters in place; both arrays are this block's own.
     definite = report_times(np.full((points, n_def, batch_n), t_p), lead.observer, rng)
     sup = report_times(sup, lead.observer, rng)
 
@@ -297,7 +302,9 @@ def run_experiment(config: "ExperimentConfig") -> ExperimentSummary:
        ``n_superposed * batch_n`` of them, from :func:`sample_collapses`;
     3. one pre-percept uniform per superposed copy (``random_percept`` only);
     4. one report jitter per definite copy, then one per superposed copy,
-       each decision-major (only when ``jitter_sigma > 0``);
+       each decision-major (only when ``jitter_sigma > 0``), drawn as
+       ``jitter_sigma * z`` from ``standard_normal``, the same values as
+       ``normal(0.0, jitter_sigma)``;
     5. one binomial count of the superposed decisions whose device reading
        is B2 (device baseline only).
 

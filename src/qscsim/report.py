@@ -13,10 +13,10 @@ import csv
 import functools
 import io
 import operator
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import is_dataclass
 from enum import Enum
-from typing import Any
+from typing import Any, TextIO
 
 from .protocol import ExperimentSummary, field_types
 from .stats import RateEstimate
@@ -73,11 +73,16 @@ def summary_csv_row(summary: ExperimentSummary, sweep_param: str = "", sweep_val
     ]
 
 
-def render_csv(rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def write_csv(out: TextIO, rows: Iterable[list[str]]) -> None:
+    """Write the header and then each row to ``out`` as it comes."""
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     writer.writerows(rows)
+
+
+def render_csv(rows: list[list[str]]) -> str:
+    buf = io.StringIO()
+    write_csv(buf, rows)
     return buf.getvalue()
 
 

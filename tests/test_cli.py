@@ -3,6 +3,7 @@ import json
 import math
 import re
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,14 @@ class TestRun:
         assert captured.out == ""
         assert captured.err == f"error: config file {path} repeats the key 'n_trials' in one object\n"
 
+    def test_oversized_batch_n_is_one_error_line(self, tmp_path, capsys):
+        # Refused at parse time, not by a failed allocation of its block.
+        path = write_config(tmp_path, {"n_trials": 2, "rule": {"kind": "timing_threshold", "batch_n": 10**15}})
+        assert main(["run", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: rule.batch_n: must be in [1, 1024], got {10**15}\n"
+
     def test_invalid_config_names_field(self, tmp_path, capsys):
         path = write_config(tmp_path, {"collapse": {"t_c_mean": -1}})
         assert main(["run", "--config", path]) == 1
@@ -265,6 +274,54 @@ class TestSweep:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].split(",") == CSV_COLUMNS
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("values", [[1.0], [3.0, 1.0, 2.0]])
+    def test_streamed_json_is_the_canonical_document(self, tmp_path, capsys, values):
+        # The points are written one at a time inside the envelope; the line
+        # must still be exactly json.dumps of the whole document.
+        path = write_config(tmp_path, {"n_trials": 100, "sweep": {"param": "collapse.t_c_mean", "values": values}})
+        assert main(["sweep", "--config", path, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        document = json.loads(out)
+        assert list(document) == ["rng_stream", "sweep_param", "points"]
+        assert len(document["points"]) == len(values)
+        assert out == json.dumps(document, allow_nan=False) + "\n"
+
+    def test_failing_sweep_prints_nothing(self, tmp_path, capsys, monkeypatch):
+        # Every point runs before the first byte is written.
+        def fail(configs):
+            raise ValueError("kernel failed")
+
+        path = write_config(tmp_path, {"n_trials": 100, "sweep": {"param": "collapse.t_c_mean", "values": [1.0, 2.0]}})
+        monkeypatch.setattr(cli, "run_experiments", fail)
+        assert main(["sweep", "--config", path, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: kernel failed\n"
+
+    def test_memory_per_point_is_bounded(self, tmp_path, capsys):
+        # The output is written one point at a time, so a point adds its
+        # config, its summary and its printed line (about 2 KB), not its
+        # share of the whole document held at once (about 12 KB).  The CLI
+        # counterpart of the library's slice-memory test in test_protocol.
+        def peak(n_points):
+            values = [0.001 * (k + 1) for k in range(n_points)]
+            extra = {
+                "n_trials": 100,
+                "collapse": {"model": "deterministic_time", "t_c_mean": 1.0},
+                "sweep": {"param": "collapse.t_c_mean", "values": values},
+            }
+            argv = ["sweep", "--config", write_config(tmp_path, extra, name=f"sweep-{n_points}.json"), "--json"]
+            assert main(argv) == 0  # warm: imports and caches are not per point
+            capsys.readouterr()
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert (peak(400) - peak(100)) / 300 < 4096
 
     def test_sweep_requires_sweep_section(self, config_path, capsys):
         assert main(["sweep", "--config", config_path]) == 1
@@ -505,8 +562,9 @@ def test_unwritable_output_path_is_one_error_line(tmp_path, capsys, verb, extra,
     path = write_config(tmp_path, {"n_trials": 100, **extra})
     target = tmp_path / "missing" / "out.txt"
     assert main([verb, "--config", path, "--json", *flags, str(target)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ") and captured.err.count("\n") == 1
 
 
 def test_unknown_command_rejected(capsys):

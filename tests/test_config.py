@@ -19,7 +19,7 @@ from qscsim.config import (
 )
 from qscsim.errors import ConfigError, FieldError
 from qscsim.observer import ScenarioTag
-from qscsim.protocol import ExperimentSummary, RuleKind, _draw_paths, run_experiment
+from qscsim.protocol import MAX_BATCH_N, ExperimentSummary, RuleKind, _draw_paths, run_experiment
 from qscsim.report import to_json_dict
 
 MINIMAL = {"master_seed": 42, "n_trials": 1000}
@@ -94,6 +94,27 @@ def test_n_trials_is_bounded_by_exact_float_counts():
         expand_sweep({**MINIMAL, "sweep": {"param": "n_trials", "values": [10, 2**53 + 1]}})
     assert err.value.field == "n_trials"
     assert err.value.message.endswith(f"(sweep point n_trials = {2**53 + 1})")
+
+
+def test_batch_n_is_bounded_by_one_block_of_copies():
+    # One block's array of copies holds at most 2**22 floats.  The cap runs
+    # on one decision; a larger batch_n is refused before a block runs, from
+    # a config, a sweep point or dataclasses.replace.
+    assert MAX_BATCH_N == 1024
+    config = parse_config({**MINIMAL, "n_trials": 1, "rule": {"kind": "change_detection", "batch_n": MAX_BATCH_N}})
+    assert run_experiment(config).n_trials == 1
+    for batch_n in (MAX_BATCH_N + 1, 10**15):
+        with pytest.raises(FieldError) as err:
+            parse_config({**MINIMAL, "rule": {"batch_n": batch_n}})
+        assert err.value.field == "rule.batch_n"
+        assert err.value.message == f"must be in [1, 1024], got {batch_n}"
+    with pytest.raises(FieldError) as err:
+        expand_sweep({**MINIMAL, "sweep": {"param": "rule.batch_n", "values": [1, MAX_BATCH_N + 1]}})
+    assert err.value.field == "rule.batch_n"
+    assert err.value.message.endswith(f"(sweep point rule.batch_n = {MAX_BATCH_N + 1})")
+    with pytest.raises(FieldError) as err:
+        dataclasses.replace(config.rule, batch_n=MAX_BATCH_N + 1)
+    assert err.value.field == "batch_n"
 
 
 def test_schema_version_checked():

@@ -115,6 +115,23 @@ class TestReportTimes:
         assert report_times(base, QUIET, rng) is base
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("sigma", [1e-12, 2e-4, 3.7, 1e100])
+    @pytest.mark.parametrize("points", [1, 3])
+    @pytest.mark.parametrize("copies", [1, 5])
+    def test_in_place_jitter_is_bit_identical_to_normal(self, sigma, points, copies):
+        # sigma * standard_normal is numpy's normal(0, sigma) on the same
+        # stream, so jittering in place keeps every report time and the
+        # generator state; the truncation at 0 bites at the larger sigmas.
+        base = np.linspace(0.0, 2e-3, points * 7 * copies).reshape(points, 7, copies)
+        seed = points * 10 + copies
+        rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        jittered = base.copy()
+        out = report_times(jittered, ObserverParams(t_p=0.001, jitter_sigma=sigma), rng)
+        expected = np.maximum(base + expected_rng.normal(0.0, sigma, base.shape[1:]), 0.0)
+        assert out is jittered
+        assert out.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
 
 def enumerate_awareness(scenario, p1):
     """Exact E[changed] by enumerating (pre-percept, outcome) branches
