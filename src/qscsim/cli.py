@@ -20,12 +20,9 @@ import numpy as np
 from .collapse import CollapseModel, between_bands, sample_collapses
 from .config import expand_sweep, parse_config, read_raw_config
 from .errors import FieldError, QscError
-from .protocol import RNG_STREAM, run_experiment, run_experiments
+from .protocol import MAX_COPIES, RNG_STREAM, run_experiment, run_experiments
 from .report import render_human_summary, summary_csv_row, to_json_dict, write_csv
 from .stats import Z95
-
-#: Most ``calibrate --runs`` walkers: an ensemble holds about 115 bytes per walker.
-MAX_RUNS = 2**22
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -143,7 +140,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     target, gamma, tolerance, n_runs = collapse.t_c_mean, collapse.gamma, args.tolerance, args.runs
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise QscError(f"--tolerance must be finite and > 0, got {tolerance!r}")
-    if not 2 <= n_runs <= MAX_RUNS:
+    if not 2 <= n_runs <= MAX_COPIES:
         raise QscError(f"--runs must be in [2, 2**22], got {n_runs!r}")
     # parse_config resolved gamma to the closed form; one exact ensemble checks it.
     times, _ = sample_collapses(config.input_p1, collapse, np.random.default_rng(config.master_seed), n_runs)
@@ -155,8 +152,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     noise_floor = 3.0 * cv / math.sqrt(n_runs)
     if noise_floor > tolerance:
         ratio = 3.0 * cv / tolerance
-        # Past MAX_RUNS no --runs reaches it; near tolerance 0 the count would overflow a float.
-        fits = ratio <= math.sqrt(MAX_RUNS)
+        # Past MAX_COPIES no --runs reaches it; near tolerance 0 the count would overflow a float.
+        fits = ratio <= math.sqrt(MAX_COPIES)
         need = f"need --runs >= {math.ceil(ratio**2)}" if fits else "no --runs resolves it; raise --tolerance"
         raise QscError(
             f"run budget too small for tolerance {tolerance!r}: 3*cv/sqrt(n_runs) = {noise_floor:.4f}; {need}"

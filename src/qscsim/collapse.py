@@ -1,7 +1,7 @@
 """Stochastic collapse events for superposed inputs.
 
 Three interchangeable collapse-time laws sit behind one interface,
-:func:`sample_collapses`, which draws ``n`` independent collapses at once:
+:func:`draw_collapses`, which draws ``n`` independent collapses at once:
 
 * ``JUMP_EXPONENTIAL``: the collapse instant is exponentially distributed
   with the configured mean; the outcome is drawn directly from the Born
@@ -11,7 +11,7 @@ Three interchangeable collapse-time laws sit behind one interface,
   half-width ``epsilon`` at either end.  The martingale form makes the
   absorption probabilities reproduce the Born weights (up to the small band
   correction), and the collapse time is the first-passage time.  It is
-  sampled exactly, with no time step (see :func:`sample_collapses`).
+  sampled exactly, with no time step (see :func:`draw_collapses`).
 * ``DETERMINISTIC_TIME``: collapse at exactly the mean time; zero-variance
   reference mode for exact tests.
 
@@ -22,7 +22,7 @@ streams can be split reproducibly by the experiment harness.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -69,23 +69,18 @@ class CollapseParams:
             check_field("gamma", self.gamma, self.gamma > 0.0, "> 0")
 
 
-def sample_collapses(
-    p1: float, params: CollapseParams | Sequence[CollapseParams], rng: np.random.Generator, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``n`` independent collapses of an input with branch-1 weight ``p1``.
+def draw_collapses(
+    p1: float, model: CollapseModel, epsilon: float, rng: np.random.Generator, n: int
+) -> tuple[np.ndarray, Callable[[Sequence[CollapseParams]], np.ndarray]]:
+    """Draw ``n`` independent collapses of an input with branch-1 weight ``p1``.
 
-    Returns ``(times, hit_upper)``; ``hit_upper[i]`` is True when collapse
-    ``i`` lands on branch B1.  The jump and deterministic models draw all
-    ``n`` times, then ``n`` Born-outcome uniforms; a jump time is its mean
-    times one standard exponential draw, which rounds as
-    ``rng.exponential(t_c_mean, n)`` does.
-
-    ``params`` may also be a sequence of P laws that share ``model`` and
-    ``epsilon``.  All P are then evaluated on one set of draws, and
-    ``times`` has shape ``(P, n)``: row ``i`` is in the time scale of
-    ``params[i]`` (its ``t_c_mean``, or for diffusion its ``gamma``) and
-    equals the times of a call with ``params[i]`` alone.  ``hit_upper``
-    does not depend on the time scale and is shared.
+    Returns ``(hit_upper, times)``: ``hit_upper[i]`` is True when collapse
+    ``i`` lands on branch B1, and ``times(laws)``, which draws nothing,
+    gives the ``(P, n)`` times of laws of this ``model`` and ``epsilon``,
+    row ``i`` in the scale of ``laws[i]`` (``t_c_mean``, or ``gamma``).  The
+    jump model draws ``n`` standard exponentials, then ``n`` Born-outcome
+    uniforms (the deterministic model only the uniforms); a jump time is
+    its mean times its exponential, rounding as ``rng.exponential`` does.
 
     The diffusion model is sampled exactly by walk on intervals.  In
     ``x = logit(w)`` the weight obeys ``dx = gamma dW + (gamma^2/2)
@@ -99,62 +94,66 @@ def sample_collapses(
     and the step away lands on ``y - sign(y) r`` for every survivor (from
     ``y = 0`` both steps end on a band), so all live walkers share one
     position and each step's ``r`` and J* constants are scalars.  Each step
-    draws one side uniform per live walker, then their J* values, which
-    every law of a sequence scales by its own ``(r/gamma)^2``.  A weight
-    that does not start :func:`between_bands`, ``p1`` 0 and 1 included, has
-    collapsed at time 0 on the nearer band (``hit_upper`` is ``p1 > 0.5``)
-    and draws nothing.
+    draws one side uniform per live walker, then their J* values, and is
+    kept; ``times`` replays the steps, scaling each by every law's own
+    ``(r/gamma)^2``.  A weight that does not start :func:`between_bands`,
+    ``p1`` 0 and 1 included, has collapsed at time 0 on the nearer band
+    (``hit_upper`` is ``p1 > 0.5``) and draws nothing.
 
     Raises:
-        ValueError: a law with ``gamma`` None, for diffusion from a ``p1``
-            that starts :func:`between_bands` (``n`` > 0).
+        ValueError: ``p1`` outside [0, 1] or ``n`` < 0; from ``times``, a
+            law with ``gamma`` None when the diffusion walks.
     """
-    single = isinstance(params, CollapseParams)
-    laws = (params,) if single else tuple(params)
-    if not laws:
-        raise ValueError("need at least one collapse law")
-    model, epsilon = laws[0].model, laws[0].epsilon
-    if any(law.model is not model or law.epsilon != epsilon for law in laws):
-        raise ValueError("collapse laws evaluated on one set of draws must share model and epsilon")
     if not 0.0 <= p1 <= 1.0:
         raise ValueError(f"p1 must be in [0, 1], got {p1!r}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n!r}")
     if model is not CollapseModel.DIFFUSION:
-        t_c = np.array([law.t_c_mean for law in laws])[:, None]
-        if model is CollapseModel.DETERMINISTIC_TIME:
-            times = np.repeat(t_c, n, axis=1)
-        else:
-            times = t_c * rng.standard_exponential(n)
-        hit_upper = rng.random(n) < p1
-        return (times[0] if single else times), hit_upper
+        unit = rng.standard_exponential(n) if model is CollapseModel.JUMP_EXPONENTIAL else None
 
-    times = np.zeros((len(laws), n))
+        def scaled_times(laws: Sequence[CollapseParams]) -> np.ndarray:
+            t_c = np.array([law.t_c_mean for law in laws])[:, None]
+            return np.repeat(t_c, n, axis=1) if unit is None else t_c * unit
+
+        return rng.random(n) < p1, scaled_times
+
     hit_upper = np.full(n, p1 > 0.5)
-    if not (n and between_bands(p1, epsilon)):
-        return (times[0] if single else times), hit_upper
-    if any(law.gamma is None for law in laws):
-        raise ValueError(f"gamma is required for diffusion from p1 {p1!r}, which starts between the bands")
-    y, band = _logit_start(p1, epsilon)
-    gammas = np.array([law.gamma for law in laws])
-    live = np.arange(n)
-    while live.size:
-        r = band - abs(y)
-        up = rng.random(live.size) < 0.5 * (1.0 + np.tanh(0.5 * y) * np.tanh(0.5 * r))
-        # A product, not ``** 2``: it rounds as numpy's array square does.
-        scale = r / gammas
-        times[:, live] += (scale * scale)[:, None] * _sample_j_star(0.5 * r, live.size, rng)
-        away = ~up if y > 0.0 else up
-        y_away = y - r if y > 0.0 else y + r
-        # From y = 0 both steps end on a band; an away step that rounds onto
-        # a band ends there too.
-        if y == 0.0 or abs(y_away) >= band:
-            hit_upper[live] = np.where(up, y + r > 0.0, y - r > 0.0)
-            break
-        hit_upper[live[~away]] = y > 0.0
-        live = live[away]
-        y = y_away
-    return (times[0] if single else times), hit_upper
+    steps = []
+    if n and between_bands(p1, epsilon):
+        y, band = _logit_start(p1, epsilon)
+        live = np.arange(n)
+        while live.size:
+            r = band - abs(y)
+            up = rng.random(live.size) < 0.5 * (1.0 + np.tanh(0.5 * y) * np.tanh(0.5 * r))
+            steps.append((live, r, _sample_j_star(0.5 * r, live.size, rng)))
+            away = ~up if y > 0.0 else up
+            y_away = y - r if y > 0.0 else y + r
+            # From y = 0 both steps end on a band; an away step that rounds onto
+            # a band ends there too.
+            if y == 0.0 or abs(y_away) >= band:
+                hit_upper[live] = np.where(up, y + r > 0.0, y - r > 0.0)
+                break
+            hit_upper[live[~away]] = y > 0.0
+            live = live[away]
+            y = y_away
+
+    def walk_times(laws: Sequence[CollapseParams]) -> np.ndarray:
+        if steps and any(law.gamma is None for law in laws):
+            raise ValueError(f"gamma is required for diffusion from p1 {p1!r}, which starts between the bands")
+        times, gammas = np.zeros((len(laws), n)), np.array([law.gamma for law in laws])
+        for live, r, j_star in steps:
+            # A product, not ``** 2``: it rounds as numpy's array square does.
+            scale = r / gammas
+            times[:, live] += (scale * scale)[:, None] * j_star
+        return times
+
+    return hit_upper, walk_times
+
+
+def sample_collapses(p1: float, params: CollapseParams, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(times, hit_upper)`` of ``n`` collapses under ``params``, from :func:`draw_collapses`."""
+    hit_upper, times = draw_collapses(p1, params.model, params.epsilon, rng, n)
+    return times([params])[0], hit_upper
 
 
 def _logit_start(p1: float, epsilon: float) -> tuple[float, float]:

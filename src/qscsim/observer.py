@@ -68,59 +68,59 @@ class PerceptionScenario:
             raise FieldError("r", "only meaningful for random_percept")
 
 
-def report_times(base: np.ndarray, o: ObserverParams, rng: np.random.Generator) -> np.ndarray:
-    """Add the report-time jitter to ``base`` of shape ``(points, decisions,
-    copies)`` in place and return it: one Gaussian draw per decision copy,
-    shared by all points, truncated at 0, and no draw at all when
-    ``jitter_sigma`` is 0.  The jitter is ``jitter_sigma * z`` with ``z``
-    from ``standard_normal``, which is bit for bit what
-    ``normal(0.0, jitter_sigma)`` returns on the same stream."""
-    if o.jitter_sigma == 0.0:
-        return base
-    base += o.jitter_sigma * rng.standard_normal(base.shape[1:])
-    return np.maximum(base, 0.0, out=base)
+def report_jitter(o: ObserverParams, rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray | None:
+    """One Gaussian report jitter per copy, of ``shape``, or None with no draw
+    when ``jitter_sigma`` is 0: ``jitter_sigma * z`` with ``z`` from
+    ``standard_normal``, bit for bit ``normal(0.0, jitter_sigma)``."""
+    if not o.jitter_sigma:
+        return None
+    jitter = rng.standard_normal(shape)
+    return np.multiply(jitter, o.jitter_sigma, out=jitter)
 
 
-def perceive_collapses(
-    t_p: float | np.ndarray,
-    scenario: PerceptionScenario,
-    times: np.ndarray,
-    hit_upper: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """First reports of superposed copies, before report jitter.
+def add_jitter(reports: np.ndarray, jitter: np.ndarray | None) -> np.ndarray:
+    """Add ``jitter`` from :func:`report_jitter`, shared by all points, to
+    ``reports`` of shape ``(points, decisions, copies)`` in place, truncate
+    at 0, and return ``reports``; None adds nothing."""
+    if jitter is None:
+        return reports
+    reports += jitter
+    return np.maximum(reports, 0.0, out=reports)
 
-    For collapses at ``times`` landing on B1 where ``hit_upper`` is set,
-    returns each copy's un-jittered first-report time for latency ``t_p``
-    and whether it reports a change, that is whether the pre-collapse
-    percept differs from the branch percept the collapse leaves (C1 for B1,
-    C2 for B2).  RANDOM_PERCEPT draws one pre-percept uniform per copy (C1
-    below ``r``); the other scenarios draw nothing.
 
-    ``times`` may carry a leading point axis over a ``hit_upper`` that all
-    points share, with ``t_p`` an array that broadcasts against it (one
-    latency per point); the report times then carry that axis, and the
-    change flags, which do not depend on timing, have the shape of
-    ``hit_upper``.
-    """
+def percept_changes(scenario: PerceptionScenario, hit_upper: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Whether each superposed copy, landing on B1 where ``hit_upper`` is set,
+    reports a change: its pre-collapse percept differs from the branch
+    percept the collapse leaves (C1 for B1, C2 for B2).  RANDOM_PERCEPT
+    draws one pre-percept uniform per copy (C1 below ``r``); no other does."""
     tag = scenario.tag
-    if tag is ScenarioTag.POST_COLLAPSE_ONLY:
-        return times + t_p, np.zeros(hit_upper.shape, dtype=bool)
-    first = np.full(times.shape, t_p)
-    if tag is ScenarioTag.DISTINCT_PERCEPT:
-        return first, np.ones(hit_upper.shape, dtype=bool)
+    if tag is ScenarioTag.RANDOM_PERCEPT:
+        return (rng.random(hit_upper.shape) < scenario.r) != hit_upper
     if tag is ScenarioTag.FIXED_C1:
-        return first, ~hit_upper
+        return ~hit_upper
     if tag is ScenarioTag.FIXED_C2:
-        return first, hit_upper
-    pre_c1 = rng.random(hit_upper.shape) < scenario.r
-    return first, pre_c1 != hit_upper
+        return hit_upper
+    # No pre-collapse percept never changes; a distinct one always does.
+    return np.full(hit_upper.shape, tag is ScenarioTag.DISTINCT_PERCEPT)
+
+
+def first_reports(t_p: float | np.ndarray, scenario: PerceptionScenario, times: np.ndarray) -> np.ndarray:
+    """Un-jittered first-report times of superposed copies that collapse at
+    ``times``, written over ``times`` and returned: ``times + t_p`` under
+    POST_COLLAPSE_ONLY, else ``t_p``, when a pre-collapse percept arrives.
+    ``t_p`` may be an array that broadcasts against ``times``, such as one
+    latency per point along a leading point axis."""
+    if scenario.tag is ScenarioTag.POST_COLLAPSE_ONLY:
+        times += t_p
+    else:
+        times[...] = t_p
+    return times
 
 
 def awareness_probability(scenario: PerceptionScenario, p1: float) -> float:
     """Closed-form probability that the observer notices a percept change.
 
-    Companion to :func:`perceive_collapses` for a branch-1 weight ``p1``;
+    Companion to :func:`percept_changes` for a branch-1 weight ``p1``;
     POST_COLLAPSE_ONLY yields 0 because no definite percept exists before
     collapse (the timing channel still discriminates there).
     """

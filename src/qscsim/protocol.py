@@ -33,9 +33,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .collapse import sample_collapses
+from .collapse import draw_collapses
 from .errors import FieldError, check_field, check_integer
-from .observer import perceive_collapses, report_times
+from .observer import add_jitter, first_reports, percept_changes, report_jitter
 from .stats import RateEstimate
 
 if TYPE_CHECKING:
@@ -44,15 +44,16 @@ if TYPE_CHECKING:
 #: Decisions per block.  It is fixed, so every draw, and with it every
 #: output, depends only on the master seed and the block index.
 BLOCK_SIZE = 4096
-#: Largest ``rule.batch_n``: one block's array of copies then holds at most
-#: 2**22 floats (32 MiB), the per-array ceiling of ``calibrate --runs``.
-MAX_BATCH_N = 2**22 // BLOCK_SIZE
+#: Most copies, one float each, that an array may hold (32 MiB): ``calibrate
+#: --runs`` walkers, or a block of one point at ``rule.batch_n`` :data:`MAX_BATCH_N`.
+MAX_COPIES = 2**22
+MAX_BATCH_N = MAX_COPIES // BLOCK_SIZE
 #: Names the random-stream layout of :func:`run_experiment`; it changes
 #: whenever the layout does.
 RNG_STREAM = "block-v2"
-#: A slice of a group of points that share draws holds at most this many
-#: blocks' worth of decisions (see :func:`run_experiments`).
-_SLICE_BLOCKS = 16
+#: A block evaluates its points in chunks of at most this many copies
+#: (points x decisions x ``batch_n``), one point at the least.
+_CHUNK_COPIES = 16 * BLOCK_SIZE
 #: Branch-2 weight below which a prepared input is definite and never collapses.
 DEFINITE_WEIGHT_TOL = 1e-12
 
@@ -160,52 +161,77 @@ def _count_fired(fired: np.ndarray) -> np.ndarray:
 
 def _run_block(
     configs: Sequence["ExperimentConfig"], rng: np.random.Generator, m: int, p1: float, collapses: bool
-) -> tuple[int, np.ndarray | int, np.ndarray, int, np.ndarray, np.ndarray]:
+) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run ``m`` decisions of every config in ``configs``, which share one
-    stream layout, on one set of draws.
+    stream layout: draw every variate once, in the :data:`RNG_STREAM` order,
+    then evaluate the points in chunks of at most :data:`_CHUNK_COPIES`.
 
-    The definite and the superposed copies are two arrays of shape
-    ``(points, decisions of the class, batch_n)``, with the per-point values
-    (``t_c_mean``, the diffusion ``gamma``, ``t_p``, ``threshold_time``)
-    along the leading axis.  Returns ``(n_definite, correct_definite,
-    correct_superposition, device_correct, report-time sums definite,
-    report-time sums superposition)``, the counts broadcasting to one per
-    config.  Each sum runs over its point's contiguous slice, as for that
-    config alone, so numpy's pairwise summation rounds it the same way.
+    A chunk holds one class's copies at a time, shaped ``(points, decisions
+    of the class, batch_n)``.  Returns ``(n_definite, device_correct)`` and,
+    per config, the correct definite and superposed decisions and the two
+    report-time sums, each over its point's contiguous slice, as for that
+    config alone, so numpy's pairwise summation rounds it alike.
     """
     lead = configs[0]
-    rule = lead.rule
-    batch_n = rule.batch_n
-    points = len(configs)
-    t_p = np.array([config.observer.t_p for config in configs])[:, None, None]
+    rule, scenario, batch_n = lead.rule, lead.scenario, lead.rule.batch_n
     n_def = int(np.count_nonzero(rng.random(m) < lead.priors))
     n_sup = m - n_def
-
+    collapse_times, changed = None, np.zeros((n_sup, batch_n), dtype=bool)
     if collapses and n_sup:
-        times, hit_upper = sample_collapses(p1, [config.collapse for config in configs], rng, n_sup * batch_n)
-        sup, changed = perceive_collapses(
-            t_p, lead.scenario, times.reshape(points, n_sup, batch_n), hit_upper.reshape(n_sup, batch_n), rng
-        )
-    else:
-        sup, changed = np.full((points, n_sup, batch_n), t_p), np.zeros((n_sup, batch_n), dtype=bool)
-    # report_times jitters in place; both arrays are this block's own.
-    definite = report_times(np.full((points, n_def, batch_n), t_p), lead.observer, rng)
-    sup = report_times(sup, lead.observer, rng)
-
-    # A batch in which no copy fires is guessed definite.
-    correct_def, fired = n_def, changed[None]
-    if rule.kind is not RuleKind.CHANGE_DETECTION:
-        threshold = np.array([config.rule.threshold_time for config in configs])[:, None, None]
-        correct_def = n_def - _count_fired(definite > threshold)
-        fired = sup > threshold
-        if rule.kind is RuleKind.COMBINED:
-            fired |= changed
-    correct_sup = _count_fired(fired)
+        hit_upper, collapse_times = draw_collapses(p1, lead.collapse.model, lead.collapse.epsilon, rng, n_sup * batch_n)
+        changed = percept_changes(scenario, hit_upper.reshape(n_sup, batch_n), rng)
+    jitter_def = report_jitter(lead.observer, rng, (n_def, batch_n))
+    jitter_sup = report_jitter(lead.observer, rng, (n_sup, batch_n))
     # A definite input always reads B1; a superposition reads B2, which
     # certifies it, with probability 1 - p1.
     device_correct = n_def + int(rng.binomial(n_sup, 1.0 - p1)) if lead.device_baseline else 0
-    sums = definite.reshape(points, -1).sum(axis=1), sup.reshape(points, -1).sum(axis=1)
-    return n_def, correct_def, correct_sup, device_correct, *sums
+
+    # A batch in which no copy fires is guessed definite.  Change detection
+    # reads no time, so every point fires alike.
+    timed = rule.kind is not RuleKind.CHANGE_DETECTION
+    correct_def = np.full(len(configs), n_def)
+    correct_sup = np.full(len(configs), 0 if timed else _count_fired(changed[None]))
+    sums_def, sums_sup = np.empty((2, len(configs)))
+    per_chunk = max(1, _CHUNK_COPIES // (m * batch_n))
+    for start in range(0, len(configs), per_chunk):
+        chunk = slice(start, start + per_chunk)
+        part = configs[chunk]
+        points = len(part)
+        t_p = np.array([config.observer.t_p for config in part])[:, None, None]
+        threshold = np.array([config.rule.threshold_time for config in part])[:, None, None] if timed else None
+        definite = add_jitter(np.full((points, n_def, batch_n), t_p), jitter_def)
+        if timed:
+            correct_def[chunk] -= _count_fired(definite > threshold)
+        sums_def[chunk] = definite.reshape(points, -1).sum(axis=1)
+        del definite  # one class's copies at a time
+        laws = [config.collapse for config in part]
+        # A superposed input that does not collapse reports as one collapsed at time 0.
+        times = np.zeros((points, n_sup * batch_n)) if collapse_times is None else collapse_times(laws)
+        sup = add_jitter(first_reports(t_p, scenario, times.reshape(points, n_sup, batch_n)), jitter_sup)
+        if timed:
+            fired = sup > threshold
+            if rule.kind is RuleKind.COMBINED:
+                fired |= changed
+            correct_sup[chunk] = _count_fired(fired)
+        sums_sup[chunk] = sup.reshape(points, -1).sum(axis=1)
+    return n_def, device_correct, correct_def, correct_sup, sums_def, sums_sup
+
+
+def _add_exact(partials: list[float], x: float) -> None:
+    """Add ``x`` to ``partials``, non-overlapping floats whose exact sum is a
+    running total (Shewchuk's partials, as ``math.fsum`` keeps them), so
+    ``math.fsum(partials)`` is the correctly rounded total of every ``x``."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        high = x + y
+        low = y - (high - x)
+        if low:
+            partials[i] = low
+            i += 1
+        x = high
+    partials[i:] = [x]
 
 
 def _run_group(configs: Sequence["ExperimentConfig"]) -> list[ExperimentSummary]:
@@ -220,26 +246,26 @@ def _run_group(configs: Sequence["ExperimentConfig"]) -> list[ExperimentSummary]
 
     n_definite = device_correct = 0
     correct_def, correct_sup = np.zeros((2, len(configs)), dtype=np.int64)
-    time_def: list[np.ndarray] = []
-    time_sup: list[np.ndarray] = []
+    # Per class and point, the exact partials of the report-time sums.
+    time_def, time_sup = [[] for _ in configs], [[] for _ in configs]
     for block, start in enumerate(range(0, n, BLOCK_SIZE)):
         rng = np.random.default_rng(np.random.SeedSequence(lead.master_seed, spawn_key=(block,)))
-        n_def, block_def, block_sup, block_device, sums_def, sums_sup = _run_block(
+        n_def, block_device, block_def, block_sup, sums_def, sums_sup = _run_block(
             configs, rng, min(BLOCK_SIZE, n - start), p1, collapses
         )
         n_definite += n_def
+        device_correct += block_device
         correct_def += block_def
         correct_sup += block_sup
-        device_correct += block_device
-        time_def.append(sums_def)
-        time_sup.append(sums_sup)
+        for partials, value in zip(time_def + time_sup, sums_def.tolist() + sums_sup.tolist()):
+            _add_exact(partials, value)
     n_superposition = n - n_definite
     correct_def, correct_sup = correct_def.tolist(), correct_sup.tolist()
 
-    def mean_times(partial_sums: list[np.ndarray], count: int) -> list[float | None]:
+    def mean_times(partials: list[list[float]], count: int) -> list[float | None]:
         if not count:
             return [None] * len(configs)
-        return [math.fsum(sums) / (count * batch_n) for sums in np.array(partial_sums).T.tolist()]
+        return [math.fsum(point) / (count * batch_n) for point in partials]
 
     device_success = RateEstimate.from_counts(device_correct, n) if lead.device_baseline else None
     device_bound = optimal_device_bound(p1) if lead.device_baseline else None
@@ -267,23 +293,17 @@ def run_experiments(configs: Sequence["ExperimentConfig"]) -> list[ExperimentSum
 
     Each config's summary equals :func:`run_experiment`'s.  Configs that
     differ only in fields not declared ``draws``, such as ``t_c_mean`` or
-    ``t_p``, draw the same variates, so each group of them runs as one pass
-    over the blocks, with every block's variates drawn once and the
-    per-point values along a leading axis.  With ``m``
-    decisions per block, a group runs in slices of
-    ``max(1, _SLICE_BLOCKS * BLOCK_SIZE // m)`` points, so that a slice's
-    arrays hold at most ``_SLICE_BLOCKS`` blocks' worth; each slice draws
-    the block variates anew.
+    ``t_p``, run as one group: each block draws its variates once, in the
+    order :func:`run_experiment` lists, then evaluates the group's points in
+    chunks of at most ``_CHUNK_COPIES`` copies (points x decisions x
+    ``batch_n``), so memory is bounded at any point count and ``batch_n``.
     """
     groups: dict[tuple, list[int]] = {}
     for index, config in enumerate(configs):
         groups.setdefault(_stream_layout(config), []).append(index)
     summaries: dict[int, ExperimentSummary] = {}
     for members in groups.values():
-        per_slice = max(1, _SLICE_BLOCKS * BLOCK_SIZE // min(configs[members[0]].n_trials, BLOCK_SIZE))
-        for start in range(0, len(members), per_slice):
-            part = members[start : start + per_slice]
-            summaries.update(zip(part, _run_group([configs[index] for index in part])))
+        summaries.update(zip(members, _run_group([configs[index] for index in members])))
     return [summaries[index] for index in range(len(configs))]
 
 
@@ -298,8 +318,8 @@ def run_experiment(config: "ExperimentConfig") -> ExperimentSummary:
 
     1. one prior uniform per decision (definite when below ``priors``);
        only the count of definite decisions is read;
-    2. collapse times and outcomes of the superposed copies,
-       ``n_superposed * batch_n`` of them, from :func:`sample_collapses`;
+    2. the collapses of the superposed copies, ``n_superposed * batch_n``
+       of them, from :func:`~qscsim.collapse.draw_collapses`;
     3. one pre-percept uniform per superposed copy (``random_percept`` only);
     4. one report jitter per definite copy, then one per superposed copy,
        each decision-major (only when ``jitter_sigma > 0``), drawn as
@@ -308,8 +328,8 @@ def run_experiment(config: "ExperimentConfig") -> ExperimentSummary:
     5. one binomial count of the superposed decisions whose device reading
        is B2 (device baseline only).
 
-    Each block reduces to integer counts and report-time partial sums,
-    folded into running totals in block order (the sums with
+    Each block reduces to integer counts and report-time sums, folded into
+    running totals in block order (the sums as exact partials, summed by
     ``math.fsum``), so memory stays at one block.
     """
     return run_experiments([config])[0]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .collapse import CollapseModel, CollapseParams, diffusion_gamma, sample_collapses
 from .config import expand_sweep, parse_config
-from .observer import PerceptionScenario, ScenarioTag, awareness_probability, perceive_collapses
+from .observer import PerceptionScenario, ScenarioTag, awareness_probability, percept_changes
 from .protocol import optimal_device_bound, run_experiment, run_experiments
 from .report import render_csv, summary_csv_row
 from .stats import binomial_chi_square_pvalue
@@ -113,8 +113,8 @@ def collapse_time_law() -> CheckResult:
 def _change_frequency(p1: float, n: int, rng: np.random.Generator) -> float:
     """Fraction of ``n`` case-(2) copies at weight ``p1`` whose percept changes."""
     law = CollapseParams(model=CollapseModel.DETERMINISTIC_TIME, t_c_mean=1.0)
-    times, hit_upper = sample_collapses(p1, law, rng, n)
-    return float(perceive_collapses(0.001, CASE2_SCENARIO, times, hit_upper, rng)[1].mean())
+    _, hit_upper = sample_collapses(p1, law, rng, n)
+    return float(percept_changes(CASE2_SCENARIO, hit_upper, rng).mean())
 
 
 def case2_change_probability() -> CheckResult:

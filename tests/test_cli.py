@@ -303,7 +303,7 @@ class TestSweep:
         # The output is written one point at a time, so a point adds its
         # config, its summary and its printed line (about 2 KB), not its
         # share of the whole document held at once (about 12 KB).  The CLI
-        # counterpart of the library's slice-memory test in test_protocol.
+        # counterpart of the library's chunk-memory test in test_protocol.
         def peak(n_points):
             values = [0.001 * (k + 1) for k in range(n_points)]
             extra = {

@@ -14,7 +14,7 @@ from oracles import (
 )
 from reference import per_walker_diffusion_collapses
 import qscsim.collapse as collapse_module
-from qscsim.collapse import CollapseModel, CollapseParams, diffusion_gamma, sample_collapses
+from qscsim.collapse import CollapseModel, CollapseParams, diffusion_gamma, draw_collapses, sample_collapses
 from qscsim.errors import FieldError
 
 
@@ -74,14 +74,19 @@ class TestSampleCollapseTime:
         times, _ = sample_collapses(0.5, deterministic(2.0), np.random.default_rng(0), 100)
         assert np.all(times == 2.0)
 
-    def test_group_must_share_model_and_epsilon(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="share model and epsilon"):
-            sample_collapses(0.5, [jump(1.0), deterministic(1.0)], rng, 10)
-        with pytest.raises(ValueError, match="share model and epsilon"):
-            sample_collapses(0.5, [diffusion(epsilon=1e-3), diffusion(epsilon=1e-2)], rng, 10)
-        with pytest.raises(ValueError, match="at least one"):
-            sample_collapses(0.5, [], rng, 10)
+    @pytest.mark.parametrize("law", [jump(0.5), deterministic(0.5), diffusion(gamma=0.7)], ids=lambda law: law.model.value)
+    def test_group_times_draw_nothing(self, law):
+        # Every draw happens in draw_collapses; the times of any laws, asked
+        # for as often as wanted, come from those draws alone.
+        rng = np.random.default_rng(4)
+        hit_upper, times = draw_collapses(0.3, law.model, law.epsilon, rng, 500)
+        state = rng.bit_generator.state
+        assert times([law]).tobytes() == times([law]).tobytes()
+        assert times([]).shape == (0, 500)
+        assert rng.bit_generator.state == state
+        expected_times, expected_upper = sample_collapses(0.3, law, np.random.default_rng(4), 500)
+        assert times([law])[0].tobytes() == expected_times.tobytes()
+        assert np.array_equal(hit_upper, expected_upper)
 
     def test_exponential_moments(self):
         n = 200_000
@@ -107,7 +112,8 @@ class TestSampleCollapseTime:
         ],
     )
     def test_group_rows_equal_single_draws(self, laws):
-        times, hit_upper = sample_collapses(0.3, laws, np.random.default_rng(21), 3000)
+        hit_upper, group_times = draw_collapses(0.3, laws[0].model, laws[0].epsilon, np.random.default_rng(21), 3000)
+        times = group_times(laws)
         assert times.shape == (len(laws), 3000)
         for row, law in zip(times, laws):
             single_times, single_upper = sample_collapses(0.3, law, np.random.default_rng(21), 3000)

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qscsim.cli import _dumps
 from qscsim.collapse import CollapseModel, CollapseParams, between_bands, diffusion_gamma, sample_collapses
 from qscsim.config import (
     SWEEPABLE_FIELDS,
@@ -523,6 +524,25 @@ def test_config_echo_contains_resolved_values():
     )
     sweep = {"param": "priors", "values": [0.25, 0.75]}
     assert to_json_dict(parse_config({**MINIMAL, "sweep": sweep}))["sweep"] == sweep
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {**MINIMAL, "collapse": {"model": "jump_exponential", "t_c_mean": 2.0}},
+        {**MINIMAL, "collapse": {"model": "deterministic_time", "t_c_mean": 2.0},
+         "rule": {"kind": "combined", "threshold_time": 0.5}},
+        {**MINIMAL, "input_p1": 0.3, "collapse": {**DIFFUSION, "gamma": diffusion_gamma(1.0, 0.3, 1e-3)}},
+        {**MINIMAL, "input_p1": 0.3, "collapse": DIFFUSION, "scenario": {"tag": "random_percept", "r": 0.4}},
+        {**MINIMAL, "rule": {"kind": "change_detection", "batch_n": 3},
+         "sweep": {"param": "collapse.t_c_mean", "values": [1.0, 2.0]}},
+    ],
+    ids=["jump", "deterministic", "diffusion", "diffusion_gamma_omitted", "sweep"],
+)
+def test_config_echo_reads_back_as_the_same_config(raw):
+    # The echo that run and sweep write is itself a config that parses to the one echoed.
+    config = parse_config(raw)
+    assert parse_config(json.loads(_dumps(to_json_dict(config)))) == config
 
 
 @pytest.mark.parametrize(

@@ -9,9 +9,11 @@ from qscsim.observer import (
     ObserverParams,
     PerceptionScenario,
     ScenarioTag,
+    add_jitter,
     awareness_probability,
-    perceive_collapses,
-    report_times,
+    first_reports,
+    percept_changes,
+    report_jitter,
 )
 
 QUIET = ObserverParams(t_p=0.001, jitter_sigma=0.0, resolution=0.01)
@@ -62,7 +64,8 @@ class TestPerceiveCollapses:
     HIT_UPPER = np.array([True, False, True, False])
 
     def perceive(self, scenario, rng=None):
-        return perceive_collapses(QUIET.t_p, scenario, self.TIMES, self.HIT_UPPER, rng or np.random.default_rng(0))
+        changed = percept_changes(scenario, self.HIT_UPPER, rng or np.random.default_rng(0))
+        return first_reports(QUIET.t_p, scenario, self.TIMES.copy()), changed
 
     def test_post_collapse_only(self):
         # The first percept arrives one latency after the collapse, never
@@ -106,14 +109,26 @@ class TestPerceiveCollapses:
             expected.random(4)
         assert rng.bit_generator.state == expected.bit_generator.state
 
+    @pytest.mark.parametrize("sc", ALL_SCENARIOS, ids=lambda sc: sc.tag.value)
+    def test_first_reports_are_written_in_place_per_point(self, sc):
+        # A leading point axis carries one latency per point over shared times.
+        times = np.tile(self.TIMES, (2, 1))
+        t_p = np.array([0.001, 0.004])[:, None]
+        out = first_reports(t_p, sc, times)
+        assert out is times
+        for row, latency in zip(out, (0.001, 0.004)):
+            assert np.array_equal(row, first_reports(latency, sc, self.TIMES.copy()))
+
 
 class TestReportTimes:
     def test_noise_free_report_draws_nothing(self):
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        base = np.full((2, 3, 4), 0.001)
-        assert report_times(base, QUIET, rng) is base
+        assert report_jitter(QUIET, rng, (3, 4)) is None
         assert rng.bit_generator.state == state
+        base = np.full((2, 3, 4), 0.001)
+        assert add_jitter(base, None) is base
+        assert np.all(base == 0.001)
 
     @pytest.mark.parametrize("sigma", [1e-12, 2e-4, 3.7, 1e100])
     @pytest.mark.parametrize("points", [1, 3])
@@ -126,7 +141,7 @@ class TestReportTimes:
         seed = points * 10 + copies
         rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         jittered = base.copy()
-        out = report_times(jittered, ObserverParams(t_p=0.001, jitter_sigma=sigma), rng)
+        out = add_jitter(jittered, report_jitter(ObserverParams(t_p=0.001, jitter_sigma=sigma), rng, base.shape[1:]))
         expected = np.maximum(base + expected_rng.normal(0.0, sigma, base.shape[1:]), 0.0)
         assert out is jittered
         assert out.tobytes() == expected.tobytes()
@@ -144,7 +159,7 @@ def enumerate_awareness(scenario, p1):
         else:
             cells = ((RiggedRng(), 1.0),)
         for rng, w_pre in cells:
-            _, changed = perceive_collapses(QUIET.t_p, scenario, np.array([2.0]), np.array([hit_upper]), rng)
+            changed = percept_changes(scenario, np.array([hit_upper]), rng)
             total += w_out * w_pre * (1.0 if changed[0] else 0.0)
     return total
 

@@ -286,29 +286,35 @@ class TestRunExperiment:
         assert run_experiments(configs) == expected
         assert sizes == [3, 1]
 
-    def test_large_groups_run_in_slices(self, monkeypatch):
-        # With two blocks' worth per slice, full blocks take two points at a
-        # time; the summaries do not depend on the slicing.
+    @pytest.mark.parametrize("budget", [2 * BLOCK_SIZE, protocol._CHUNK_COPIES])
+    @pytest.mark.parametrize("n_points", [1, 5])
+    def test_a_group_draws_each_block_once(self, monkeypatch, budget, n_points):
+        # Two blocks, each drawn once whatever the point count and chunk
+        # budget; with two blocks' worth per chunk the first block evaluates
+        # its points two at a time.  The summaries do not depend on either.
         configs = [
             experiment_config(n_trials=BLOCK_SIZE + 10, collapse={"model": "jump_exponential", "t_c_mean": 0.01 * k})
-            for k in range(1, 6)
+            for k in range(1, n_points + 1)
         ]
         expected = [run_experiment(config) for config in configs]
-        monkeypatch.setattr(protocol, "_SLICE_BLOCKS", 2)
-        points = []
-        real = protocol._run_block
-        monkeypatch.setattr(
-            protocol, "_run_block", lambda group, *rest: points.append(len(group)) or real(group, *rest)
-        )
+        monkeypatch.setattr(protocol, "_CHUNK_COPIES", budget)
+        draws = []
+        real = protocol.draw_collapses
+        monkeypatch.setattr(protocol, "draw_collapses", lambda *args: draws.append(args[-1]) or real(*args))
         assert run_experiments(configs) == expected
-        assert points == [2, 2, 2, 2, 1, 1]
+        assert len(draws) == 2
 
-    def test_memory_of_a_group_is_bounded_by_its_slices(self):
+    @pytest.mark.parametrize("model", ["jump_exponential", "diffusion"])
+    def test_memory_of_a_group_is_bounded_by_its_chunks(self, model):
+        # At batch_n 64 one point of a full block already fills the chunk
+        # budget four times over, so more points add chunks, not memory.
         def peak(n_points):
             configs = [
                 experiment_config(
-                    n_trials=BLOCK_SIZE, collapse={"model": "jump_exponential", "t_c_mean": 0.001 * (k + 1)},
-                    rule={"kind": "timing_threshold", "threshold_time": 0.05, "batch_n": 5},
+                    n_trials=BLOCK_SIZE, input_p1=0.3,
+                    collapse={"model": model, "t_c_mean": 0.001 * (k + 1)},
+                    observer={"t_p": 0.001, "jitter_sigma": 0.0002, "resolution": 0.01},
+                    rule={"kind": "timing_threshold", "threshold_time": 0.05, "batch_n": 64},
                 )
                 for k in range(n_points)
             ]
@@ -319,8 +325,30 @@ class TestRunExperiment:
             finally:
                 tracemalloc.stop()
 
-        one_slice = peak(protocol._SLICE_BLOCKS)
-        assert peak(4 * protocol._SLICE_BLOCKS) < 1.5 * one_slice
+        assert peak(8) < 1.5 * peak(1)
+
+    def test_memory_of_a_run_does_not_grow_with_its_blocks(self):
+        # Report-time sums are folded into exact partials as each block
+        # completes, rather than kept until the end.
+        def peak(blocks):
+            config = experiment_config(n_trials=blocks * BLOCK_SIZE)
+            tracemalloc.start()
+            try:
+                run_experiment(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(400) < 1.3 * peak(40)
+
+    def test_exact_partials_keep_fsum(self):
+        rng = np.random.default_rng(3)
+        for size in (1, 2, 50, 500):
+            values = (rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size)).tolist()
+            partials = []
+            for value in values:
+                protocol._add_exact(partials, value)
+            assert math.fsum(partials) == math.fsum(values)
 
     def test_stream_layout_key_is_complete(self):
         # A config that differs from another in one field, run next to it,

@@ -5,8 +5,8 @@ Each case runs small configs and compares every integer count and the exact
 :data:`PINNED_STREAM` with numpy :data:`PINNED_NUMPY`.  Between them the
 cases cover the three collapse laws, the five scenarios, the three rules,
 jitter on and off, the device baseline, ``batch_n`` > 1, a run of two
-blocks, a group of sweep points that share draws, and a group run in
-slices.
+blocks, a group of sweep points that share draws, and a group evaluated
+in chunks.
 
 A change that moves a pin changes the outputs for a given seed.  If it also
 changes the draw layout, it bumps ``RNG_STREAM`` and re-pins:
@@ -16,6 +16,8 @@ numpy does not promise Generator streams across versions (NEP 19), so on
 another numpy version a mismatch is a failure to look into, not proof of a
 layout change.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -79,8 +81,8 @@ CASES = {
             sweep={"param": "collapse.t_c_mean", "values": [0.01, 0.02, 0.05]}),
     ],
 }
-#: Run with two blocks' worth per slice: three points of two blocks each
-#: run as slices of two points and one.
+#: Run with a chunk budget of two blocks' worth of copies: the first block
+#: of these three points is evaluated in chunks of two points and one.
 SLICED = [raw(n_trials=BLOCK_SIZE + 10, collapse={"t_c_mean": 0.01 * k}, observer=JITTER) for k in (1, 2, 3)]
 
 
@@ -106,6 +108,12 @@ def pin(summary):
 
 def pins(raws):
     return [pin(summary) for summary in run_experiments(configs(raws))]
+
+
+def sliced_pins():
+    """The pins of ``SLICED``, evaluated in chunks of two blocks' worth of copies."""
+    with mock.patch.object(protocol, "_CHUNK_COPIES", 2 * BLOCK_SIZE):
+        return pins(SLICED)
 
 
 #: Per case, one pin per config: (definite correct, definite trials,
@@ -172,9 +180,8 @@ def test_stream_pin(name):
     assert pins(CASES[name]) == PINS[name], WHERE
 
 
-def test_sliced_group_pin(monkeypatch):
-    monkeypatch.setattr(protocol, "_SLICE_BLOCKS", 2)
-    assert pins(SLICED) == SLICED_PINS, WHERE
+def test_sliced_group_pin():
+    assert sliced_pins() == SLICED_PINS, WHERE
 
 
 def literal(values):
@@ -183,13 +190,7 @@ def literal(values):
 
 
 def main():
-    """Print the pin literals of the current code, running ``SLICED`` as ``test_sliced_group_pin`` does."""
-    default_slice = protocol._SLICE_BLOCKS
-    protocol._SLICE_BLOCKS = 2
-    try:
-        sliced = pins(SLICED)
-    finally:
-        protocol._SLICE_BLOCKS = default_slice
+    """Print the pin literals of the current code."""
     print("PINS = {")
     for name, raws in CASES.items():
         print(f'    "{name}": [')
@@ -198,7 +199,7 @@ def main():
         print("    ],")
     print("}")
     print("SLICED_PINS = [")
-    for values in sliced:
+    for values in sliced_pins():
         print(f"    {literal(values)},")
     print("]")
 
