@@ -17,7 +17,7 @@ the stream-layout key come from its type, default and ``metadata``: ``json``
 draw count).
 
 The decision threshold, when left null, resolves to
-``t_p + 5 * max(jitter_sigma, resolution)``: five noise scales leave
+``t_p + 5 * max(jitter_sigma, 0.01)``: five noise scales leave
 negligible false-positive mass under Gaussian jitter.  The config-level
 ``rule.batch_n`` default is 5 (a small batch of identically prepared states
 per decision hedges against early stochastic collapses); a bare
@@ -45,6 +45,8 @@ SCHEMA_VERSION = 1
 MAX_TRIALS = 2**53
 
 DEFAULT_THRESHOLD_NOISE_MARGIN = 5.0
+#: Least noise scale (s) of the default threshold: the timing gap an observer without jitter tells apart.
+DEFAULT_THRESHOLD_NOISE_FLOOR = 0.01
 
 
 @dataclass(frozen=True)
@@ -233,7 +235,7 @@ def parse_config(raw: Mapping[str, Any]) -> ExperimentConfig:
     scenario = _build("scenario", PerceptionScenario, **_read(PerceptionScenario, raw.get("scenario") or {}, "scenario"))
     rule = _read(DecisionRule, raw.get("rule") or {}, "rule")
     if rule["threshold_time"] is None and rule["kind"] is not RuleKind.CHANGE_DETECTION:
-        noise = max(observer.jitter_sigma, observer.resolution)
+        noise = max(observer.jitter_sigma, DEFAULT_THRESHOLD_NOISE_FLOOR)
         rule["threshold_time"] = observer.t_p + DEFAULT_THRESHOLD_NOISE_MARGIN * noise
     rule = _build("rule", DecisionRule, **rule)
     sweep = None if raw.get("sweep") is None else _parse_sweep(raw["sweep"])

@@ -19,8 +19,8 @@ from typing import Any
 
 
 #: Largest value, in seconds, of a time that report times are built from
-#: (``t_c_mean``, ``t_p``, ``jitter_sigma``, ``resolution``): report-time sums
-#: over a run stay finite far beyond it.  ``threshold_time`` is only compared.
+#: (``t_c_mean``, ``t_p``, ``jitter_sigma``): report-time sums over a run
+#: stay finite far beyond it.  ``threshold_time`` is only compared.
 MAX_TIME = 1e100
 
 

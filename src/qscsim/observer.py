@@ -15,12 +15,12 @@ is model-dependent; the scenarios below cover the cases of interest:
   drawn per trial, independent of the eventual outcome.
 
 Report times carry optional Gaussian jitter truncated at zero.  The timing
-resolution enters only through downstream decision rules, never through
-report generation (noise and discriminability are separate knobs).
+gap the observer tells apart enters only through the rule's ``threshold_time``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -39,17 +39,14 @@ class ScenarioTag(Enum):
 
 @dataclass(frozen=True)
 class ObserverParams:
-    """Perception latency ``t_p``, report-time jitter, and timing resolution
-    (the smallest time difference the observer can identify)."""
+    """Perception latency ``t_p`` and report-time jitter."""
 
     t_p: float = field(metadata={"json": 0.001, "sweep": True})
     jitter_sigma: float = field(default=0.0, metadata={"json": 0.0002, "sweep": True, "draws": True})
-    resolution: float = field(default=0.01, metadata={"sweep": True})
 
     def __post_init__(self) -> None:
         check_time("t_p", self.t_p, self.t_p > 0.0, "> 0")
         check_time("jitter_sigma", self.jitter_sigma, self.jitter_sigma >= 0.0, ">= 0")
-        check_time("resolution", self.resolution, self.resolution > 0.0, "> 0")
 
 
 @dataclass(frozen=True)
@@ -104,17 +101,19 @@ def percept_changes(scenario: PerceptionScenario, hit_upper: np.ndarray, rng: np
     return np.full(hit_upper.shape, tag is ScenarioTag.DISTINCT_PERCEPT)
 
 
-def first_reports(t_p: float | np.ndarray, scenario: PerceptionScenario, times: np.ndarray) -> np.ndarray:
-    """Un-jittered first-report times of superposed copies that collapse at
-    ``times``, written over ``times`` and returned: ``times + t_p`` under
-    POST_COLLAPSE_ONLY, else ``t_p``, when a pre-collapse percept arrives.
-    ``t_p`` may be an array that broadcasts against ``times``, such as one
-    latency per point along a leading point axis."""
-    if scenario.tag is ScenarioTag.POST_COLLAPSE_ONLY:
-        times += t_p
-    else:
-        times[...] = t_p
-    return times
+def first_reports(
+    t_p: float | np.ndarray, scenario: PerceptionScenario, times: Callable[[], np.ndarray] | None, shape: tuple
+) -> np.ndarray:
+    """Un-jittered first-report times of superposed copies, of ``shape``:
+    ``times() + t_p`` under POST_COLLAPSE_ONLY (``t_p`` when ``times`` is
+    None: no copy collapses), else ``t_p`` without calling ``times``, as a
+    pre-collapse percept arrives.  ``t_p`` may broadcast against ``shape``,
+    such as one latency per point along a leading point axis."""
+    if scenario.tag is not ScenarioTag.POST_COLLAPSE_ONLY or times is None:
+        return np.full(shape, t_p)
+    reports = times().reshape(shape)
+    reports += t_p
+    return reports
 
 
 def awareness_probability(scenario: PerceptionScenario, p1: float) -> float:

@@ -204,10 +204,8 @@ def _run_block(
             correct_def[chunk] -= _count_fired(definite > threshold)
         sums_def[chunk] = definite.reshape(points, -1).sum(axis=1)
         del definite  # one class's copies at a time
-        laws = [config.collapse for config in part]
-        # A superposed input that does not collapse reports as one collapsed at time 0.
-        times = np.zeros((points, n_sup * batch_n)) if collapse_times is None else collapse_times(laws)
-        sup = add_jitter(first_reports(t_p, scenario, times.reshape(points, n_sup, batch_n)), jitter_sup)
+        times = None if collapse_times is None else functools.partial(collapse_times, [c.collapse for c in part])
+        sup = add_jitter(first_reports(t_p, scenario, times, (points, n_sup, batch_n)), jitter_sup)
         if timed:
             fired = sup > threshold
             if rule.kind is RuleKind.COMBINED:

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .collapse import CollapseModel, CollapseParams, diffusion_gamma, sample_collapses
-from .config import expand_sweep, parse_config
+from .config import DEFAULT_THRESHOLD_NOISE_FLOOR, expand_sweep, parse_config
 from .observer import PerceptionScenario, ScenarioTag, awareness_probability, percept_changes
 from .protocol import optimal_device_bound, run_experiment, run_experiments
 from .report import render_csv, summary_csv_row
@@ -47,7 +47,7 @@ def qsc_config(seed: int, n_trials: int, scenario: str, rule_kind: str, device: 
         "master_seed": seed,
         "n_trials": n_trials,
         "collapse": {"model": "jump_exponential", "t_c_mean": 180.0},
-        "observer": {"t_p": 0.001, "jitter_sigma": 0.0002, "resolution": 0.01},
+        "observer": {"t_p": 0.001, "jitter_sigma": 0.0002},
         "scenario": {"tag": scenario},
         "rule": rule,
         "device_baseline": device,
@@ -63,7 +63,7 @@ def batch_config(seed: int, n_trials: int, batch_n: int) -> dict:
         "priors": 0.0,
         "input_p1": 0.5,
         "collapse": {"model": "deterministic_time", "t_c_mean": 1.0},
-        "observer": {"t_p": 0.001, "jitter_sigma": 0.0, "resolution": 0.01},
+        "observer": {"t_p": 0.001, "jitter_sigma": 0.0},
         "scenario": {"tag": "fixed_c1"},
         "rule": {"kind": "change_detection", "batch_n": batch_n},
     }
@@ -151,17 +151,17 @@ def qsc_separation() -> CheckResult:
 def qsc_failure_mode() -> CheckResult:
     """C5: with no pre-collapse percept, single-copy timing accuracy on 1e4
     decisions sits within 0.02 of chance at zero collapse-perception gap, never
-    drops by more than 2 SE of the difference as the gap grows to 10
-    resolutions, and reaches 0.999."""
-    t_p, resolution = 0.001, 0.01
+    drops by more than 2 SE of the difference as the gap grows to 10 noise
+    floors of the default threshold, and reaches 0.999."""
+    t_p, floor = 0.001, DEFAULT_THRESHOLD_NOISE_FLOOR
     raw = {
         "master_seed": SEED,
         "n_trials": 10_000,
         "collapse": {"model": "deterministic_time", "t_c_mean": t_p},
-        "observer": {"t_p": t_p, "jitter_sigma": 0.0002, "resolution": resolution},
+        "observer": {"t_p": t_p, "jitter_sigma": 0.0002},
         "scenario": {"tag": "post_collapse_only"},
         "rule": {"kind": "timing_threshold", "batch_n": 1},
-        "sweep": {"param": "collapse.t_c_mean", "values": [t_p + k * resolution for k in (0, 0.5, 1, 2, 5, 10)]},
+        "sweep": {"param": "collapse.t_c_mean", "values": [t_p + k * floor for k in (0, 0.5, 1, 2, 5, 10)]},
     }
     rates = [s.accuracy_overall for s in run_experiments([config for _, config in expand_sweep(raw)])]
     monotone = all(

@@ -20,7 +20,7 @@ BASE_CONFIG = {
     "master_seed": 42,
     "n_trials": 400,
     "collapse": {"model": "jump_exponential", "t_c_mean": 180.0},
-    "observer": {"t_p": 0.001, "jitter_sigma": 0.0002, "resolution": 0.01},
+    "observer": {"t_p": 0.001, "jitter_sigma": 0.0002},
     "scenario": {"tag": "post_collapse_only"},
     "rule": {"kind": "timing_threshold", "threshold_time": 0.05, "batch_n": 1},
 }
@@ -180,11 +180,15 @@ class TestRun:
         assert "collapse.t_c_mean" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "key, value", [("collapse.energy", 2.0), ("collapse.kappa", 1.0), ("rule.no_change_guess", "definite")]
+        "key, value",
+        [
+            ("collapse.energy", 2.0), ("collapse.kappa", 1.0), ("rule.no_change_guess", "definite"),
+            ("observer.resolution", 0.01),
+        ],
     )
     def test_removed_key_is_unknown(self, tmp_path, capsys, key, value):
-        # No config key: t_c_mean is given directly, and a batch in which no
-        # signal fires is always guessed definite.
+        # No config key: t_c_mean and threshold_time are given directly, and
+        # a batch in which no signal fires is always guessed definite.
         raw = set_config_field(BASE_CONFIG, key, value)
         with pytest.raises(FieldError) as err:
             parse_config(raw)
@@ -204,7 +208,7 @@ RANDOM_PERCEPT = {
     "rule": {"kind": "combined", "threshold_time": 0.05, "batch_n": 2},
 }
 FIXED_C1 = {"scenario": {"tag": "fixed_c1"}, "rule": {"kind": "combined", "threshold_time": 0.05, "batch_n": 3}}
-NO_JITTER = {"observer": {"t_p": 0.001, "jitter_sigma": 0.0, "resolution": 0.01}}
+NO_JITTER = {"observer": {"t_p": 0.001, "jitter_sigma": 0.0}}
 
 
 class TestSweep:

@@ -36,10 +36,9 @@ def test_minimal_config_gets_documented_defaults():
     assert config.collapse.t_c_mean == 180.0
     assert config.observer.t_p == 0.001
     assert config.observer.jitter_sigma == 0.0002
-    assert config.observer.resolution == 0.01
     assert config.scenario.tag is ScenarioTag.POST_COLLAPSE_ONLY
     assert config.rule.kind is RuleKind.TIMING_THRESHOLD
-    # resolved threshold: t_p + 5 * max(jitter, resolution)
+    # resolved threshold: t_p + 5 * max(jitter, 0.01)
     assert config.rule.threshold_time == pytest.approx(0.051)
     assert config.rule.batch_n == 5
     assert config.device_baseline is False
@@ -310,7 +309,7 @@ def test_gamma_check_leaves_band_and_other_models_alone():
         ("collapse", "gamma", math.nan, {"model": "diffusion"}),
         ("observer", "t_p", 0.0, {}),
         ("observer", "jitter_sigma", -1.0, {}),
-        ("observer", "resolution", 0.0, {}),
+        ("observer", "t_p", -1.0, {}),
         ("scenario", "r", 0.3, {}),
         ("scenario", "r", 1.5, {"tag": "random_percept"}),
         ("rule", "threshold_time", 0.0, {}),
@@ -327,7 +326,7 @@ def test_dataclass_range_error_keeps_its_dotted_path(section, field, value, othe
     assert err.value.field == f"{section}.{field}"
 
 
-TIME_FIELDS = ["collapse.t_c_mean", "observer.t_p", "observer.jitter_sigma", "observer.resolution"]
+TIME_FIELDS = ["collapse.t_c_mean", "observer.t_p", "observer.jitter_sigma"]
 
 
 @pytest.mark.parametrize("path", TIME_FIELDS)
@@ -383,10 +382,13 @@ def test_sweep_validation():
     with pytest.raises(FieldError) as err:
         parse_config({**MINIMAL, "sweep": {"param": "rule.batch_n", "values": [1, 2.5]}})
     assert "sweep.values[1]" == err.value.field
+    with pytest.raises(FieldError) as err:
+        parse_config({**MINIMAL, "sweep": {"param": "observer.resolution", "values": [0.01]}})
+    assert err.value.field == "sweep.param"
     assert list(SWEEPABLE_FIELDS.items()) == [
         ("n_trials", int), ("priors", float), ("input_p1", float),
         ("collapse.t_c_mean", float), ("collapse.epsilon", float),
-        ("observer.t_p", float), ("observer.jitter_sigma", float), ("observer.resolution", float),
+        ("observer.t_p", float), ("observer.jitter_sigma", float),
         ("scenario.r", float), ("rule.threshold_time", float), ("rule.batch_n", int),
     ]
 
@@ -464,11 +466,11 @@ def test_sweep_top_level_param(param, values, read):
 
 
 def test_sweep_re_resolves_default_threshold_per_point():
-    raw = {**MINIMAL, "sweep": {"param": "observer.t_p", "values": [0.001, 0.02, 0.3]}}
-    points = expand_sweep(raw)
-    for value, cfg in points:
-        # default threshold: t_p + 5 * max(jitter_sigma 0.0002, resolution 0.01)
-        assert cfg.rule.threshold_time == pytest.approx(value + 0.05)
+    # default threshold: t_p + 5 * max(jitter_sigma, 0.01)
+    for jitter_sigma, margin in ((0.0002, 0.05), (0.02, 0.1)):
+        sweep = {"param": "observer.t_p", "values": [0.001, 0.02, 0.3]}
+        for value, cfg in expand_sweep({**MINIMAL, "observer": {"jitter_sigma": jitter_sigma}, "sweep": sweep}):
+            assert cfg.rule.threshold_time == pytest.approx(value + margin)
 
 
 def test_load_config_roundtrip(tmp_path):
@@ -517,7 +519,7 @@ def test_config_echo_contains_resolved_values():
     assert json.dumps(echoed) == (
         '{"schema_version": 1, "master_seed": 42, "n_trials": 1000, "priors": 0.5, "input_p1": 0.5, '
         '"collapse": {"model": "jump_exponential", "t_c_mean": 180.0, "gamma": null, "epsilon": 0.001}, '
-        '"observer": {"t_p": 0.001, "jitter_sigma": 0.0002, "resolution": 0.01}, '
+        '"observer": {"t_p": 0.001, "jitter_sigma": 0.0002}, '
         '"scenario": {"tag": "post_collapse_only", "r": null}, "rule": {"kind": "timing_threshold", '
         '"threshold_time": 0.051000000000000004, "batch_n": 5}, '
         '"device_baseline": false, "sweep": null}'

@@ -16,7 +16,7 @@ from qscsim.observer import (
     report_jitter,
 )
 
-QUIET = ObserverParams(t_p=0.001, jitter_sigma=0.0, resolution=0.01)
+QUIET = ObserverParams(t_p=0.001, jitter_sigma=0.0)
 
 ALL_SCENARIOS = [
     PerceptionScenario(tag=ScenarioTag.POST_COLLAPSE_ONLY),
@@ -33,11 +33,9 @@ class TestParams:
             ObserverParams(t_p=0.0)
         with pytest.raises(ValueError):
             ObserverParams(t_p=0.001, jitter_sigma=-1.0)
-        with pytest.raises(ValueError):
-            ObserverParams(t_p=0.001, resolution=0.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("name", ["t_p", "jitter_sigma", "resolution"])
+    @pytest.mark.parametrize("name", ["t_p", "jitter_sigma"])
     def test_observer_non_finite_field_is_named(self, name, value):
         with pytest.raises(FieldError, match="must be finite") as err:
             ObserverParams(**{"t_p": 0.001, name: value})
@@ -65,7 +63,7 @@ class TestPerceiveCollapses:
 
     def perceive(self, scenario, rng=None):
         changed = percept_changes(scenario, self.HIT_UPPER, rng or np.random.default_rng(0))
-        return first_reports(QUIET.t_p, scenario, self.TIMES.copy()), changed
+        return first_reports(QUIET.t_p, scenario, self.TIMES.copy, self.TIMES.shape), changed
 
     def test_post_collapse_only(self):
         # The first percept arrives one latency after the collapse, never
@@ -111,13 +109,20 @@ class TestPerceiveCollapses:
 
     @pytest.mark.parametrize("sc", ALL_SCENARIOS, ids=lambda sc: sc.tag.value)
     def test_first_reports_are_written_in_place_per_point(self, sc):
-        # A leading point axis carries one latency per point over shared times.
+        # A leading point axis carries one latency per point over shared
+        # times; only post_collapse_only asks for the times, once, and adds
+        # the latencies to them in place.
         times = np.tile(self.TIMES, (2, 1))
+        asked = []
         t_p = np.array([0.001, 0.004])[:, None]
-        out = first_reports(t_p, sc, times)
-        assert out is times
+        out = first_reports(t_p, sc, lambda: asked.append(1) or times, times.shape)
+        post = sc.tag is ScenarioTag.POST_COLLAPSE_ONLY
+        assert asked == ([1] if post else [])
+        assert np.shares_memory(out, times) == post
         for row, latency in zip(out, (0.001, 0.004)):
-            assert np.array_equal(row, first_reports(latency, sc, self.TIMES.copy()))
+            assert np.array_equal(row, first_reports(latency, sc, self.TIMES.copy, self.TIMES.shape))
+        # With no collapse, every copy reports at its point's latency.
+        assert np.array_equal(first_reports(t_p, sc, None, times.shape), np.repeat(t_p, 4, axis=1))
 
 
 class TestReportTimes:

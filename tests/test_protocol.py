@@ -64,7 +64,7 @@ def experiment_config(**overrides):
         "master_seed": 42,
         "n_trials": 2000,
         "collapse": {"model": "deterministic_time", "t_c_mean": 180.0},
-        "observer": {"t_p": 0.001, "jitter_sigma": 0.0, "resolution": 0.01},
+        "observer": {"t_p": 0.001, "jitter_sigma": 0.0},
         "scenario": {"tag": "post_collapse_only"},
         "rule": {"kind": "timing_threshold", "threshold_time": 0.05, "batch_n": 1},
     }
@@ -79,7 +79,7 @@ JUMP_LAYOUT_BASE = {
     "n_trials": 600,
     "input_p1": 0.3,
     "collapse": {"model": "jump_exponential", "t_c_mean": 0.02},
-    "observer": {"t_p": 0.001, "jitter_sigma": 0.002, "resolution": 0.01},
+    "observer": {"t_p": 0.001, "jitter_sigma": 0.002},
     "scenario": {"tag": "random_percept", "r": 0.4},
     "rule": {"kind": "combined", "threshold_time": 0.03, "batch_n": 2},
     "device_baseline": True,
@@ -103,7 +103,6 @@ LEAF_CHANGES = {
     "collapse.epsilon": ("diffusion", 0.01),
     "observer.t_p": ("jump", 0.002),
     "observer.jitter_sigma": ("jump", 0.001),
-    "observer.resolution": ("jump", 0.02),
     "scenario.tag": ("diffusion", "fixed_c2"),
     "scenario.r": ("jump", 0.7),
     "rule.kind": ("jump", "timing_threshold"),
@@ -305,6 +304,31 @@ class TestRunExperiment:
         assert len(draws) == 2
 
     @pytest.mark.parametrize("model", ["jump_exponential", "diffusion"])
+    @pytest.mark.parametrize("tag", ["post_collapse_only", "fixed_c1", "distinct_percept", "random_percept"])
+    def test_collapse_times_are_evaluated_only_where_reports_read_them(self, monkeypatch, model, tag):
+        # Only post_collapse_only reports a collapse time; a pre-collapse
+        # percept arrives at t_p whenever the collapse ends.
+        scenario = {"tag": tag, "r": 0.4} if tag == "random_percept" else {"tag": tag}
+        configs = [
+            experiment_config(
+                n_trials=BLOCK_SIZE + 10, input_p1=0.3, collapse={"model": model, "t_c_mean": 0.01 * k},
+                scenario=scenario, rule={"kind": "combined", "threshold_time": 0.05, "batch_n": 2},
+            )
+            for k in (1, 2)
+        ]
+        expected = [run_experiment(config) for config in configs]
+        calls = []
+        real = protocol.draw_collapses
+
+        def counted(*args):
+            hit_upper, times = real(*args)
+            return hit_upper, lambda laws: calls.append(len(laws)) or times(laws)
+
+        monkeypatch.setattr(protocol, "draw_collapses", counted)
+        assert run_experiments(configs) == expected
+        assert calls == ([2, 2] if tag == "post_collapse_only" else [])
+
+    @pytest.mark.parametrize("model", ["jump_exponential", "diffusion"])
     def test_memory_of_a_group_is_bounded_by_its_chunks(self, model):
         # At batch_n 64 one point of a full block already fills the chunk
         # budget four times over, so more points add chunks, not memory.
@@ -313,7 +337,7 @@ class TestRunExperiment:
                 experiment_config(
                     n_trials=BLOCK_SIZE, input_p1=0.3,
                     collapse={"model": model, "t_c_mean": 0.001 * (k + 1)},
-                    observer={"t_p": 0.001, "jitter_sigma": 0.0002, "resolution": 0.01},
+                    observer={"t_p": 0.001, "jitter_sigma": 0.0002},
                     rule={"kind": "timing_threshold", "threshold_time": 0.05, "batch_n": 64},
                 )
                 for k in range(n_points)

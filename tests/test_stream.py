@@ -38,7 +38,7 @@ def raw(model="jump_exponential", tag="post_collapse_only", kind="timing_thresho
         "n_trials": 600,
         "input_p1": 0.3,
         "collapse": {"model": model, "t_c_mean": 0.02},
-        "observer": {"t_p": 0.01, "jitter_sigma": 0.0, "resolution": 0.01},
+        "observer": {"t_p": 0.01, "jitter_sigma": 0.0},
         "scenario": {"tag": tag, **({"r": 0.4} if tag == "random_percept" else {})},
         "rule": {"kind": kind, "batch_n": 1, **({} if kind == "change_detection" else {"threshold_time": 0.03})},
     }
