@@ -28,9 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import check_field, check_time
-
-DEFAULT_EPSILON = 1e-3
+from .errors import FieldError, check_field, check_time
 
 #: Devroye's split point between the two series expansions of the J* density.
 _J_TRUNC = 0.64
@@ -48,9 +46,10 @@ class CollapseParams:
 
     ``t_c_mean`` is the mean collapse time in seconds.  ``gamma`` (diffusion
     strength, 1/sqrt(s)) and ``epsilon`` (absorbing half-band) only drive the
-    DIFFUSION model.
+    DIFFUSION model: it requires ``epsilon``, and the other models refuse
+    either field unless it is None.
 
-    Construction rejects a non-finite or out-of-range field with a
+    Construction rejects a non-finite, out-of-range or unread field with a
     :class:`~qscsim.errors.FieldError` naming it.  Whether a diffusion
     ``gamma`` is needed, and its tie to ``t_c_mean``, depend on the input
     weight, so :class:`~qscsim.config.ExperimentConfig` checks them; here
@@ -60,17 +59,23 @@ class CollapseParams:
     model: CollapseModel = field(metadata={"json": CollapseModel.JUMP_EXPONENTIAL, "draws": True})
     t_c_mean: float = field(metadata={"json": 180.0, "sweep": True})
     gamma: float | None = None
-    epsilon: float = field(default=DEFAULT_EPSILON, metadata={"sweep": True, "draws": True})
+    epsilon: float | None = field(default=None, metadata={"sweep": True, "draws": True})
 
     def __post_init__(self) -> None:
         check_time("t_c_mean", self.t_c_mean, self.t_c_mean > 0.0, "> 0")
-        check_field("epsilon", self.epsilon, 0.0 < self.epsilon < 0.5, "in (0.0, 0.5)")
+        if self.epsilon is not None:
+            check_field("epsilon", self.epsilon, 0.0 < self.epsilon < 0.5, "in (0.0, 0.5)")
+        elif self.model is CollapseModel.DIFFUSION:
+            raise FieldError("epsilon", "required for diffusion")
         if self.gamma is not None:
             check_field("gamma", self.gamma, self.gamma > 0.0, "> 0")
+        for name in ("gamma", "epsilon"):
+            if self.model is not CollapseModel.DIFFUSION and getattr(self, name) is not None:
+                raise FieldError(name, "only meaningful for diffusion")
 
 
 def draw_collapses(
-    p1: float, model: CollapseModel, epsilon: float, rng: np.random.Generator, n: int
+    p1: float, model: CollapseModel, epsilon: float | None, rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray, Callable[[Sequence[CollapseParams]], np.ndarray]]:
     """Draw ``n`` independent collapses of an input with branch-1 weight ``p1``.
 

@@ -44,6 +44,8 @@ SCHEMA_VERSION = 1
 #: Largest ``n_trials``: a float64 holds every count up to it exactly.
 MAX_TRIALS = 2**53
 
+#: Absorbing half-band of a diffusion config that leaves ``collapse.epsilon`` null.
+DEFAULT_EPSILON = 1e-3
 DEFAULT_THRESHOLD_NOISE_MARGIN = 5.0
 #: Least noise scale (s) of the default threshold: the timing gap an observer without jitter tells apart.
 DEFAULT_THRESHOLD_NOISE_FLOOR = 0.01
@@ -65,8 +67,8 @@ class ExperimentConfig:
     weight :func:`~qscsim.collapse.between_bands` that ``collapse.gamma`` is
     given and yields a mean first passage of ``collapse.t_c_mean`` (to 1e-9
     relative), a closed form that must be finite; elsewhere it is never read
-    and may be None.  A field out of range raises a
-    :class:`~qscsim.errors.FieldError` naming its dotted path.
+    and must be None.  A field out of range or set where it is not read
+    raises a :class:`~qscsim.errors.FieldError` naming its dotted path.
     """
 
     # Keyword-only so that it can come first: the echo keeps declaration order.
@@ -109,6 +111,8 @@ class ExperimentConfig:
                     f"{collapse.gamma!r} is inconsistent with t_c_mean {collapse.t_c_mean!r}: a mean first "
                     f"passage of t_c_mean from input_p1 {p1!r} needs gamma {closed!r}; omit gamma to use it",
                 )
+        elif collapse.gamma is not None:
+            raise FieldError("collapse.gamma", f"only meaningful for input_p1 inside (epsilon, 1 - epsilon), got {p1!r}")
 
 
 def _closed_gamma(collapse: CollapseParams, p1: float) -> float | None:
@@ -227,7 +231,10 @@ def parse_config(raw: Mapping[str, Any]) -> ExperimentConfig:
         if raw.get(key) is not None and not isinstance(raw[key], Mapping):
             raise FieldError(key, "must be a JSON object")
 
-    collapse = _build("collapse", CollapseParams, **_read(CollapseParams, raw.get("collapse") or {}, "collapse"))
+    collapse = _read(CollapseParams, raw.get("collapse") or {}, "collapse")
+    if collapse["epsilon"] is None and collapse["model"] is CollapseModel.DIFFUSION:
+        collapse["epsilon"] = DEFAULT_EPSILON
+    collapse = _build("collapse", CollapseParams, **collapse)
     # An omitted diffusion gamma is the closed form wherever the walk needs one.
     if collapse.gamma is None:
         collapse = replace(collapse, gamma=_closed_gamma(collapse, top["input_p1"]))

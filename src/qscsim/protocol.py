@@ -68,7 +68,8 @@ class RuleKind(Enum):
 class DecisionRule:
     """How perception reports are turned into a guess.
 
-    ``threshold_time`` is required for the timing and combined rules;
+    ``threshold_time`` is required for the timing and combined rules and
+    refused for change detection, which does not read it;
     ``batch_n`` is the number of identically prepared states consumed per
     decision, at most :data:`MAX_BATCH_N`.  Both signals are one-sided, so
     a batch is guessed superposition when any copy fires and definite
@@ -82,6 +83,8 @@ class DecisionRule:
     def __post_init__(self) -> None:
         if self.threshold_time is not None:
             check_field("threshold_time", self.threshold_time, self.threshold_time > 0.0, "> 0")
+            if self.kind is RuleKind.CHANGE_DETECTION:
+                raise FieldError("threshold_time", "only meaningful for timing_threshold and combined")
         elif self.kind is not RuleKind.CHANGE_DETECTION:
             raise FieldError("threshold_time", f"required for {self.kind.value}")
         check_integer("batch_n", self.batch_n)

@@ -1,7 +1,9 @@
 import csv
+import importlib.util
 import json
 import math
 import re
+import sys
 import threading
 import tracemalloc
 from pathlib import Path
@@ -12,7 +14,7 @@ import pytest
 import qscsim.cli as cli
 from qscsim.cli import main
 from qscsim.collapse import diffusion_gamma
-from qscsim.config import parse_config, set_config_field
+from qscsim.config import expand_sweep, parse_config, set_config_field
 from qscsim.errors import FieldError
 from qscsim.report import CSV_COLUMNS
 
@@ -451,10 +453,8 @@ class TestCalibrate:
 
     @pytest.mark.parametrize("p1", [0.0, 0.0005, 1.0])
     def test_weight_outside_the_band_is_named(self, tmp_path, capsys, p1):
-        # Outside the band gamma is not read, so the error names input_p1, not gamma.
-        path = write_config(
-            tmp_path, {"input_p1": p1, "collapse": {"model": "diffusion", "t_c_mean": 1.0, "gamma": 2.0}}
-        )
+        # Outside the band there is no gamma to calibrate, so the error names input_p1.
+        path = write_config(tmp_path, {"input_p1": p1, "collapse": {"model": "diffusion", "t_c_mean": 1.0}})
         assert main(["calibrate", "--config", path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: input_p1: calibrate needs input_p1 inside (epsilon, 1 - epsilon)")
@@ -576,6 +576,30 @@ def test_unknown_command_rejected(capsys):
         main(["explode"])
 
 
+def test_benchmark_workloads_parse_and_their_argv_is_accepted(monkeypatch):
+    # A config or CLI change that every benchmark op would trip on fails here instead.
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # The module defines a dataclass, which looks its module up in sys.modules;
+    # no bytecode is written next to it.
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(workloads)
+    parser = cli._build_parser()
+    declared = json.loads((root / "BENCHMARK.json").read_text())["workloads"]
+    assert set(workloads.WORKLOADS) == {workload["name"] for workload in declared}
+    for name, workload in workloads.WORKLOADS.items():
+        for seed in range(3):
+            raw = workload.make_config(workloads.master_seed(name, seed, 0))
+            assert parse_config(raw).master_seed == raw["master_seed"]
+            if "sweep" in raw:
+                assert len(expand_sweep(raw)) == len(raw["sweep"]["values"])
+            for threads in (1, 2):
+                args = parser.parse_args(workload.argv("config.json", "out.csv", threads))
+                assert args.command == workload.verb and args.json
+
+
 def test_readme_flags_match_the_parser():
     # Every --flag README names must exist, and every option must be documented.
     readme = Path(__file__).resolve().parent.parent / "README.md"
@@ -611,13 +635,29 @@ def test_readme_flags_match_the_parser():
             {"input_p1": 0.3, "collapse": {"model": "diffusion", "t_c_mean": 1e-320, "gamma": 1.0}},
             "collapse.t_c_mean: 1e-320 is too small for diffusion from input_p1 0.3: the closed-form gamma overflows",
         ),
+        (
+            {"rule": {"kind": "change_detection", "threshold_time": 0.05}},
+            "rule.threshold_time: only meaningful for timing_threshold and combined",
+        ),
+        (
+            {"collapse": {"model": "jump_exponential", "epsilon": 0.001}},
+            "collapse.epsilon: only meaningful for diffusion",
+        ),
+        (
+            {"input_p1": 1.0, "collapse": {"model": "diffusion", "gamma": 2.0}},
+            "collapse.gamma: only meaningful for input_p1 inside (epsilon, 1 - epsilon), got 1.0",
+        ),
     ],
-    ids=["t_c_mean", "jitter_sigma", "tiny_t_c_mean_gamma_omitted", "tiny_t_c_mean_gamma_given"],
+    ids=[
+        "t_c_mean", "jitter_sigma", "tiny_t_c_mean_gamma_omitted", "tiny_t_c_mean_gamma_given",
+        "unread_threshold_time", "unread_epsilon", "unread_gamma",
+    ],
 )
-def test_huge_time_is_one_error_line_naming_its_field(tmp_path, capsys, extra, error):
-    # Such a time would overflow the report-time sums (or the default
+def test_refused_config_is_one_error_line_naming_its_field(tmp_path, capsys, extra, error):
+    # A huge time would overflow the report-time sums (or the default
     # threshold) to inf, so it is refused before anything is written; so is
-    # a diffusion t_c_mean small enough to overflow the closed-form gamma.
+    # a diffusion t_c_mean small enough to overflow the closed-form gamma,
+    # and a field set where the config does not read it.
     path = write_config(tmp_path, extra)
     out = tmp_path / "out.csv"
     assert main(["run", "--config", path, "--json", "--out", str(out)]) == 1

@@ -38,11 +38,20 @@ class TestCollapseParams:
             diffusion(epsilon=0.0)
         with pytest.raises(ValueError):
             diffusion(epsilon=0.5)
+        # Diffusion requires epsilon; the other laws refuse gamma and epsilon.
+        for fields, name in (
+            (dict(model=CollapseModel.DIFFUSION, t_c_mean=1.0), "epsilon"),
+            (dict(model=CollapseModel.JUMP_EXPONENTIAL, t_c_mean=1.0, gamma=2.0), "gamma"),
+            (dict(model=CollapseModel.DETERMINISTIC_TIME, t_c_mean=1.0, epsilon=1e-3), "epsilon"),
+        ):
+            with pytest.raises(FieldError) as err:
+                CollapseParams(**fields)
+            assert err.value.field == name
 
     def test_diffusion_requires_gamma(self):
         # Only walkers that start between the bands read gamma; the config
         # ties it to t_c_mean there.
-        params = CollapseParams(model=CollapseModel.DIFFUSION, t_c_mean=1.0)
+        params = CollapseParams(model=CollapseModel.DIFFUSION, t_c_mean=1.0, epsilon=1e-3)
         with pytest.raises(ValueError, match="gamma"):
             sample_collapses(0.3, params, np.random.default_rng(0), 10)
         times, hit_upper = sample_collapses(5e-4, params, np.random.default_rng(0), 10)
@@ -261,10 +270,10 @@ class TestDiffusionGamma:
 
     def test_hits_target_and_doubling_overshoots(self):
         gamma = diffusion_gamma(1.0, 0.5, 1e-3)
-        params = CollapseParams(model=CollapseModel.DIFFUSION, t_c_mean=1.0, gamma=gamma)
+        params = CollapseParams(model=CollapseModel.DIFFUSION, t_c_mean=1.0, gamma=gamma, epsilon=1e-3)
         times, _ = sample_collapses(0.5, params, np.random.default_rng(9), 4096)
         assert abs(float(times.mean()) - 1.0) <= 0.08
-        doubled = CollapseParams(model=CollapseModel.DIFFUSION, t_c_mean=1.0, gamma=2.0 * gamma)
+        doubled = CollapseParams(model=CollapseModel.DIFFUSION, t_c_mean=1.0, gamma=2.0 * gamma, epsilon=1e-3)
         times2, _ = sample_collapses(0.5, doubled, np.random.default_rng(9), 4096)
         assert float(times2.mean()) < 1.0
 

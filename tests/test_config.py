@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import math
+import random
 import re
 import sys
 import warnings
@@ -13,6 +14,7 @@ from qscsim.cli import _dumps
 from qscsim.collapse import CollapseModel, CollapseParams, between_bands, diffusion_gamma, sample_collapses
 from qscsim.config import (
     SWEEPABLE_FIELDS,
+    ExperimentConfig,
     expand_sweep,
     load_config,
     parse_config,
@@ -20,7 +22,7 @@ from qscsim.config import (
 )
 from qscsim.errors import ConfigError, FieldError
 from qscsim.observer import ScenarioTag
-from qscsim.protocol import MAX_BATCH_N, ExperimentSummary, RuleKind, _draw_paths, run_experiment
+from qscsim.protocol import MAX_BATCH_N, ExperimentSummary, RuleKind, _draw_paths, leaf_fields, run_experiment
 from qscsim.report import to_json_dict
 
 MINIMAL = {"master_seed": 42, "n_trials": 1000}
@@ -168,25 +170,18 @@ def test_diffusion_gamma_inconsistent_with_t_c_mean_is_an_error(gamma):
         assert "t_c_mean 1.0" in str(err.value)
 
 
-def _run_outcome(config):
-    try:
-        return run_experiment(config)
-    except ValueError as exc:
-        return type(exc), str(exc)
-
-
 @pytest.mark.parametrize("p1", [0.0, 1e-4, 1e-3, 1.0 - 1e-3, 1.0])
 def test_diffusion_gamma_with_input_p1_in_a_band(p1):
-    # The closed form needs epsilon < input_p1 < 1 - epsilon; outside it an
-    # explicit gamma is taken as given and an omitted one stays None.
-    given = parse_config({**MINIMAL, "n_trials": 200, "input_p1": p1, "collapse": {**DIFFUSION, "gamma": 2.0}})
-    assert given.collapse.gamma == 2.0
+    # The closed form needs epsilon < input_p1 < 1 - epsilon.  Outside it
+    # every superposition has collapsed at time 0 and nothing reads gamma:
+    # an omitted one stays None and a given one is refused.
     omitted = parse_config({**MINIMAL, "n_trials": 200, "input_p1": p1, "collapse": DIFFUSION})
     assert omitted.collapse.gamma is None
     assert to_json_dict(omitted)["collapse"]["gamma"] is None
-    # Outside the band neither run reads gamma: every superposition has
-    # collapsed at time 0, so both give the same summary.
-    assert _run_outcome(omitted) == _run_outcome(given)
+    assert isinstance(run_experiment(omitted), ExperimentSummary)
+    with pytest.raises(FieldError) as err:
+        parse_config({**MINIMAL, "input_p1": p1, "collapse": {**DIFFUSION, "gamma": 2.0}})
+    assert err.value.field == "collapse.gamma"
 
 
 def test_diffusion_run_from_p1_zero_equals_a_start_inside_the_lower_band():
@@ -242,7 +237,7 @@ def test_sweep_over_t_c_mean_re_resolves_diffusion_gamma():
 
 def test_collapse_gamma_is_not_a_sweep_target():
     # An in-band diffusion sweep over gamma would fail at its first point,
-    # and the other collapse models never read gamma.
+    # and the other collapse models refuse gamma.
     assert "collapse.gamma" not in SWEEPABLE_FIELDS
     raw = {**MINIMAL, "input_p1": 0.3, "collapse": DIFFUSION, "sweep": {"param": "collapse.gamma", "values": [1.0, 2.0]}}
     for call in (parse_config, expand_sweep):
@@ -275,6 +270,13 @@ def _replace_collapse(config, **fields):
         ("collapse.gamma", lambda c: _replace_collapse(c, gamma=2.0)),
         ("collapse.gamma", lambda c: _replace_collapse(c, t_c_mean=2.0)),
         ("collapse.gamma", lambda c: _replace_collapse(c, gamma=None)),
+        # A field set where it is not read: gamma outside the bands, gamma and
+        # epsilon under another law, a threshold under change detection.
+        ("collapse.gamma", lambda c: dataclasses.replace(c, input_p1=1.0)),
+        ("gamma", lambda c: dataclasses.replace(c.collapse, model=CollapseModel.JUMP_EXPONENTIAL)),
+        ("epsilon", lambda c: dataclasses.replace(c.collapse, model=CollapseModel.DETERMINISTIC_TIME, gamma=None)),
+        ("epsilon", lambda c: dataclasses.replace(c.collapse, epsilon=None)),
+        ("threshold_time", lambda c: dataclasses.replace(c.rule, kind=RuleKind.CHANGE_DETECTION)),
     ],
 )
 def test_replace_on_a_loaded_config_is_validated(tmp_path, field, edit):
@@ -286,25 +288,16 @@ def test_replace_on_a_loaded_config_is_validated(tmp_path, field, edit):
     assert err.value.field == field
 
 
-def test_gamma_check_leaves_band_and_other_models_alone():
-    # Outside (epsilon, 1 - epsilon) any diffusion gamma is taken as given,
-    # and the other models never read gamma.
-    config = parse_config({**MINIMAL, "input_p1": 0.3, "collapse": DIFFUSION})
-    assert dataclasses.replace(config, input_p1=1.0).collapse.gamma == config.collapse.gamma
-    jump = parse_config({**MINIMAL, "input_p1": 0.3, "collapse": {"model": "jump_exponential", "t_c_mean": 1.0}})
-    assert _replace_collapse(jump, gamma=2.0).collapse.gamma == 2.0
-
-
 @pytest.mark.parametrize(
     "section, field, value, other",
     [
         ("collapse", "t_c_mean", 0.0, {}),
         # an integer beyond the float range is not finite
         ("collapse", "t_c_mean", 10**401, {}),
-        ("collapse", "epsilon", 0.5, {}),
+        ("collapse", "epsilon", 0.5, {"model": "diffusion"}),
         ("collapse", "t_c_mean", -1.0, {}),
         ("collapse", "epsilon", 0.0, {"model": "diffusion"}),
-        ("collapse", "gamma", 0.0, {}),
+        ("collapse", "gamma", 0.0, {"model": "diffusion"}),
         ("collapse", "gamma", -2.0, {"model": "diffusion", "t_c_mean": 1.0}),
         ("collapse", "gamma", math.nan, {"model": "diffusion"}),
         ("observer", "t_p", 0.0, {}),
@@ -318,6 +311,12 @@ def test_gamma_check_leaves_band_and_other_models_alone():
         # whether gamma is omitted or given
         ("collapse", "t_c_mean", 1e-320, {"model": "diffusion"}),
         ("collapse", "t_c_mean", 1e-320, {"model": "diffusion", "gamma": 1.0}),
+        # a field set where the config does not read it
+        ("collapse", "epsilon", 1e-3, {}),
+        ("collapse", "epsilon", 0.01, {"model": "deterministic_time"}),
+        ("collapse", "gamma", 2.0, {}),
+        ("collapse", "gamma", 2.0, {"model": "deterministic_time"}),
+        ("rule", "threshold_time", 0.05, {"kind": "change_detection"}),
     ],
 )
 def test_dataclass_range_error_keeps_its_dotted_path(section, field, value, other):
@@ -400,12 +399,27 @@ def test_stream_layout_paths():
     )
 
 
-def test_sweep_point_revalidates():
-    raw = {**MINIMAL, "sweep": {"param": "observer.t_p", "values": [0.001, -0.5]}}
+@pytest.mark.parametrize(
+    "base, param, values, field, bad",
+    [
+        ({}, "observer.t_p", [0.001, -0.5], "observer.t_p", -0.5),
+        # A field swept where the config does not read it fails at the first point.
+        ({"rule": {"kind": "change_detection"}}, "rule.threshold_time", [0.1, 0.05], "rule.threshold_time", 0.05),
+        ({}, "collapse.epsilon", [0.01, 0.1], "collapse.epsilon", 0.01),
+        ({"collapse": {"model": "deterministic_time"}}, "collapse.epsilon", [0.01], "collapse.epsilon", 0.01),
+        (
+            {"collapse": {**DIFFUSION, "gamma": diffusion_gamma(1.0, 0.5, 1e-3)}},
+            "input_p1", [1.0, 0.5], "collapse.gamma", 1.0,
+        ),
+    ],
+    ids=["t_p_out_of_range", "threshold_time_under_change", "epsilon_under_jump", "epsilon_under_deterministic",
+         "gamma_outside_the_bands"],
+)
+def test_sweep_point_revalidates(base, param, values, field, bad):
     with pytest.raises(FieldError) as err:
-        expand_sweep(raw)
-    assert err.value.field == "observer.t_p"
-    assert "observer.t_p = -0.5" in str(err.value)
+        expand_sweep({**MINIMAL, **base, "sweep": {"param": param, "values": values}})
+    assert err.value.field == field
+    assert err.value.message.endswith(f"(sweep point {param} = {bad!r})")
 
 
 NESTED = {
@@ -518,7 +532,7 @@ def test_config_echo_contains_resolved_values():
     assert echoed["master_seed"] == 42
     assert json.dumps(echoed) == (
         '{"schema_version": 1, "master_seed": 42, "n_trials": 1000, "priors": 0.5, "input_p1": 0.5, '
-        '"collapse": {"model": "jump_exponential", "t_c_mean": 180.0, "gamma": null, "epsilon": 0.001}, '
+        '"collapse": {"model": "jump_exponential", "t_c_mean": 180.0, "gamma": null, "epsilon": null}, '
         '"observer": {"t_p": 0.001, "jitter_sigma": 0.0002}, '
         '"scenario": {"tag": "post_collapse_only", "r": null}, "rule": {"kind": "timing_threshold", '
         '"threshold_time": 0.051000000000000004, "batch_n": 5}, '
@@ -577,3 +591,55 @@ def test_device_baseline_type_checked():
     with pytest.raises(FieldError):
         parse_config({**MINIMAL, "device_baseline": "yes"})
     assert parse_config({**MINIMAL, "device_baseline": True}).device_baseline
+
+
+#: A valid base per (law, scenario, rule) for the random-config contract.
+CONTRACT_BASES = [
+    {**MINIMAL, "input_p1": 0.3, "collapse": {"model": model, "t_c_mean": 0.02},
+     "observer": {"jitter_sigma": 0.002}, "scenario": scenario, "rule": rule}
+    for model in ("jump_exponential", "deterministic_time", "diffusion")
+    for scenario in ({"tag": "post_collapse_only"}, {"tag": "distinct_percept"}, {"tag": "fixed_c1"},
+                     {"tag": "fixed_c2"}, {"tag": "random_percept", "r": 0.4})
+    for rule in ({"kind": "timing_threshold"}, {"kind": "change_detection"},
+                 {"kind": "combined", "threshold_time": 0.03})
+]
+#: Values at and beyond each bound, one of each JSON type, other variants'
+#: names, and in-range values that are refused where their field is unread.
+CONTRACT_VALUES = [
+    0, -0.0, 5e-324, 1e100, 1.0000000000000002e100, 2**53, 2**53 + 1, 2**64, 1024, 1025, 1.0 - 1e-12,
+    True, None, "x", [1], {"a": 1},
+    "diffusion", "deterministic_time", "change_detection", "random_percept",
+    0.01, 0.05, 2.0,
+]
+UNREAD_PATHS = {"collapse.gamma", "collapse.epsilon", "rule.threshold_time"}
+
+
+def test_random_configs_run_honestly_or_name_an_existing_field():
+    # Each config either raises a FieldError at an existing dotted path, or
+    # echoes back to itself and runs to strict JSON with valid intervals.
+    rng = random.Random(11)
+    paths = [path for path, _, _ in leaf_fields(ExperimentConfig)]
+    known = {*paths, "collapse", "observer", "scenario", "rule", "sweep"}
+    ran, unread = 0, set()
+    for _ in range(500):
+        raw = rng.choice(CONTRACT_BASES)
+        for path in rng.sample(paths, rng.randint(0, 3)):
+            raw = set_config_field(raw, path, rng.choice(CONTRACT_VALUES))
+        try:
+            config = parse_config(raw)
+        except FieldError as exc:
+            assert re.sub(r"\[\d+\]$", "", exc.field) in known, (raw, exc)
+            if exc.message.startswith("only meaningful"):
+                unread.add(exc.field)
+            continue
+        assert parse_config(json.loads(_dumps(to_json_dict(config)))) == config, raw
+        summary = run_experiment(dataclasses.replace(config, n_trials=min(config.n_trials, 200)))
+        _dumps(to_json_dict(summary))
+        for rate in (summary.accuracy_definite, summary.accuracy_superposition, summary.accuracy_overall,
+                     summary.device_success):
+            if rate is not None and rate.trials:
+                assert 0.0 <= rate.lo <= rate.estimate <= rate.hi <= 1.0, raw
+        for mean in (summary.mean_report_time_definite, summary.mean_report_time_superposition):
+            assert mean is None or 0.0 <= mean < math.inf, raw
+        ran += 1
+    assert ran >= 50 and UNREAD_PATHS <= unread, (ran, unread)

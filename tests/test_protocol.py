@@ -88,10 +88,10 @@ LAYOUT_BASES = {
     "jump": JUMP_LAYOUT_BASE,
     "diffusion": JUMP_LAYOUT_BASE | {"collapse": {"model": "diffusion", "t_c_mean": 0.02}, "scenario": {"tag": "fixed_c1"}},
 }
-#: One valid change per leaf field of a config: (base, new raw value).  A
-#: diffusion gamma left unset follows t_c_mean, epsilon and input_p1, as at
-#: a sweep point; so only the jump base takes a gamma alone.
-#: ``schema_version`` has no other valid value.
+#: One valid change per leaf field of a config: (base, new raw value).
+#: ``schema_version`` has no other valid value, and ``collapse.gamma`` no
+#: valid change alone: a diffusion gamma must agree with t_c_mean, epsilon
+#: and input_p1, and the other laws refuse one.
 LEAF_CHANGES = {
     "master_seed": ("jump", 8),
     "n_trials": ("jump", 500),
@@ -99,7 +99,7 @@ LEAF_CHANGES = {
     "input_p1": ("diffusion", 0.4),
     "collapse.model": ("jump", "deterministic_time"),
     "collapse.t_c_mean": ("diffusion", 0.03),
-    "collapse.gamma": ("jump", 2.0),
+    "collapse.gamma": None,
     "collapse.epsilon": ("diffusion", 0.01),
     "observer.t_p": ("jump", 0.002),
     "observer.jitter_sigma": ("jump", 0.001),
