@@ -20,7 +20,7 @@ import numpy as np
 from .collapse import CollapseModel, between_bands, sample_collapses
 from .config import expand_sweep, parse_config, read_raw_config
 from .errors import FieldError, QscError
-from .protocol import MAX_COPIES, RNG_STREAM, run_experiment, run_experiments
+from .protocol import MAX_COPIES, RNG_STREAM, SWEEP_ONLY, run_experiment, run_experiments
 from .report import render_human_summary, summary_csv_row, to_json_dict, write_csv
 from .stats import Z95
 
@@ -128,6 +128,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     config = parse_config(_load_raw(args))
+    if config.sweep is not None:
+        raise FieldError("sweep", SWEEP_ONLY)
     collapse = config.collapse
     if collapse.model is not CollapseModel.DIFFUSION:
         raise FieldError(

@@ -56,6 +56,8 @@ RNG_STREAM = "block-v2"
 _CHUNK_COPIES = 16 * BLOCK_SIZE
 #: Branch-2 weight below which a prepared input is definite and never collapses.
 DEFINITE_WEIGHT_TOL = 1e-12
+#: The refusal of a config with a ``sweep`` section anywhere but in the ``sweep`` verb.
+SWEEP_ONLY = "a config with a sweep runs only as a sweep: use the sweep verb, or expand_sweep for its points"
 
 
 class RuleKind(Enum):
@@ -218,23 +220,6 @@ def _run_block(
     return n_def, device_correct, correct_def, correct_sup, sums_def, sums_sup
 
 
-def _add_exact(partials: list[float], x: float) -> None:
-    """Add ``x`` to ``partials``, non-overlapping floats whose exact sum is a
-    running total (Shewchuk's partials, as ``math.fsum`` keeps them), so
-    ``math.fsum(partials)`` is the correctly rounded total of every ``x``."""
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        high = x + y
-        low = y - (high - x)
-        if low:
-            partials[i] = low
-            i += 1
-        x = high
-    partials[i:] = [x]
-
-
 def _run_group(configs: Sequence["ExperimentConfig"]) -> list[ExperimentSummary]:
     """Summaries of configs that share one stream layout, from one pass over
     the blocks, each folded into running totals as it completes."""
@@ -247,8 +232,9 @@ def _run_group(configs: Sequence["ExperimentConfig"]) -> list[ExperimentSummary]
 
     n_definite = device_correct = 0
     correct_def, correct_sup = np.zeros((2, len(configs)), dtype=np.int64)
-    # Per class and point, the exact partials of the report-time sums.
-    time_def, time_sup = [[] for _ in configs], [[] for _ in configs]
+    # Per class and point, the exact report-time total in units of 2**-1074,
+    # of which every finite float is an integer multiple.
+    time_def, time_sup = [0] * len(configs), [0] * len(configs)
     for block, start in enumerate(range(0, n, BLOCK_SIZE)):
         rng = np.random.default_rng(np.random.SeedSequence(lead.master_seed, spawn_key=(block,)))
         n_def, block_device, block_def, block_sup, sums_def, sums_sup = _run_block(
@@ -258,15 +244,16 @@ def _run_group(configs: Sequence["ExperimentConfig"]) -> list[ExperimentSummary]
         device_correct += block_device
         correct_def += block_def
         correct_sup += block_sup
-        for partials, value in zip(time_def + time_sup, sums_def.tolist() + sums_sup.tolist()):
-            _add_exact(partials, value)
+        for totals, sums in ((time_def, sums_def), (time_sup, sums_sup)):
+            for point, value in enumerate(sums.tolist()):
+                numerator, denominator = value.as_integer_ratio()
+                totals[point] += numerator << (1075 - denominator.bit_length())
     n_superposition = n - n_definite
     correct_def, correct_sup = correct_def.tolist(), correct_sup.tolist()
 
-    def mean_times(partials: list[list[float]], count: int) -> list[float | None]:
-        if not count:
-            return [None] * len(configs)
-        return [math.fsum(point) / (count * batch_n) for point in partials]
+    def mean_times(totals: list[int], count: int) -> list[float | None]:
+        # Int true division rounds correctly: the first division rounds the exact total once.
+        return [total / 2**1074 / (count * batch_n) if count else None for total in totals]
 
     device_success = RateEstimate.from_counts(device_correct, n) if lead.device_baseline else None
     device_bound = optimal_device_bound(p1) if lead.device_baseline else None
@@ -298,7 +285,10 @@ def run_experiments(configs: Sequence["ExperimentConfig"]) -> list[ExperimentSum
     order :func:`run_experiment` lists, then evaluates the group's points in
     chunks of at most ``_CHUNK_COPIES`` copies (points x decisions x
     ``batch_n``), so memory is bounded at any point count and ``batch_n``.
+    A config with a ``sweep`` section is a :class:`~qscsim.errors.FieldError` at ``sweep``.
     """
+    if any(config.sweep is not None for config in configs):
+        raise FieldError("sweep", SWEEP_ONLY)
     groups: dict[tuple, list[int]] = {}
     for index, config in enumerate(configs):
         groups.setdefault(_stream_layout(config), []).append(index)
@@ -330,7 +320,8 @@ def run_experiment(config: "ExperimentConfig") -> ExperimentSummary:
        is B2 (device baseline only).
 
     Each block reduces to integer counts and report-time sums, folded into
-    running totals in block order (the sums as exact partials, summed by
-    ``math.fsum``), so memory stays at one block.
+    running totals in block order (the sums as exact integers, so each mean
+    divides the correctly rounded total by its copy count), so memory stays
+    at one block.
     """
     return run_experiments([config])[0]

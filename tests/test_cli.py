@@ -16,6 +16,7 @@ from qscsim.cli import main
 from qscsim.collapse import diffusion_gamma
 from qscsim.config import expand_sweep, parse_config, set_config_field
 from qscsim.errors import FieldError
+from qscsim.protocol import SWEEP_ONLY
 from qscsim.report import CSV_COLUMNS
 
 BASE_CONFIG = {
@@ -45,6 +46,13 @@ def strict_loads(text):
     return json.loads(text, parse_constant=reject)
 
 
+def readme_csv_columns():
+    """The column names README lists under "Fixed columns, in order"."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listing = readme.split("Fixed columns, in order:", 1)[1].split(".", 1)[0]
+    return re.findall(r"`(\w+)`", listing)
+
+
 def write_config(tmp_path, extra, name="cfg.json"):
     raw = dict(BASE_CONFIG)
     raw.update(extra)
@@ -59,7 +67,7 @@ class TestRun:
         assert main(["run", "--config", config_path, "--out", str(out)]) == 0
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == CSV_COLUMNS
+        assert rows[0] == CSV_COLUMNS == readme_csv_columns()
         assert len(rows) == 2
         row = dict(zip(rows[0], rows[1]))
         assert row["master_seed"] == "42"
@@ -67,6 +75,48 @@ class TestRun:
         assert row["sweep_param"] == ""
         assert row["device_success"] == ""
         assert float(row["acc_overall"]) >= 0.99
+
+    @pytest.mark.parametrize("device", [False, True])
+    @pytest.mark.parametrize("priors", [0.0, 0.5, 1.0])
+    def test_text_summary_lines(self, tmp_path, capsys, priors, device):
+        # A class with no trials reads n/a and has no mean-time line; the
+        # device lines come only with the baseline, the csv line only with --out.
+        path = write_config(tmp_path, {"priors": priors})
+        flags = ["--device-baseline"] if device else []
+        assert main(["run", "--config", path, "--json", *flags]) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+
+        def rate(label, key):
+            r = summary[key]
+            if not r["trials"]:
+                return f"{label:<28}n/a (no trials)"
+            return f"{label:<28}{r['estimate']:.6f}  [{r['lo']:.6f}, {r['hi']:.6f}]  ({r['successes']}/{r['trials']})"
+
+        means = [
+            f"{label:<28}{summary[key]:.6g} s"
+            for label, key in (("mean report time (def)", "mean_report_time_definite"),
+                               ("mean report time (sup)", "mean_report_time_superposition"))
+            if summary[key] is not None
+        ]
+        device_lines = [
+            rate("device success", "device_success"),
+            f"{'optimal device bound':<28}{summary['device_bound']:.6f}",
+        ] if device else []
+        expected = [
+            f"{'n_trials':<28}400",
+            rate("accuracy (definite)", "accuracy_definite"),
+            rate("accuracy (superposition)", "accuracy_superposition"),
+            rate("accuracy (overall)", "accuracy_overall"),
+            *means,
+            *device_lines,
+            f"{'master_seed':<28}42",
+        ]
+        assert len(means) == 1 + (priors == 0.5)
+        assert main(["run", "--config", path, *flags]) == 0
+        assert capsys.readouterr().out.splitlines() == expected
+        out = tmp_path / "result.csv"
+        assert main(["run", "--config", path, "--out", str(out), *flags]) == 0
+        assert capsys.readouterr().out.splitlines() == [*expected, f"csv written to {out}"]
 
     def test_rerun_is_byte_identical(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -617,50 +667,68 @@ def test_readme_flags_match_the_parser():
 
 
 @pytest.mark.parametrize(
-    "extra, error",
+    "verb, extra, error",
     [
         (
+            "run",
             {"collapse": {"model": "jump_exponential", "t_c_mean": 1e306}},
             "collapse.t_c_mean: must be <= 1e+100 s, got 1e+306",
         ),
         (
+            "run",
             {"observer": {"t_p": 0.001, "jitter_sigma": 1e308}, "rule": {"kind": "timing_threshold"}},
             "observer.jitter_sigma: must be <= 1e+100 s, got 1e+308",
         ),
         (
+            "run",
             {"input_p1": 0.3, "collapse": {"model": "diffusion", "t_c_mean": 1e-320}},
             "collapse.t_c_mean: 1e-320 is too small for diffusion from input_p1 0.3: the closed-form gamma overflows",
         ),
         (
+            "run",
             {"input_p1": 0.3, "collapse": {"model": "diffusion", "t_c_mean": 1e-320, "gamma": 1.0}},
             "collapse.t_c_mean: 1e-320 is too small for diffusion from input_p1 0.3: the closed-form gamma overflows",
         ),
         (
+            "run",
             {"rule": {"kind": "change_detection", "threshold_time": 0.05}},
             "rule.threshold_time: only meaningful for timing_threshold and combined",
         ),
         (
+            "run",
             {"collapse": {"model": "jump_exponential", "epsilon": 0.001}},
             "collapse.epsilon: only meaningful for diffusion",
         ),
         (
+            "run",
             {"input_p1": 1.0, "collapse": {"model": "diffusion", "gamma": 2.0}},
             "collapse.gamma: only meaningful for input_p1 inside (epsilon, 1 - epsilon), got 1.0",
+        ),
+        ("run", {"sweep": {"param": "collapse.t_c_mean", "values": [1.0, 2.0]}}, f"sweep: {SWEEP_ONLY}"),
+        (
+            "calibrate",
+            {
+                "collapse": {"model": "diffusion", "t_c_mean": 1.0},
+                "sweep": {"param": "collapse.t_c_mean", "values": [0.5, 2.0]},
+            },
+            f"sweep: {SWEEP_ONLY}",
         ),
     ],
     ids=[
         "t_c_mean", "jitter_sigma", "tiny_t_c_mean_gamma_omitted", "tiny_t_c_mean_gamma_given",
-        "unread_threshold_time", "unread_epsilon", "unread_gamma",
+        "unread_threshold_time", "unread_epsilon", "unread_gamma", "run_sweep", "calibrate_sweep",
     ],
 )
-def test_refused_config_is_one_error_line_naming_its_field(tmp_path, capsys, extra, error):
+def test_refused_config_is_one_error_line_naming_its_field(tmp_path, capsys, verb, extra, error):
     # A huge time would overflow the report-time sums (or the default
     # threshold) to inf, so it is refused before anything is written; so is
     # a diffusion t_c_mean small enough to overflow the closed-form gamma,
-    # and a field set where the config does not read it.
+    # a field set where the config does not read it, and a sweep outside
+    # the sweep verb, whose base values are none of its points.
     path = write_config(tmp_path, extra)
     out = tmp_path / "out.csv"
-    assert main(["run", "--config", path, "--json", "--out", str(out)]) == 1
+    flags = ["--out", str(out)] if verb == "run" else []
+    assert main([verb, "--config", path, "--json", *flags]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {error}\n"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import binom_3sigma, device_bound_grid, expected_outcomes
-from qscsim.config import parse_config, set_config_field
+from qscsim.config import expand_sweep, parse_config, set_config_field
 from qscsim.errors import FieldError
 from qscsim.observer import ScenarioTag
 import qscsim.protocol as protocol
@@ -91,7 +91,8 @@ LAYOUT_BASES = {
 #: One valid change per leaf field of a config: (base, new raw value).
 #: ``schema_version`` has no other valid value, and ``collapse.gamma`` no
 #: valid change alone: a diffusion gamma must agree with t_c_mean, epsilon
-#: and input_p1, and the other laws refuse one.
+#: and input_p1, and the other laws refuse one.  A config with a ``sweep``
+#: does not run (``test_a_sweep_config_runs_only_as_a_sweep``).
 LEAF_CHANGES = {
     "master_seed": ("jump", 8),
     "n_trials": ("jump", 500),
@@ -109,7 +110,7 @@ LEAF_CHANGES = {
     "rule.threshold_time": ("jump", 0.04),
     "rule.batch_n": ("jump", 3),
     "device_baseline": ("jump", False),
-    "sweep": ("jump", {"param": "priors", "values": [0.6]}),
+    "sweep": None,
     "schema_version": None,
 }
 
@@ -352,7 +353,7 @@ class TestRunExperiment:
         assert peak(8) < 1.5 * peak(1)
 
     def test_memory_of_a_run_does_not_grow_with_its_blocks(self):
-        # Report-time sums are folded into exact partials as each block
+        # Report-time sums are folded into exact integer totals as each block
         # completes, rather than kept until the end.
         def peak(blocks):
             config = experiment_config(n_trials=blocks * BLOCK_SIZE)
@@ -365,14 +366,32 @@ class TestRunExperiment:
 
         assert peak(400) < 1.3 * peak(40)
 
-    def test_exact_partials_keep_fsum(self):
+    def test_report_time_totals_keep_fsum(self, monkeypatch):
+        # Block sums across 40 decades, with 0.0 and the least subnormal,
+        # join exact integer totals: each mean divides the correctly rounded
+        # sum, as math.fsum gives it, by the copy count, for either sign.
         rng = np.random.default_rng(3)
         for size in (1, 2, 50, 500):
-            values = (rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size)).tolist()
-            partials = []
-            for value in values:
-                protocol._add_exact(partials, value)
-            assert math.fsum(partials) == math.fsum(values)
+            values = [0.0, 5e-324, *(rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size)).tolist()]
+            blocks = iter(values)
+
+            def block(configs, rng, m, p1, collapses):
+                value = next(blocks)
+                no_correct = np.zeros(1, dtype=np.int64)
+                return m // 2, 0, no_correct, no_correct, np.array([value]), np.array([-value])
+
+            monkeypatch.setattr(protocol, "_run_block", block)
+            summary = run_experiment(experiment_config(n_trials=len(values) * BLOCK_SIZE))
+            copies = len(values) * BLOCK_SIZE // 2
+            assert summary.mean_report_time_definite == math.fsum(values) / copies
+            assert summary.mean_report_time_superposition == math.fsum(-value for value in values) / copies
+
+    def test_a_sweep_config_runs_only_as_a_sweep(self):
+        # Its base values are not one of its points, so running it alone would report neither.
+        config = experiment_config(sweep={"param": "collapse.t_c_mean", "values": [1.0, 2.0]})
+        with pytest.raises(FieldError, match="use the sweep verb") as err:
+            run_experiments([experiment_config(), config])
+        assert err.value.field == "sweep"
 
     def test_stream_layout_key_is_complete(self):
         # A config that differs from another in one field, run next to it,
@@ -403,7 +422,7 @@ EXACT_GRID = [
 ]
 
 
-def grid_config(model, scenario, rule_kind, batch_n, jitter):
+def grid_raw(model, scenario, rule_kind, batch_n, jitter, n_trials=KERNEL_TRIALS):
     """Parameters that put every signal between never and always firing:
     t_c + t_p straddles the threshold, jitter truncates a definite report
     at 0 about one time in three, and p1 = 0.3 makes the two fixed
@@ -418,9 +437,9 @@ def grid_config(model, scenario, rule_kind, batch_n, jitter):
     collapse = {"model": model, "t_c_mean": 0.02 if model == "jump_exponential" else 0.025}
     if model == "diffusion":
         collapse["epsilon"] = 0.2
-    return parse_config({
+    return {
         "master_seed": 11,
-        "n_trials": KERNEL_TRIALS,
+        "n_trials": n_trials,
         "priors": 0.5,
         "input_p1": 0.3,
         "collapse": collapse,
@@ -428,7 +447,7 @@ def grid_config(model, scenario, rule_kind, batch_n, jitter):
         "scenario": scenario_raw,
         "rule": rule,
         "device_baseline": True,
-    })
+    }
 
 
 def assert_within_5se(observed, expected, se, what):
@@ -446,7 +465,7 @@ def test_block_kernel_matches_exact_expectations(model, scenario, rule_kind, bat
     # Each decision is correct independently, so a class's count is binomial
     # in its trials; a mean report time averages trials * batch_n
     # independent copies.
-    config = grid_config(model, scenario, rule_kind, batch_n, jitter)
+    config = parse_config(grid_raw(model, scenario, rule_kind, batch_n, jitter))
     kernel = run_experiment(config)
     expected = expected_outcomes(config)
     for what, rate in (
@@ -462,6 +481,67 @@ def test_block_kernel_matches_exact_expectations(model, scenario, rule_kind, bat
     ):
         m1, m2 = expected[what]
         assert_within_5se(mean, m1, math.sqrt(max(m2 - m1 * m1, 0.0) / (trials * batch_n)), what)
+
+
+#: Decisions per run of an exact relation: these hold whatever the sample,
+#: so a small one serves.
+RELATION_TRIALS = 5000
+LAWS = ["jump_exponential", "deterministic_time", "diffusion"]
+#: Every time field of a config; a change-detection rule has no threshold_time.
+TIME_FIELDS = ["collapse.t_c_mean", "observer.t_p", "observer.jitter_sigma", "rule.threshold_time"]
+
+
+@pytest.mark.parametrize("rule_kind", RULES)
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("model", LAWS)
+def test_scaling_every_time_scales_the_means_and_keeps_every_count(model, scenario, rule_kind):
+    # Every report time is a product or a sum of scaled times, and the bands
+    # are in weight, not time.  A power of 4 is exact in each of them and
+    # halves the closed-form diffusion gamma exactly; the default
+    # threshold's floor does not scale, so the rule sets it.
+    raw = grid_raw(model, scenario, rule_kind, 2, "jitter", n_trials=RELATION_TRIALS)
+    base = run_experiment(parse_config(raw))
+    for c in (4.0, 0.25):
+        scaled = raw
+        for path in TIME_FIELDS:
+            section, name = path.split(".")
+            if name in raw[section]:
+                scaled = set_config_field(scaled, path, c * raw[section][name])
+        assert run_experiment(parse_config(scaled)) == dataclasses.replace(
+            base,
+            mean_report_time_definite=c * base.mean_report_time_definite,
+            mean_report_time_superposition=c * base.mean_report_time_superposition,
+        ), c
+
+
+#: Per swept field, the direction in which correct definite and correct
+#: superposed decisions move as it grows: a later report fires the timing
+#: signal more often, a later threshold less often.
+SWEEP_DIRECTIONS = {
+    "collapse.t_c_mean": (0, 1),
+    "observer.t_p": (-1, 1),
+    "rule.threshold_time": (1, -1),
+}
+
+
+@pytest.mark.parametrize("param", list(SWEEP_DIRECTIONS))
+@pytest.mark.parametrize("rule_kind", ["timing_threshold", "combined"])
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("model", LAWS)
+def test_sweep_counts_move_one_way(model, scenario, rule_kind, param):
+    # The points change no draw, so every report time moves one way with
+    # the swept value, and so does every count.
+    raw = grid_raw(model, scenario, rule_kind, 2, "jitter", n_trials=RELATION_TRIALS)
+    section, name = param.split(".")
+    values = [raw[section][name] * 2.0 ** (k / 2) for k in range(-4, 5)]
+    points = expand_sweep(raw | {"sweep": {"param": param, "values": values}})
+    summaries = run_experiments([config for _, config in points])
+    for direction, counts in zip(SWEEP_DIRECTIONS[param], (
+        [s.accuracy_definite.successes for s in summaries],
+        [s.accuracy_superposition.successes for s in summaries],
+    )):
+        steps = [direction * (b - a) for a, b in zip(counts, counts[1:])]
+        assert all(step >= 0 for step in steps) if direction else not any(steps), (direction, counts)
 
 
 def test_summary_count_invariant_enforced():
